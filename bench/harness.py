@@ -4,9 +4,15 @@ Every invocation is one ``python -m jaqalc.cli`` subprocess with
 ``PYTHONPATH=src``, started only after the previous one has exited (a
 closed loop with one client).  A round runs the five commands (check,
 expand, schedule, run, run -p) on every program of the workload; rounds
-repeat while the time budget lasts.  A command's time is, per program, the
-median over rounds, summed over programs; ``setup_s`` is the median of the
-empty-program invocations.
+repeat while the time budget lasts.
+
+The machine's speed drifts by up to a third within seconds (process
+start-up and page faults most of all), so every invocation sits between
+two runs of the fixed job in calibrate.py and is reported at a reference
+speed: its wall time times ``CALIBRATION_S`` over the mean of its two
+neighbouring calibration times.  A command's time is, per program, the
+median of those over rounds, summed over programs; ``setup_s`` is the
+median of the empty-program invocations.  The raw wall times are kept too.
 
 An invocation fails when it exits non-zero, prints a traceback, or writes
 bytes that differ from the reference: the committed digests at the default
@@ -35,6 +41,16 @@ ROOT = BENCH.parent  # the checkout: holds src/jaqalc
 SRC = ROOT / "src"
 RUNS = BENCH / "_run"  # scratch space, ignored by git
 REFERENCE = BENCH / "reference.json"
+CALIBRATE = BENCH / "calibrate.py"
+
+# The calibration job's median wall time on the machine the benchmark was
+# built on (2 vCPUs, Python 3.11, numpy 2 on OpenBLAS); every reported time
+# is scaled to the speed at which the job takes this long.
+CALIBRATION_S = 0.25
+# A multi-threaded BLAS pool spins against the interpreter on a machine of
+# two vCPUs; with one thread the outputs are the same and the times steadier.
+CHILD_THREADS = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+                 "MKL_NUM_THREADS": "1"}
 
 COMMANDS = ("check", "expand", "schedule", "run", "prob")
 # output files whose bytes are compared; check writes none
@@ -68,13 +84,26 @@ class Invocation:
 
 def invoke(args, cwd: Path) -> Invocation:
     """Run one jaqalc subprocess and time it from spawn to reap."""
-    env = dict(os.environ)
+    return _spawn(["-m", "jaqalc.cli", *args], cwd)
+
+
+def calibrate(cwd: Path) -> float:
+    """Wall seconds of one run of the calibration job."""
+    call = _spawn([str(CALIBRATE)], cwd)
+    if call.status != 0:
+        raise BenchError("the calibration job failed: "
+                         + call.stderr.strip()[-500:])
+    return call.seconds
+
+
+def _spawn(args, cwd: Path) -> Invocation:
+    env = dict(os.environ, **CHILD_THREADS)
     env["PYTHONPATH"] = str(SRC) + (
         os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
     with open(cwd / "stderr.txt", "w+b") as err:
         start = time.perf_counter()
         proc = subprocess.Popen(
-            [sys.executable, "-m", "jaqalc.cli", *args], cwd=cwd, env=env,
+            [sys.executable, *args], cwd=cwd, env=env,
             stdin=subprocess.DEVNULL, stdout=subprocess.DEVNULL, stderr=err)
         # wait4 reaps the child and returns its own resource usage
         _, wait_status, usage = os.wait4(proc.pid, 0)
@@ -210,111 +239,139 @@ def load_reference(workload: Workload):
 @dataclass
 class EndToEnd:
     workload: Workload
-    setup: list = field(default_factory=list)  # empty-program seconds
+    # seconds at the reference speed, and the same invocations' wall seconds
+    setup: list = field(default_factory=list)  # empty-program invocations
+    setup_wall: list = field(default_factory=list)
     # times[command][program index] -> seconds per round
     times: dict = field(default_factory=dict)
+    wall: dict = field(default_factory=dict)
+    calibration: list = field(default_factory=list)  # calibration seconds
     peak_rss_mb: float = 0.0
     attempted: int = 0
     failed: int = 0
     errors: list = field(default_factory=list)
     digests: dict = field(default_factory=dict)  # program -> command -> hex
     outputs: dict = field(default_factory=dict)  # same keys, first round
-    rounds: int = 0
+    rounds: int = 0  # complete rounds
 
     def fail(self, message: str):
         self.failed += 1
         if len(self.errors) < 20:
             self.errors.append(message)
 
-    def command_seconds(self, command: str) -> float:
-        """The median round of each program, summed over programs."""
-        return sum(statistics.median(per_round)
-                   for per_round in self.times[command])
+    def timed(self, space: Workspace, args) -> tuple:
+        """Invoke jaqalc, then the calibration job; returns the invocation
+        and its time at the reference speed."""
+        call = invoke(args, space.dir)
+        before = self.calibration[-1]
+        self.calibration.append(calibrate(space.dir))
+        speed = (before + self.calibration[-1]) / 2 / CALIBRATION_S
+        return call, call.seconds / speed
 
-    def metrics(self) -> dict:
-        out = {"setup_s": (statistics.median(self.setup), "s")}
+    def command_seconds(self, command: str, wall: bool = False) -> float:
+        """The median round of each program, summed over programs."""
+        times = self.wall if wall else self.times
+        return sum(statistics.median(per_round)
+                   for per_round in times[command])
+
+    def metrics(self, wall: bool = False) -> dict:
+        """End-to-end metrics at the reference speed (or in wall time)."""
+        setup = self.setup_wall if wall else self.setup
+        out = {"setup_s": (statistics.median(setup), "s")}
         for command in COMMANDS:
-            out[f"{command}_s"] = (self.command_seconds(command), "s")
+            out[f"{command}_s"] = (self.command_seconds(command, wall), "s")
         out["peak_rss_mb"] = (self.peak_rss_mb, "MiB")
         return out
 
 
 def _setup_sample(space: Workspace, result: EndToEnd):
-    call = invoke(["check", "empty.jaqal"], space.dir)
+    call, seconds = result.timed(space, ["check", "empty.jaqal"])
     result.attempted += 1
     if call.status != 0 or "Traceback" in call.stderr:
         result.fail(f"empty program: exit {call.status}: "
                     f"{call.stderr.strip()[-300:]}")
         return
-    result.setup.append(call.seconds)
+    result.setup.append(seconds)
+    result.setup_wall.append(call.seconds)
 
 
 def preflight(space: Workspace):
-    """One untimed start so a missing toolchain stops the benchmark and
-    byte-code caches exist before anything is timed."""
+    """One untimed start of jaqalc and of the calibration job, so a missing
+    toolchain stops the benchmark and byte-code caches exist before anything
+    is timed."""
     if not (SRC / "jaqalc" / "cli.py").is_file():
         raise BenchError(f"no jaqalc sources under {SRC}")
     call = invoke(["check", "empty.jaqal"], space.dir)
     if call.status != 0:
         raise BenchError("jaqalc does not start: "
                          + call.stderr.strip()[-500:])
+    calibrate(space.dir)
 
 
-def _round(space: Workspace, result: EndToEnd, reference):
-    workload = result.workload
-    for _ in range(SETUP_SAMPLES_PER_ROUND):
-        _setup_sample(space, result)
-    for index, program in enumerate(workload.programs):
-        outputs = result.outputs.setdefault(program.name, {})
-        for command in COMMANDS:
-            call = invoke(space.argv(index, command), space.dir)
-            result.attempted += 1
-            result.times[command][index].append(call.seconds)
-            result.peak_rss_mb = max(result.peak_rss_mb, call.rss_mb)
-            where = f"{program.name} {command}"
-            if call.status != 0 or "Traceback" in call.stderr:
-                result.fail(f"{where}: exit {call.status}: "
-                            f"{call.stderr.strip()[-300:]}")
-                continue
-            if command == "check":
-                continue
-            data = space.output(index, command).read_bytes()
-            space.output(index, command).unlink()
-            seen = result.digests.setdefault(program.name, {})
-            if command not in seen:  # first round
-                seen[command] = digest(data)
-                outputs[command] = data
-                expected = reference and reference[program.name][command]
-                if expected and expected != seen[command]:
-                    result.fail(f"{where}: output differs from the "
-                                "committed reference")
-            elif seen[command] != digest(data):
-                result.fail(f"{where}: output differs from the first round")
-        if result.rounds == 0 and len(outputs) == len(OUTPUT_COMMANDS):
-            problem = check_outputs(program, outputs)
-            if problem:
-                result.fail(f"{program.name}: {problem}")
-    result.rounds += 1
+def _program(space: Workspace, result: EndToEnd, index: int, reference):
+    """The five commands on one program."""
+    program = result.workload.programs[index]
+    outputs = result.outputs.setdefault(program.name, {})
+    for command in COMMANDS:
+        call, seconds = result.timed(space, space.argv(index, command))
+        result.attempted += 1
+        result.times[command][index].append(seconds)
+        result.wall[command][index].append(call.seconds)
+        result.peak_rss_mb = max(result.peak_rss_mb, call.rss_mb)
+        where = f"{program.name} {command}"
+        if call.status != 0 or "Traceback" in call.stderr:
+            result.fail(f"{where}: exit {call.status}: "
+                        f"{call.stderr.strip()[-300:]}")
+            continue
+        if command == "check":
+            continue
+        data = space.output(index, command).read_bytes()
+        space.output(index, command).unlink()
+        seen = result.digests.setdefault(program.name, {})
+        if command not in seen:  # first round
+            seen[command] = digest(data)
+            outputs[command] = data
+            expected = reference and reference[program.name][command]
+            if expected and expected != seen[command]:
+                result.fail(f"{where}: output differs from the "
+                            "committed reference")
+        elif seen[command] != digest(data):
+            result.fail(f"{where}: output differs from the first round")
+    if result.rounds == 0 and len(outputs) == len(OUTPUT_COMMANDS):
+        problem = check_outputs(program, outputs)
+        if problem:
+            result.fail(f"{program.name}: {problem}")
 
 
 def measure(space: Workspace, seconds: float, reference=None,
             min_rounds: int = 1) -> EndToEnd:
-    """Run rounds while the next one, as long as the last, still ends
-    within ``seconds`` (at least ``min_rounds`` rounds).  ``reference``
-    maps program -> command -> expected sha256."""
+    """Run at least ``min_rounds`` rounds, then go on, one program (or
+    the round's set-up samples) at a time, while the next step, as long as
+    it took in the previous round, still ends within ``seconds``.
+    ``reference`` maps program -> command -> expected sha256."""
     workload = space.workload
     result = EndToEnd(workload)
-    result.times = {c: [[] for _ in workload.programs] for c in COMMANDS}
+    for times in (result.times, result.wall):
+        times.update({c: [[] for _ in workload.programs] for c in COMMANDS})
     start = time.perf_counter()
+    result.calibration.append(calibrate(space.dir))
     for _ in range(SETUP_SAMPLES_FIRST):
         _setup_sample(space, result)
-    last = 0.0
-    while (result.rounds < min_rounds
-           or time.perf_counter() - start + last <= seconds):
-        began = time.perf_counter()
-        _round(space, result, reference)
-        last = time.perf_counter() - began
-    return result
+    # step 0 is the round's set-up samples, step i + 1 the i-th program
+    took = [0.0] * (len(workload.programs) + 1)
+    while True:
+        for step in range(len(took)):
+            if (result.rounds >= min_rounds
+                    and time.perf_counter() - start + took[step] > seconds):
+                return result
+            began = time.perf_counter()
+            if step == 0:
+                for _ in range(SETUP_SAMPLES_PER_ROUND):
+                    _setup_sample(space, result)
+            else:
+                _program(space, result, step - 1, reference)
+            took[step] = time.perf_counter() - began
+        result.rounds += 1
 
 
 # ---------------------------------------------------------------------------
@@ -368,6 +425,8 @@ def environment() -> dict:
         "python": platform.python_version(),
         "numpy": numpy.__version__,
         "blas_threads": _blas_threads(),
+        "child_threads": CHILD_THREADS,
+        "calibration_s": CALIBRATION_S,
         "nproc": len(os.sched_getaffinity(0)),
         "platform": platform.platform(),
     }

@@ -5,9 +5,9 @@
 
 Run from the root of a checkout (it needs ``src/jaqalc``).  The last line
 of standard output is ``{"correct", "attempted", "failed", "metrics"}``:
-with ``--trace 0`` the end-to-end metrics, with ``--trace 1`` the
-per-layer metrics of the traced and memory passes (the trace is written to
-``bench/_run/traces/``).  The line before it records the workload's
+with ``--trace 0`` the end-to-end metrics (scaled to the reference speed
+set in harness.py), with ``--trace 1`` the per-layer metrics of the traced
+and memory passes (the trace is written to ``bench/_run/traces/``).  The line before it records the workload's
 descriptors, the environment and the sha256 of every output file, so two
 commits can be compared byte for byte at any seed.  See bench/README.md.
 """
@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 
@@ -31,9 +32,10 @@ def layer_metrics(workload, e2e, tracer, work, peaks) -> dict:
     five commands), work counts, peak memory, residual and overhead."""
     self_s = tracer.self_times()
     stage_s = sum(v for k, v in self_s.items() if not k.startswith("cli."))
-    setup_s = e2e.metrics()["setup_s"][0]
+    # wall times: the traced pass is not scaled to the reference speed
+    setup_s = e2e.metrics(wall=True)["setup_s"][0]
     invocations = len(workload.programs) * len(harness.COMMANDS)
-    e2e_s = sum(e2e.command_seconds(c) for c in harness.COMMANDS)
+    e2e_s = sum(e2e.command_seconds(c, wall=True) for c in harness.COMMANDS)
     parses = work["parser.tokens"] * len(harness.COMMANDS)
 
     def count(name):
@@ -127,8 +129,12 @@ def bench(name: str, seed: int, seconds: float, traced: bool) -> tuple:
         "error_rate": e2e.failed / e2e.attempted,
         "errors": e2e.errors + problems,
         "digests": e2e.digests,
+        # the end-to-end metrics in unscaled wall seconds
+        "wall_metrics": {k: v for k, (v, _) in e2e.metrics(wall=True).items()},
         # every timed invocation, for quartiles and for other statistics
         "samples": {"setup": e2e.setup, **e2e.times},
+        "wall_samples": {"setup": e2e.setup_wall, **e2e.wall},
+        "calibration_samples": e2e.calibration,
     }
     result = {
         "correct": e2e.failed == 0 and not problems,
@@ -147,6 +153,8 @@ def main(argv=None) -> int:
     parser.add_argument("--seconds", type=float, default=RUN_SECONDS)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     args = parser.parse_args(argv)
+    # the traced pass runs in this process: same BLAS threads as the CLI's
+    os.environ.update(harness.CHILD_THREADS)
     try:
         info, result = bench(args.workload, args.seed, args.seconds,
                              bool(args.trace))

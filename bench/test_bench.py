@@ -8,6 +8,7 @@ speed.
 import json
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -97,6 +98,19 @@ def test_smoke_traced_pass_reports_every_layer_metric(smoke):
         "simulator.segments"]
     # deterministic counts repeat exactly
     assert tracing.traced_pass(workload, tracing.Tracer()) == (digests, work)
+
+
+def test_times_are_scaled_by_the_neighbouring_calibrations(monkeypatch):
+    # jaqalc takes 0.6 s between calibrations of 0.5 s and 0.3 s: the
+    # machine runs at 0.4 / CALIBRATION_S of the reference speed
+    monkeypatch.setattr(harness, "invoke",
+                        lambda args, cwd: harness.Invocation(0.6, 1.0, 0, ""))
+    monkeypatch.setattr(harness, "calibrate", lambda cwd: 0.3)
+    result = harness.EndToEnd(workload=None, calibration=[0.5])
+    call, seconds = result.timed(SimpleNamespace(dir=None),
+                                 ["check", "empty.jaqal"])
+    assert call.seconds == 0.6 and result.calibration == [0.5, 0.3]
+    assert seconds == pytest.approx(0.6 * harness.CALIBRATION_S / 0.4)
 
 
 def test_output_checks_catch_a_wrong_output(smoke):
