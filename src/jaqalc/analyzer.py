@@ -28,14 +28,17 @@ Checks performed, each with its own diagnostic code:
   sits inside a parallel block (``duplicate-qubit``, ``parallel-conflict``,
   ``ms-in-parallel``, ``global-gate-in-parallel``).
 
-The parallel-sibling check is structural: macro invocations contribute no
-qubits here because their bodies are checked precisely after expansion.
+Each statement is summarised once, as a ``Usage``, while it is checked; the
+parallel-sibling rules read only those summaries.  The rules are
+structural: macro invocations contribute no qubits here because their
+bodies are checked precisely after expansion, by the same
+``parallel_conflicts`` rule.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 from .ast import (
     FloatLiteral,
@@ -55,6 +58,77 @@ from .ast import (
 from .diagnostics import error, warning
 from .errors import JaqalError
 from .gateset import FLOAT, MEASUREMENT, PREPARATION, QUBIT
+
+
+class Usage(NamedTuple):
+    """What a statement occupies, as the exclusivity rules see it.
+
+    ``offsets`` holds the register offsets it is known to touch, or None
+    when it holds an all-qubit gate and so occupies every offset.
+    ``global_gate`` and ``entangler`` say whether it holds an all-qubit
+    preparation/measurement or the two-qubit entangler, also through
+    macro invocations.
+    """
+
+    offsets: Optional[frozenset] = frozenset()
+    global_gate: bool = False
+    entangler: bool = False
+
+    @classmethod
+    def of_gate(cls, definition, offsets) -> "Usage":
+        is_global = definition.kind in (PREPARATION, MEASUREMENT)
+        rotation = definition.rotation
+        return cls(None if is_global else frozenset(offsets), is_global,
+                   rotation is not None and rotation.family == "ms")
+
+    @classmethod
+    def union(cls, usages) -> "Usage":
+        offsets = set()
+        global_gate = entangler = False
+        for usage in usages:
+            if usage.offsets is None:
+                offsets = None
+            elif offsets is not None:
+                offsets |= usage.offsets
+            global_gate = global_gate or usage.global_gate
+            entangler = entangler or usage.entangler
+        return cls(None if offsets is None else frozenset(offsets),
+                   global_gate, entangler)
+
+
+_NO_USAGE = Usage()
+
+
+def parallel_conflicts(usages, n_qubits: int):
+    """The exclusivity violations among the children of one parallel block.
+
+    Takes each child's Usage and yields ``(child index, code, message)``:
+    first every register offset a child shares with an earlier sibling (in
+    child order, then offset order), then the entangler when it has
+    parallel company.  A child that holds an all-qubit gate occupies
+    offsets 0 to ``n_qubits - 1``.
+    """
+    taken: set = set()
+    everything = False  # an earlier child occupies every offset
+    for idx, usage in enumerate(usages):
+        if usage.offsets is None:
+            shared = range(n_qubits) if everything else sorted(taken)
+            everything = True
+        else:
+            shared = sorted(usage.offsets if everything
+                            else usage.offsets & taken)
+            taken |= usage.offsets
+        for offset in shared:
+            yield (idx, "parallel-conflict",
+                   f"qubit offset {offset} is used by two statements in the "
+                   "same parallel block")
+    if len(usages) > 1:
+        for idx, usage in enumerate(usages):
+            if usage.entangler:
+                yield (idx, "ms-in-parallel",
+                       "the two-qubit entangling gate runs in parallel with "
+                       "no other gates")
+                break
 
 
 @dataclass(frozen=True)
@@ -277,7 +351,7 @@ class _Analyzer:
             index += view.length
         if not 0 <= index < view.length:
             self.diag(stmt, "index-out-of-bounds",
-                      f"index {self.expr_text(selector)} is out of range for "
+                      f"index {_expr_text(selector)} is out of range for "
                       f"{stmt.target!r} of length {view.length}")
             return None
         return SingleView(view.offset(index))
@@ -290,38 +364,19 @@ class _Analyzer:
 
     # -- expressions ----------------------------------------------------------
 
-    @staticmethod
-    def expr_text(expr) -> str:
-        if isinstance(expr, IntLiteral):
-            return str(expr.value)
-        if isinstance(expr, FloatLiteral):
-            return repr(expr.value)
-        return expr.name
+    def report(self, stmt, resolved):
+        """Report a (code, message) failure of a resolver at ``stmt`` and
+        return None, or pass a resolved value through."""
+        if not isinstance(resolved, tuple):
+            return resolved
+        code, message = resolved
+        if code is not None:
+            self.diag(stmt, code, message)
+        return None
 
     def resolve_int(self, expr, stmt, what: str, params=None) -> Optional[int]:
-        """Resolve an integer expression; integer slots reject float
-        constants rather than truncating them."""
-        if isinstance(expr, IntLiteral):
-            return expr.value
-        name = expr.name
-        if params is not None and name in params:
-            self.diag(stmt, "type-mismatch",
-                      f"macro parameter {name!r} cannot be used as {what}")
-            return None
-        info = self.table.lets.get(name)
-        if info is not None:
-            if info.is_float:
-                self.diag(stmt, "type-mismatch",
-                          f"{what} requires an integer, but {name!r} is a "
-                          "float constant")
-                return None
-            return info.value
-        if self.table.declared(name):
-            self.diag(stmt, "type-mismatch",
-                      f"{name!r} is not a numeric constant")
-            return None
-        self.diag(stmt, "undefined-name", f"{name!r} is not declared")
-        return None
+        return self.report(stmt, _int_value(expr, self.table, what,
+                                            params or ()))
 
     # -- body -----------------------------------------------------------------
 
@@ -359,20 +414,20 @@ class _Analyzer:
             param_kinds.setdefault(p, None)
         ctx = _Context(in_parallel=stmt.body.parallel, params=param_kinds,
                        current_macro=stmt.name, body_index=idx)
-        self.check_block_children(stmt.body, ctx)
+        usage = self.check_block_children(stmt.body, ctx)
         if not collision:
             self.table.macros[stmt.name] = MacroInfo(
                 stmt.name, stmt.params, param_kinds, stmt.body,
-                self.next_order(),
-                uses_entangler=self.block_uses(stmt.body, "entangler"),
-                uses_global_gate=self.block_uses(stmt.body, "global"))
+                self.next_order(), uses_entangler=usage.entangler,
+                uses_global_gate=usage.global_gate)
 
-    def check_statement(self, stmt, ctx: _Context):
+    def check_statement(self, stmt, ctx: _Context) -> Usage:
+        """Check one statement and return its Usage."""
         if isinstance(stmt, GateStatement):
-            self.check_gate(stmt, ctx)
-        elif isinstance(stmt, GateBlock):
-            self.check_block_children(stmt, ctx)
-        elif isinstance(stmt, LoopStatement):
+            return self.check_gate(stmt, ctx)
+        if isinstance(stmt, GateBlock):
+            return self.check_block_children(stmt, ctx)
+        if isinstance(stmt, LoopStatement):
             if ctx.in_parallel:
                 self.diag(stmt, "loop-in-parallel",
                           "loop statements are not allowed inside parallel "
@@ -385,48 +440,34 @@ class _Analyzer:
             if stmt.body.parallel:
                 self.diag(stmt, "expected-block",
                           "a loop body must be a sequential block")
-            self.check_statement(stmt.body, ctx)
-        elif isinstance(stmt, MacroDef):
+            return self.check_statement(stmt.body, ctx)
+        if isinstance(stmt, MacroDef):
             self.diag(stmt, "macro-in-block",
                       "macro definitions are not allowed inside gate blocks")
-        else:
-            raise JaqalError(f"unexpected statement {type(stmt).__name__}")
+            return _NO_USAGE
+        raise JaqalError(f"unexpected statement {type(stmt).__name__}")
 
-    def check_block_children(self, block: GateBlock, ctx: _Context):
+    def check_block_children(self, block: GateBlock, ctx: _Context) -> Usage:
         inner = _Context(in_parallel=ctx.in_parallel or block.parallel,
                          params=ctx.params,
                          current_macro=ctx.current_macro,
                          body_index=ctx.body_index)
+        usages = []
         for child in block.statements:
             if isinstance(child, GateBlock) and child.parallel == block.parallel:
                 kind = "parallel" if block.parallel else "sequential"
                 self.diag(child, "same-kind-nesting",
                           f"a {kind} block cannot be nested directly inside "
                           f"another {kind} block")
-            self.check_statement(child, inner)
+            usages.append(self.check_statement(child, inner))
         if block.parallel:
-            self.check_parallel_rules(block, inner)
+            register = self.table.register
+            n_qubits = register.size if register and register.size else 0
+            for idx, code, message in parallel_conflicts(usages, n_qubits):
+                self.diag(block.statements[idx], code, message)
+        return Usage.union(usages)
 
-    def check_parallel_rules(self, block: GateBlock, ctx: _Context):
-        children = block.statements
-        used: dict = {}  # offset -> first child index that used it
-        for idx, child in enumerate(children):
-            for offset in sorted(self.qubit_set(child, ctx)):
-                if offset in used and used[offset] != idx:
-                    self.diag(child, "parallel-conflict",
-                              f"qubit offset {offset} is used by two "
-                              "statements in the same parallel block")
-                else:
-                    used.setdefault(offset, idx)
-        if len(children) > 1:
-            for child in children:
-                if self.statement_uses(child, "entangler", ctx):
-                    self.diag(child, "ms-in-parallel",
-                              "the two-qubit entangling gate runs in "
-                              "parallel with no other gates")
-                    break
-
-    def check_gate(self, stmt: GateStatement, ctx: _Context):
+    def check_gate(self, stmt: GateStatement, ctx: _Context) -> Usage:
         name = stmt.name
         definition = self.gates.get(name)
         if definition is not None:
@@ -434,8 +475,8 @@ class _Analyzer:
                 self.diag(stmt, "global-gate-in-parallel",
                           f"{name} acts on every qubit and cannot appear "
                           "inside a parallel block")
-            self.check_native_args(stmt, definition, ctx)
-            return
+            offsets = self.check_native_args(stmt, definition, ctx)
+            return Usage.of_gate(definition, offsets)
         macro = self.table.macros.get(name)
         if macro is not None:
             if ctx.in_parallel and macro.uses_global_gate:
@@ -443,7 +484,9 @@ class _Analyzer:
                           f"macro {name!r} prepares or measures all qubits "
                           "and cannot appear inside a parallel block")
             self.check_macro_args(stmt, macro, ctx)
-            return
+            # the body's qubits are checked after expansion
+            return Usage(frozenset(), macro.uses_global_gate,
+                         macro.uses_entangler)
         if name == ctx.current_macro:
             self.diag(stmt, "recursive-macro",
                       f"macro {name!r} cannot invoke itself; a macro is "
@@ -455,24 +498,28 @@ class _Analyzer:
         else:
             self.diag(stmt, "unknown-gate",
                       f"{name!r} is not a known gate or macro")
+        return _NO_USAGE
 
-    def check_native_args(self, stmt, definition, ctx: _Context):
+    def check_native_args(self, stmt, definition, ctx: _Context) -> list:
+        """Check a native gate's arguments; returns the register offsets
+        of the qubit arguments that resolved."""
         kinds = definition.param_kinds
         if len(stmt.args) != len(kinds):
             self.diag(stmt, "arity-mismatch",
                       f"{definition.name} takes {len(kinds)} argument(s), "
                       f"got {len(stmt.args)}")
-            return
+            return []
         offsets = []
         for arg, kind in zip(stmt.args, kinds):
             if kind == QUBIT:
                 offsets.append(self.check_qubit_arg(stmt, arg, ctx))
             else:
                 self.check_float_arg(stmt, arg, ctx)
-        resolved = [o for o in offsets if isinstance(o, int)]
+        resolved = [o for o in offsets if o is not None]
         if len(set(resolved)) != len(resolved):
             self.diag(stmt, "duplicate-qubit",
                       f"{definition.name} uses the same qubit twice")
+        return resolved
 
     def check_macro_args(self, stmt, macro: MacroInfo, ctx: _Context):
         if len(stmt.args) != len(macro.params):
@@ -503,62 +550,9 @@ class _Analyzer:
         """Validate a qubit-slot argument; returns its register offset when
         statically resolvable, or None."""
         params = ctx.params or {}
-        if isinstance(arg, (IntLiteral, FloatLiteral)):
-            self.diag(stmt, "type-mismatch",
-                      f"expected a qubit, got the number "
-                      f"{self.expr_text(arg)}")
-            return None
-        if isinstance(arg, NameRef):
-            name = arg.name
-            if name in params:
-                return self.infer_param(stmt, name, QUBIT, params)
-            info = self.table.aliases.get(name)
-            if info is not None:
-                if isinstance(info.view, SingleView):
-                    return info.view.offset
-                self.diag(stmt, "bad-index",
-                          f"{name!r} is an array and needs an index")
-                return None
-            if name in self.table.registers:
-                self.diag(stmt, "bad-index",
-                          f"{name!r} is an array and needs an index")
-                return None
-            if name in self.table.lets:
-                self.diag(stmt, "type-mismatch",
-                          f"{name!r} is a constant and cannot be a qubit "
-                          "argument")
-                return None
-            self.diag(stmt, "undefined-name", f"{name!r} is not declared")
-            return None
-        # QubitRef with an index
-        base = arg.base
-        if base in params:
-            self.diag(stmt, "bad-index",
-                      f"macro parameter {base!r} is a single qubit and "
-                      "takes no index")
-            return None
-        view = self.table.array_view(base)
-        if view is None:
-            if base in self.table.aliases:
-                self.diag(stmt, "bad-index",
-                          f"{base!r} is a single qubit and takes no index")
-            elif base in self.table.registers:
-                pass  # register size failed to resolve; already diagnosed
-            elif self.table.declared(base):
-                self.diag(stmt, "type-mismatch",
-                          f"{base!r} is not a qubit array")
-            else:
-                self.diag(stmt, "undefined-name", f"{base!r} is not declared")
-            return None
-        index = self.resolve_int(arg.index, stmt, "qubit index", params=params)
-        if index is None:
-            return None
-        if not 0 <= index < view.length:
-            self.diag(stmt, "index-out-of-bounds",
-                      f"index {index} is out of range for {base!r} of "
-                      f"length {view.length}")
-            return None
-        return view.offset(index)
+        if isinstance(arg, NameRef) and arg.name in params:
+            return self.infer_param(stmt, arg.name, QUBIT, params)
+        return self.report(stmt, _qubit_offset(arg, self.table, params))
 
     def check_float_arg(self, stmt, arg, ctx: _Context):
         params = ctx.params or {}
@@ -567,7 +561,7 @@ class _Analyzer:
         if isinstance(arg, QubitRef):
             self.diag(stmt, "type-mismatch",
                       f"expected a number, got qubit "
-                      f"{arg.base}[{self.expr_text(arg.index)}]")
+                      f"{arg.base}[{_expr_text(arg.index)}]")
             return
         name = arg.name
         if name in params:
@@ -593,85 +587,6 @@ class _Analyzer:
             return None
         return None
 
-    # -- structural helpers ----------------------------------------------------
-
-    def qubit_set(self, stmt, ctx: _Context) -> set:
-        """Register offsets a statement is known to touch.  All-qubit gates
-        cover the whole register; macro invocations contribute nothing here
-        (they are re-checked precisely after expansion)."""
-        if isinstance(stmt, GateStatement):
-            definition = self.gates.get(stmt.name)
-            if definition is None:
-                return set()
-            if definition.kind in (PREPARATION, MEASUREMENT):
-                reg = self.table.register
-                if reg is not None and reg.size is not None:
-                    return set(range(reg.size))
-                return set()
-            out = set()
-            if len(stmt.args) == len(definition.param_kinds):
-                for arg, kind in zip(stmt.args, definition.param_kinds):
-                    if kind == QUBIT:
-                        offset = self.peek_offset(arg, ctx)
-                        if offset is not None:
-                            out.add(offset)
-            return out
-        if isinstance(stmt, GateBlock):
-            out = set()
-            for child in stmt.statements:
-                out |= self.qubit_set(child, ctx)
-            return out
-        if isinstance(stmt, LoopStatement):
-            return self.qubit_set(stmt.body, ctx)
-        return set()
-
-    def peek_offset(self, arg, ctx: _Context) -> Optional[int]:
-        """Silently resolve a qubit argument to an offset, if possible."""
-        params = ctx.params or {}
-        if isinstance(arg, NameRef):
-            info = self.table.aliases.get(arg.name)
-            if info is not None and isinstance(info.view, SingleView):
-                return info.view.offset
-            return None
-        if not isinstance(arg, QubitRef) or arg.base in params:
-            return None
-        view = self.table.array_view(arg.base)
-        if view is None:
-            return None
-        if isinstance(arg.index, IntLiteral):
-            index = arg.index.value
-        else:
-            info = self.table.lets.get(arg.index.name) if arg.index else None
-            if info is None or info.is_float:
-                return None
-            index = info.value
-        if 0 <= index < view.length:
-            return view.offset(index)
-        return None
-
-    def statement_uses(self, stmt, what: str, ctx: _Context) -> bool:
-        if isinstance(stmt, GateStatement):
-            definition = self.gates.get(stmt.name)
-            if definition is not None:
-                if what == "entangler":
-                    return (definition.rotation is not None
-                            and definition.rotation.family == "ms")
-                return definition.kind in (PREPARATION, MEASUREMENT)
-            macro = self.table.macros.get(stmt.name)
-            if macro is not None:
-                return (macro.uses_entangler if what == "entangler"
-                        else macro.uses_global_gate)
-            return False
-        if isinstance(stmt, GateBlock):
-            return any(self.statement_uses(c, what, ctx)
-                       for c in stmt.statements)
-        if isinstance(stmt, LoopStatement):
-            return self.statement_uses(stmt.body, what, ctx)
-        return False
-
-    def block_uses(self, block: GateBlock, what: str) -> bool:
-        return self.statement_uses(block, what, _Context())
-
 
 def analyze(program: Program, gates: dict):
     """Validate a program against a gate set.
@@ -683,46 +598,94 @@ def analyze(program: Program, gates: dict):
     return _Analyzer(program, gates).run()
 
 
+def _expr_text(expr) -> str:
+    if isinstance(expr, IntLiteral):
+        return str(expr.value)
+    if isinstance(expr, FloatLiteral):
+        return repr(expr.value)
+    return expr.name
+
+
+def _int_value(expr, table: SymbolTable, what: str, params=()):
+    """Resolve an integer expression to its value, or to a (code, message)
+    pair saying why it has none.  Integer slots reject float constants
+    rather than truncating them."""
+    if isinstance(expr, IntLiteral):
+        return expr.value
+    name = expr.name
+    if name in params:
+        return ("type-mismatch",
+                f"macro parameter {name!r} cannot be used as {what}")
+    info = table.lets.get(name)
+    if info is not None:
+        if info.is_float:
+            return ("type-mismatch", f"{what} requires an integer, but "
+                    f"{name!r} is a float constant")
+        return info.value
+    if table.declared(name):
+        return ("type-mismatch", f"{name!r} is not a numeric constant")
+    return ("undefined-name", f"{name!r} is not declared")
+
+
+def _qubit_offset(arg, table: SymbolTable, params=()):
+    """The one qubit-reference resolver.
+
+    Resolves a qubit-slot argument (a QubitRef, or a NameRef naming a
+    single-qubit alias) to its absolute register offset, or returns a
+    (code, message) pair saying why it names no qubit.  A None code means
+    the cause, a register size that did not resolve, is reported at the
+    register.  ``params`` are the enclosing macro's parameter names, which
+    take no index and cannot be one.
+    """
+    if isinstance(arg, (IntLiteral, FloatLiteral)):
+        return ("type-mismatch",
+                f"expected a qubit, got the number {_expr_text(arg)}")
+    if isinstance(arg, NameRef) or arg.index is None:
+        name = arg.name if isinstance(arg, NameRef) else arg.base
+        info = table.aliases.get(name)
+        if info is not None and isinstance(info.view, SingleView):
+            return info.view.offset
+        if info is not None or name in table.registers:
+            return ("bad-index", f"{name!r} is an array and needs an index")
+        if name in table.lets:
+            return ("type-mismatch", f"{name!r} is a constant and cannot be "
+                    "a qubit argument")
+        return ("undefined-name", f"{name!r} is not declared")
+    base = arg.base
+    if base in params:
+        return ("bad-index", f"macro parameter {base!r} is a single qubit "
+                "and takes no index")
+    view = table.array_view(base)
+    if view is None:
+        if base in table.aliases:
+            return ("bad-index",
+                    f"{base!r} is a single qubit and takes no index")
+        if base in table.registers:
+            return (None, f"register {base!r} has no valid size")
+        if table.declared(base):
+            return ("type-mismatch", f"{base!r} is not a qubit array")
+        return ("undefined-name", f"{base!r} is not declared")
+    index = _int_value(arg.index, table, "qubit index", params)
+    if isinstance(index, tuple):
+        return index
+    if not 0 <= index < view.length:
+        return ("index-out-of-bounds", f"index {index} is out of range for "
+                f"{base!r} of length {view.length}")
+    return view.offset(index)
+
+
 def resolve_qubit(ref, table: SymbolTable) -> int:
     """Resolve a qubit reference to an absolute register offset.
 
     ``ref`` is a QubitRef (indexed array access) or NameRef (single-qubit
     alias).  Aliases of aliases resolve transitively because every alias is
-    already stored as a view over the register.  Raises JaqalError when the
-    name is unknown, the index is missing/extra/out of range, or the name
-    is not a qubit.
+    already stored as a view over the register.  Raises JaqalError, with
+    the code the analyzer reports for the same argument, when the name is
+    unknown, the index is missing/extra/out of range, or the name is not a
+    qubit.
     """
-    if isinstance(ref, NameRef):
-        ref = QubitRef(ref.name, None)
-    info = table.aliases.get(ref.base)
-    if info is not None and isinstance(info.view, SingleView):
-        if ref.index is not None:
-            raise JaqalError(f"{ref.base!r} is a single qubit and takes no "
-                             "index", code="bad-index")
-        return info.view.offset
-    view = table.array_view(ref.base)
-    if view is None:
-        if table.declared(ref.base):
-            raise JaqalError(f"{ref.base!r} is not a qubit",
-                             code="type-mismatch")
-        raise JaqalError(f"{ref.base!r} is not declared",
-                         code="undefined-name")
-    if ref.index is None:
-        raise JaqalError(f"{ref.base!r} is an array and needs an index",
-                         code="bad-index")
-    if isinstance(ref.index, IntLiteral):
-        index = ref.index.value
-    else:
-        info = table.lets.get(ref.index.name)
-        if info is None:
-            raise JaqalError(f"{ref.index.name!r} is not declared",
-                             code="undefined-name")
-        if info.is_float:
-            raise JaqalError("qubit index requires an integer constant",
-                             code="type-mismatch")
-        index = info.value
-    if not 0 <= index < view.length:
-        raise JaqalError(
-            f"index {index} is out of range for {ref.base!r} of length "
-            f"{view.length}", code="index-out-of-bounds")
-    return view.offset(index)
+    resolved = _qubit_offset(ref, table)
+    if isinstance(resolved, tuple):
+        code, message = resolved
+        raise JaqalError(message, code=code or "bad-register-size")
+    return resolved

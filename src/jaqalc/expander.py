@@ -11,15 +11,23 @@ behind.
 
 Substitution can create qubit conflicts that are invisible in the source
 (for example a macro invoked with the same qubit for two parameters), so
-the exclusivity checks run again on the flat structure and raise
-ConflictError on violation.
+the analyzer's exclusivity rules run again on the flat structure and raise
+ConflictError on violation.  Together with analysis this is where
+exclusivity is decided: a circuit ``expand`` returns never has two gates
+on one qubit at once, so the scheduler need not check it again.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .analyzer import SymbolTable, analyze, resolve_qubit
+from .analyzer import (
+    SymbolTable,
+    Usage,
+    analyze,
+    parallel_conflicts,
+    resolve_qubit,
+)
 from .ast import (
     FloatLiteral,
     GateBlock,
@@ -29,7 +37,6 @@ from .ast import (
     MacroDef,
     NameRef,
     Program,
-    QubitRef,
 )
 from .diagnostics import has_errors
 from .errors import ConflictError, JaqalError
@@ -138,9 +145,7 @@ class _Expander:
     def resolve_offset(self, arg, env: _Binding) -> int:
         if isinstance(arg, NameRef) and arg.name in env.qubits:
             return env.qubits[arg.name]
-        if isinstance(arg, QubitRef) or isinstance(arg, NameRef):
-            return resolve_qubit(arg, self.table)
-        raise JaqalError(f"{arg!r} is not a qubit", code="type-mismatch")
+        return resolve_qubit(arg, self.table)
 
     def resolve_number(self, arg, env: _Binding, want_int: bool = False):
         if isinstance(arg, IntLiteral):
@@ -216,32 +221,29 @@ def gate_qubits(gate: PrimitiveGate, n_qubits: int) -> set:
     return set(gate.qubits)
 
 
-def _item_qubits(item, n_qubits: int) -> set:
-    if isinstance(item, PrimitiveGate):
-        return gate_qubits(item, n_qubits)
-    out: set = set()
-    for child in item.items:
-        out |= _item_qubits(child, n_qubits)
-    return out
-
-
-def _contains_global(item) -> bool:
-    if isinstance(item, PrimitiveGate):
-        return item.definition.kind in (PREPARATION, MEASUREMENT)
-    return any(_contains_global(c) for c in item.items)
-
-
-def _contains_entangler(item) -> bool:
-    if isinstance(item, PrimitiveGate):
-        rot = item.definition.rotation
-        return rot is not None and rot.family == "ms"
-    return any(_contains_entangler(c) for c in item.items)
-
-
 def check_flat_conflicts(circuit: FlatCircuit):
-    """Re-run the qubit-exclusivity rules on the expanded structure."""
+    """Check the qubit-exclusivity rules on the expanded structure and
+    raise ConflictError at the first violation.
+
+    Unrolled loop iterations share their gate and block objects, so each
+    distinct object is summarised and checked once.
+    """
+    usages: dict = {}  # id(item) -> Usage
+    checked: set = set()
+
+    def usage(item) -> Usage:
+        key = id(item)
+        if key not in usages:
+            if isinstance(item, PrimitiveGate):
+                usages[key] = Usage.of_gate(item.definition, item.qubits)
+            else:
+                usages[key] = Usage.union(usage(c) for c in item.items)
+        return usages[key]
 
     def walk(item):
+        if id(item) in checked:
+            return
+        checked.add(id(item))
         if isinstance(item, PrimitiveGate):
             if len(set(item.qubits)) != len(item.qubits):
                 raise ConflictError(
@@ -249,24 +251,15 @@ def check_flat_conflicts(circuit: FlatCircuit):
                     code="duplicate-qubit")
             return
         if item.parallel:
-            seen: dict = {}
-            for idx, child in enumerate(item.items):
-                if _contains_global(child):
-                    raise ConflictError(
-                        "an all-qubit preparation or measurement cannot "
-                        "appear inside a parallel block",
-                        code="global-gate-in-parallel")
-                for offset in sorted(_item_qubits(child, circuit.n_qubits)):
-                    if offset in seen and seen[offset] != idx:
-                        raise ConflictError(
-                            f"qubit offset {offset} is used by two "
-                            "statements in the same parallel block")
-                    seen.setdefault(offset, idx)
-            if len(item.items) > 1 and any(_contains_entangler(c)
-                                           for c in item.items):
+            children = [usage(child) for child in item.items]
+            if any(child.global_gate for child in children):
                 raise ConflictError(
-                    "the two-qubit entangling gate runs in parallel with "
-                    "no other gates", code="ms-in-parallel")
+                    "an all-qubit preparation or measurement cannot "
+                    "appear inside a parallel block",
+                    code="global-gate-in-parallel")
+            for _, code, message in parallel_conflicts(children,
+                                                       circuit.n_qubits):
+                raise ConflictError(message, code=code)
         for child in item.items:
             walk(child)
 

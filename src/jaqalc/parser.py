@@ -24,6 +24,7 @@ separator, or block close) and keeps going.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -197,7 +198,13 @@ def _lex_number(source, i, line, col, emit, diags):
         diags.append(error(line, start_col, "bad-number",
                            f"malformed numeric literal {text!r}"))
     elif is_float:
-        emit("FLOAT", float(text), line, start_col)
+        value = float(text)
+        if math.isfinite(value):
+            emit("FLOAT", value, line, start_col)
+        else:
+            diags.append(error(line, start_col, "bad-number",
+                               f"numeric literal {text!r} is too large for "
+                               "a finite number"))
     else:
         emit("INT", int(text), line, start_col)
     return i, col + (i - start)

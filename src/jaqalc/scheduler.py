@@ -7,12 +7,11 @@ block is padded with synthetic idle entries (one ``I_pad`` per gap, sized
 exactly) so that its busy time plus inserted idle time equals the block
 duration.  Qubits the block never mentions receive no padding.
 
-Scheduling is start-aligned; the timeline records that choice in its
-``alignment`` field so a future finish-aligned mode has somewhere to live.
-
-The scheduler independently detects temporal conflicts (two entries on one
-qubit with overlapping half-open spans) even though analyzed programs
-cannot produce them, so circuits built by hand get checked too.
+Qubit exclusivity is decided structurally by analysis and expansion, so a
+circuit from ``expand`` needs no further check.  For circuits built by
+hand, ``schedule`` and ``total_duration`` by default also sweep the
+timeline for temporal conflicts (two entries on one qubit with overlapping
+half-open spans) and raise ConflictError (``qubit-conflict``).
 """
 
 from __future__ import annotations
@@ -38,17 +37,21 @@ class TimelineEntry:
 
 @dataclass(frozen=True)
 class IdleEntry:
-    """A synthetic variable-length idle inserted to pad a parallel block."""
+    """A synthetic variable-length idle inserted to pad a parallel block.
+
+    It keeps the exact end of the gap it fills: ``start + duration`` can
+    round past the start of the gate that follows.
+    """
 
     qubit: int
     start: float
-    duration: float
+    end: float
 
     name = PAD_IDLE_NAME
 
     @property
-    def end(self) -> float:
-        return self.start + self.duration
+    def duration(self) -> float:
+        return self.end - self.start
 
 
 @dataclass
@@ -56,7 +59,6 @@ class Timeline:
     entries: list  # TimelineEntry, in execution order
     inserted_idles: list  # IdleEntry
     total_duration: float
-    alignment: str = "start"
 
 
 def _duration_lookup(gates):
@@ -67,7 +69,7 @@ def _duration_lookup(gates):
 
 def _coverage(intervals, lo: float, hi: float):
     """Gaps of [lo, hi) not covered by the given (start, end) intervals.
-    Intervals never overlap here (conflicts are checked separately)."""
+    Overlapping intervals, possible only in hand-built circuits, merge."""
     gaps = []
     cursor = lo
     for start, end in sorted(intervals):
@@ -113,8 +115,7 @@ class _Layout:
             occupancy.setdefault(idle.qubit, []).append((idle.start, idle.end))
         for qubit in sorted(occupancy):
             for gap_start, gap_end in _coverage(occupancy[qubit], t0, end):
-                self.idles.append(
-                    IdleEntry(qubit, gap_start, gap_end - gap_start))
+                self.idles.append(IdleEntry(qubit, gap_start, gap_end))
         return end
 
 
@@ -145,7 +146,9 @@ def schedule(circuit: FlatCircuit, gates: dict = None, *,
 
     Durations come from each gate's definition, or from ``gates`` when a
     mapping (for example one with manifest overrides applied) is supplied.
-    Raises ConflictError if two entries occupy one qubit at once.
+    With ``check``, raises ConflictError if two entries occupy one qubit at
+    once; a circuit from ``expand`` cannot, so callers holding one may pass
+    ``check=False``.
     """
     layout = _Layout(circuit, _duration_lookup(gates))
     total = layout.place(circuit.root, 0.0)

@@ -272,6 +272,18 @@ def test_global_gates_not_in_parallel(gates):
         "register q[2]\n< { measure_all } >\n", gates)
 
 
+def test_all_qubit_gate_shares_every_qubit_with_its_siblings(gates):
+    _, diags = analyzed(
+        "register q[4]\n"
+        "< Sx q[1] | prepare_all | { Sy q[0]; Sz q[2] } | measure_all >\n",
+        gates)
+    conflicts = [(d.column, d.message.split()[2]) for d in diags
+                 if d.code == "parallel-conflict"]
+    # each sibling is charged with every offset an earlier one occupies
+    assert conflicts == [(13, "1"), (27, "0"), (27, "2"),
+                         (50, "0"), (50, "1"), (50, "2"), (50, "3")]
+
+
 def test_macro_with_global_gate_flagged_in_parallel(gates):
     source = ("register q[2]\n"
               "macro m { prepare_all }\n"

@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from jaqalc.cli import main
@@ -130,6 +132,32 @@ def test_run_qubit_cap_is_a_runtime_error(workdir, capsys):
     assert "too-many-qubits" in capsys.readouterr().err
 
 
+def test_run_rejects_non_finite_literal_without_traceback(workdir, capsys):
+    path = write(workdir, "inf.jaqal",
+                 "register q[1]\nprepare_all\nRx q[0] 1e400\nmeasure_all\n")
+    for argv in (["check", path], ["run", path], ["run", "-p", path]):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert f"{path}:3:9: bad-number:" in err
+        assert "Traceback" not in err
+
+
+def test_huge_register_is_bounded_in_time(workdir, capsys):
+    """All-qubit gates on a huge register cost nothing until simulation,
+    which refuses the register before allocating it."""
+    path = write(workdir, "huge.jaqal",
+                 "register q[3000000]\nprepare_all\nmeasure_all\n")
+    started = time.perf_counter()
+    assert main(["schedule", path]) == 0
+    assert capsys.readouterr().out == ("0 20 prepare_all\n20 20 measure_all\n"
+                                       "total 40\n")
+    assert time.perf_counter() - started < 5.0
+    started = time.perf_counter()
+    assert main(["run", path]) == 1
+    assert "too-many-qubits" in capsys.readouterr().err
+    assert time.perf_counter() - started < 5.0
+
+
 def test_run_quantize_flag(workdir):
     path = write(workdir, "rot.jaqal",
                  "register q[1]\nprepare_all\nRx q[0] 1.0000000001\n"
@@ -200,6 +228,25 @@ def test_schedule_with_duration_manifest(workdir, capsys):
     out = capsys.readouterr().out
     assert "total 10" in out
     assert "8 I_pad 2" in out  # Sx side padded out to the Rx duration
+
+
+ROUND_OFF_MANIFEST = "Sx 0.05\nSy 0.1\nPx 0.7\n"
+ROUND_OFF_SOURCE = ("register q[2]\n"
+                    "< { Sy q[1]; Sx q[1]; Sy q[1]; Sy q[1] } "
+                    "| { Px q[0]; Sx q[0]; Px q[0] } >\n"
+                    "Sy q[1]\n")
+
+
+def test_decimal_durations_schedule_and_run(workdir, capsys):
+    """0.35 + (1.45 - 0.35) rounds past 1.45; the padding idle must still
+    end exactly where the next gate on its qubit starts."""
+    manifest = write(workdir, "durations.txt", ROUND_OFF_MANIFEST)
+    path = write(workdir, "pad.jaqal", ROUND_OFF_SOURCE)
+    assert main(["schedule", path, "-d", manifest]) == 0
+    out = capsys.readouterr().out
+    assert "0.35 1.1 I_pad 1\n" in out and out.endswith("total 1.55\n")
+    assert main(["run", path, "-d", manifest]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_bad_manifest_exits_one(workdir, capsys):

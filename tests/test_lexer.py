@@ -92,6 +92,18 @@ def test_lexical_errors(source, code):
     assert code in {d.code for d in diags}
 
 
+@pytest.mark.parametrize("source, column", [
+    ("1e400", 1),
+    ("-1e400", 1),
+    ("Rx q[0] 1e400", 9),
+])
+def test_non_finite_literals_are_bad_numbers(source, column):
+    tokens, diags = lex(source)
+    (diag,) = diags
+    assert (diag.code, diag.column) == ("bad-number", column)
+    assert all(t.kind != "FLOAT" for t in tokens)
+
+
 def test_positions_are_one_based():
     tokens, _ = lex("Sx q[0]\n  Sy q[1]")
     sy = [t for t in tokens if t.value == "Sy"][0]

@@ -12,8 +12,11 @@ from jaqalc.expander import (
     expand,
     gate_qubits,
 )
+from jaqalc.gateset import apply_durations, load_duration_manifest
 from jaqalc.parser import parse
 from jaqalc.scheduler import dump_timeline, schedule, total_duration
+
+from program_gen import random_program
 
 
 def circuit_of(source, gates):
@@ -282,6 +285,44 @@ def test_total_duration_checks_conflicts_too(gates):
     with pytest.raises(ConflictError):
         total_duration(circuit, gates)
     assert total_duration(circuit, gates, check=False) == 1.0
+
+
+def test_padding_idle_ends_exactly_at_the_block_end(gates):
+    """With these durations 0.35 + (1.45 - 0.35) rounds past 1.45, so an
+    idle stored as start + duration overlapped the next gate by one ulp."""
+    durations = apply_durations(gates, {"Sx": 0.05, "Sy": 0.1, "Px": 0.7})
+    circuit = circuit_of(
+        "register q[2]\n"
+        "< { Sy q[1]; Sx q[1]; Sy q[1]; Sy q[1] } | { Px q[0]; Sx q[0]; "
+        "Px q[0] } >\n"
+        "Sy q[1]\n", durations)
+    timeline = schedule(circuit, durations)
+    (idle,) = timeline.inserted_idles
+    assert idle.end == timeline.entries[-1].start
+    assert "0.35 1.1 I_pad 1\n" in dump_timeline(timeline)
+
+
+def random_decimal_durations(rng, gates):
+    """A duration manifest giving some gates decimal durations, as a
+    hardware calibration file would."""
+    names = sorted(name for name in gates if not name.startswith("I_"))
+    text = "".join(f"{name} {rng.randint(0, 300) / 100}\n"
+                   for name in rng.sample(names, k=rng.randint(1, len(names))))
+    return apply_durations(gates, load_duration_manifest(text, gates))
+
+
+def test_expanded_programs_never_fail_the_conflict_sweep(gates):
+    """Analysis and expansion decide qubit exclusivity, which is why the
+    command line schedules with ``check=False``: whatever ``expand``
+    accepts, the temporal sweep accepts too, under any durations."""
+    rng = random.Random(17)
+    for _ in range(300):
+        durations = random_decimal_durations(rng, gates)
+        source = random_program(rng, max_qubits=4, max_gates=24)
+        program, diags = parse(source)
+        assert not has_errors(diags), source
+        circuit = expand(program, durations)
+        schedule(circuit, durations)  # raises ConflictError on an overlap
 
 
 # -- dump --------------------------------------------------------------------------
