@@ -557,7 +557,9 @@ class _Analyzer:
     def check_float_arg(self, stmt, arg, ctx: _Context):
         params = ctx.params or {}
         if isinstance(arg, (IntLiteral, FloatLiteral)):
-            return  # integer literals promote in angle slots
+            # integer literals promote in angle slots
+            self.check_angle_value(stmt, arg.value, "integer literal")
+            return
         if isinstance(arg, QubitRef):
             self.diag(stmt, "type-mismatch",
                       f"expected a number, got qubit "
@@ -568,12 +570,24 @@ class _Analyzer:
             self.infer_param(stmt, name, FLOAT, params)
             return
         if name in self.table.lets:
-            return  # int and float constants are both fine in angle slots
+            # int and float constants are both fine in angle slots
+            self.check_angle_value(stmt, self.table.lets[name].value,
+                                   f"constant {name!r}")
+            return
         if self.table.declared(name):
             self.diag(stmt, "type-mismatch",
                       f"{name!r} is not a numeric constant")
             return
         self.diag(stmt, "undefined-name", f"{name!r} is not declared")
+
+    def check_angle_value(self, stmt, value, what: str):
+        """An integer angle must convert to a finite float; float literals
+        and constants are finite already (the lexer rejects the rest)."""
+        try:
+            float(value)
+        except OverflowError:
+            self.diag(stmt, "bad-number",
+                      f"{what} is too large for a float angle")
 
     def infer_param(self, stmt, name, kind, params):
         current = params.get(name)
@@ -650,6 +664,8 @@ def _qubit_offset(arg, table: SymbolTable, params=()):
         if name in table.lets:
             return ("type-mismatch", f"{name!r} is a constant and cannot be "
                     "a qubit argument")
+        if name in table.macros:
+            return ("type-mismatch", f"{name!r} is a macro, not a qubit")
         return ("undefined-name", f"{name!r} is not declared")
     base = arg.base
     if base in params:

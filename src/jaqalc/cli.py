@@ -20,7 +20,7 @@ from .analyzer import analyze
 from .diagnostics import has_errors
 from .emitter import emit
 from .errors import JaqalError, ManifestError
-from .expander import count_primitive_gates, dump_flat, expand
+from .expander import dump_flat, expand
 from .gateset import apply_durations, builtin_gateset, load_duration_manifest
 from .parser import parse
 from .scheduler import dump_timeline, schedule
@@ -131,10 +131,14 @@ def cmd_run(args) -> int:
     try:
         if args.probabilities:
             lines = []
+            previous = None
             for distribution in probabilities(circuit, gates,
                                               quantize=args.quantize):
-                pairs = sorted(distribution.items())
-                lines.append(" ".join(f"{bits} {p!r}" for bits, p in pairs))
+                if distribution != previous:  # repeated shots share a line
+                    pairs = sorted(distribution.items())
+                    line = " ".join(f"{bits} {p!r}" for bits, p in pairs)
+                    previous = distribution
+                lines.append(line)
             data = "".join(line + "\n" for line in lines)
             _write(_out_path(args), data)
         else:

@@ -6,9 +6,14 @@ character.  Each all-qubit measurement draws exactly one number from a
 SplitMix64 stream seeded by the caller, so measurement records are
 bit-reproducible across platforms for a given (circuit, seed) pair.
 
-Measurement physically destroys the register: after ``measure_all`` the
-state is poisoned and every operation except ``prepare_all`` raises, which
-surfaces generated programs that forgot to re-prepare.
+Measurement physically destroys the register: after ``measure_all`` every
+operation except ``prepare_all`` raises, which surfaces generated programs
+that forgot to re-prepare.  The outcome distribution of a measurement
+therefore depends only on its segment, the gates since the last
+``prepare_all`` (or the start).  A segment is simulated from the all-zeros
+state when it is measured, unless it equals the segment measured just
+before: then that segment's Born probabilities, the only ones kept, are
+reused, and the records stay bit-identical.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import SimulationError
-from .expander import FlatCircuit, PrimitiveGate, iter_gates
+from .expander import FlatCircuit, iter_gates
 from .gateset import IDLE, MEASUREMENT, PREPARATION, quantize_angle, unitary_of
 
 MAX_QUBITS = 24  # 2**24 complex amplitudes is the practical cap
@@ -47,27 +52,22 @@ class SplitMix64:
         return ((self.next_u64() >> 11) + 1) * 2.0 ** -53
 
 
-class QuantumState:
-    """A normalized complex amplitude vector over 2**n_qubits basis states.
+def _check_qubit_cap(n_qubits: int):
+    if n_qubits > MAX_QUBITS:
+        raise SimulationError(
+            f"{n_qubits} qubits exceeds the {MAX_QUBITS}-qubit "
+            "simulation cap", code="too-many-qubits")
 
-    ``destroyed`` marks the post-measurement state that only preparation
-    can revive.
-    """
+
+class QuantumState:
+    """A normalized complex amplitude vector over 2**n_qubits basis states,
+    starting in the all-zeros state."""
 
     def __init__(self, n_qubits: int):
-        if n_qubits > MAX_QUBITS:
-            raise SimulationError(
-                f"{n_qubits} qubits exceeds the {MAX_QUBITS}-qubit "
-                "simulation cap", code="too-many-qubits")
+        _check_qubit_cap(n_qubits)
         self.n_qubits = n_qubits
         self.amplitudes = np.zeros(2 ** n_qubits, dtype=complex)
         self.amplitudes[0] = 1.0
-        self.destroyed = False
-
-    def reset(self):
-        self.amplitudes[:] = 0.0
-        self.amplitudes[0] = 1.0
-        self.destroyed = False
 
 
 def apply_unitary(state: QuantumState, unitary, qubits) -> QuantumState:
@@ -122,33 +122,65 @@ def _sample_index(probs: np.ndarray, u: float) -> int:
     return index
 
 
-def _execute(circuit: FlatCircuit, gates, quantize: bool, on_measure):
-    state = QuantumState(circuit.n_qubits)
-    for gate in iter_gates(circuit):
+def _simulate(n_qubits: int, segment: tuple, gates, quantize: bool):
+    """The state that ``segment``'s gates make from the all-zeros state."""
+    state = QuantumState(n_qubits)
+    for gate in segment:
         definition = gate.definition
         if gates is not None:
             definition = gates[definition.name]
-        if definition.kind == PREPARATION:
-            state.reset()
-            continue
-        if state.destroyed:
-            raise SimulationError(
-                f"{definition.name} applied after measure_all destroyed "
-                "the register; prepare_all must intervene",
-                code="destroyed-state")
-        if definition.kind == MEASUREMENT:
-            index = on_measure(state)
-            state.amplitudes[:] = 0.0
-            state.amplitudes[index] = 1.0
-            state.destroyed = True
-            continue
-        if definition.kind == IDLE:
-            continue
         floats = gate.float_args
         if quantize:
             floats = tuple(quantize_angle(f) for f in floats)
         apply_unitary(state, unitary_of(definition, floats), gate.qubits)
     return state
+
+
+def _execute(circuit: FlatCircuit, gates, quantize: bool, on_measure):
+    """Call ``on_measure(probs, repeated)`` at each measure_all, in
+    execution order, with the Born probabilities of the outcomes and
+    whether they are the very vector passed at the previous measurement.
+
+    Unrolled loop iterations share their gate objects, so comparing a
+    segment with the previous one is mostly identity checks.  Gates that
+    no measurement follows are simulated too, so they raise the same
+    errors as measured ones.
+    """
+    n_qubits = circuit.n_qubits
+    _check_qubit_cap(n_qubits)
+    segment: list = []
+    destroyed = False
+    measured = probs = None  # the last measured segment and its outcome
+    for gate in iter_gates(circuit):
+        definition = gate.definition
+        if gates is not None:
+            definition = gates[definition.name]
+        if definition.kind == PREPARATION:
+            if segment:
+                _simulate(n_qubits, segment, gates, quantize)
+                segment = []
+            destroyed = False
+            continue
+        if destroyed:
+            raise SimulationError(
+                f"{definition.name} applied after measure_all destroyed "
+                "the register; prepare_all must intervene",
+                code="destroyed-state")
+        if definition.kind == MEASUREMENT:
+            segment = tuple(segment)
+            repeated = segment == measured
+            if not repeated:
+                measured = probs = None  # free the old vector first
+                probs = born_probabilities(
+                    _simulate(n_qubits, segment, gates, quantize))
+                measured = segment
+            on_measure(probs, repeated)
+            segment = []
+            destroyed = True
+        elif definition.kind != IDLE:
+            segment.append(gate)
+    if segment:
+        _simulate(n_qubits, segment, gates, quantize)
 
 
 def run(circuit: FlatCircuit, gates: dict = None, seed: int = 0,
@@ -163,10 +195,9 @@ def run(circuit: FlatCircuit, gates: dict = None, seed: int = 0,
     rng = SplitMix64(seed)
     record: list = []
 
-    def on_measure(state: QuantumState) -> int:
-        index = _sample_index(born_probabilities(state), rng.uniform())
-        record.append(bitstring_of(index, state.n_qubits))
-        return index
+    def on_measure(probs: np.ndarray, repeated: bool):
+        index = _sample_index(probs, rng.uniform())
+        record.append(bitstring_of(index, circuit.n_qubits))
 
     _execute(circuit, gates, quantize, on_measure)
     return record
@@ -175,20 +206,18 @@ def run(circuit: FlatCircuit, gates: dict = None, seed: int = 0,
 def probabilities(circuit: FlatCircuit, gates: dict = None,
                   quantize: bool = False) -> list:
     """Exact Born distributions instead of samples: one mapping of
-    bitstring to probability (nonzero outcomes only) per measure_all.
-
-    Execution is deterministic; after each measurement the state follows
-    the most probable outcome, ties breaking toward the lower basis index.
-    """
+    bitstring to probability (nonzero outcomes only, in basis-index order)
+    per measure_all."""
     distributions: list = []
 
-    def on_measure(state: QuantumState) -> int:
-        probs = born_probabilities(state)
-        distributions.append({
-            bitstring_of(i, state.n_qubits): float(p)
-            for i, p in enumerate(probs) if p != 0.0
-        })
-        return int(np.argmax(probs))
+    def on_measure(probs: np.ndarray, repeated: bool):
+        if repeated:
+            distributions.append(dict(distributions[-1]))
+            return
+        indices = np.nonzero(probs)[0]
+        distributions.append(dict(zip(
+            (bitstring_of(i, circuit.n_qubits) for i in indices.tolist()),
+            probs[indices].tolist())))
 
     _execute(circuit, gates, quantize, on_measure)
     return distributions

@@ -169,6 +169,45 @@ def test_int_let_is_fine_as_angle(gates):
     accept("register q[1]\nlet turns 2\nRx q[0] turns\n", gates)
 
 
+HUGE = "1" + "0" * 400  # an integer no float can hold
+
+
+@pytest.mark.parametrize("source, line", [
+    (f"register q[1]\nRx q[0] {HUGE}\n", 2),
+    (f"register q[1]\nlet big {HUGE}\nRx q[0] big\n", 3),
+    (f"register q[1]\nmacro m a {{ Rx q[0] a }}\nm {HUGE}\n", 3),
+    (f"register q[2]\nMS q[0] q[1] 0 {HUGE}\n", 2),
+])
+def test_integer_angle_too_large_for_a_float_is_a_bad_number(
+        source, line, gates):
+    _, diags = analyzed(source, gates)
+    assert [(d.code, d.line, d.column) for d in diags] == [
+        ("bad-number", line, 1)]
+
+
+def test_large_finite_integer_angle_is_fine(gates):
+    accept(f"register q[1]\nlet big {10 ** 300}\nRx q[0] big\n"
+           f"Ry q[0] {2 ** 1023}\n", gates)
+
+
+def test_huge_integer_is_fine_outside_angle_slots(gates):
+    # an unused macro parameter is never converted to a float
+    accept(f"register q[1]\nlet big {HUGE}\nmacro m a {{ Sx q[0] }}\n"
+           f"m {HUGE}\nm big\n", gates)
+
+
+def test_macro_used_as_a_qubit_is_a_type_mismatch(gates):
+    _, diags = analyzed(
+        "register q[1]\nmacro m a { Sx a }\nSx m\nm m\n", gates)
+    assert [(d.code, d.line, d.message) for d in diags] == [
+        ("type-mismatch", 3, "'m' is a macro, not a qubit"),
+        ("type-mismatch", 4, "'m' is a macro, not a qubit")]
+    table = analyzed("register q[1]\nmacro m a { Sx a }\n", gates)[0]
+    with pytest.raises(JaqalError) as err:
+        resolve_qubit(NameRef("m"), table)
+    assert err.value.code == "type-mismatch"
+
+
 def test_float_let_rejected_as_loop_count(gates):
     assert "type-mismatch" in codes(
         "register q[1]\nlet f 1.5\nloop f { Sx q[0] }\n", gates)

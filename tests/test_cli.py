@@ -142,6 +142,34 @@ def test_run_rejects_non_finite_literal_without_traceback(workdir, capsys):
         assert "Traceback" not in err
 
 
+def test_run_rejects_integer_angle_too_large_for_a_float(workdir, capsys):
+    huge = "1" + "0" * 400
+    sources = {
+        "literal.jaqal": f"register q[1]\nprepare_all\nRx q[0] {huge}\n"
+                         "measure_all\n",
+        "let.jaqal": f"register q[1]\nlet big {huge}\nprepare_all\n"
+                     "Rx q[0] big\nmeasure_all\n",
+        "macro.jaqal": "register q[1]\nmacro m a { Rx q[0] a }\n"
+                       f"prepare_all\nm {huge}\nmeasure_all\n",
+    }
+    for name, source in sources.items():
+        path = write(workdir, name, source)
+        for argv in (["check", path], ["run", path], ["run", "-p", path],
+                     ["run", "-q", path]):
+            assert main(argv) == 1
+            err = capsys.readouterr().err
+            assert f"{path}:" in err and ": bad-number:" in err
+            assert "Traceback" not in err
+
+
+def test_macro_used_as_a_qubit_is_reported_as_such(workdir, capsys):
+    path = write(workdir, "macro_qubit.jaqal",
+                 "register q[1]\nmacro m a { Sx a }\nSx m\n")
+    assert main(["check", path]) == 1
+    assert capsys.readouterr().err == (
+        f"{path}:3:1: type-mismatch: 'm' is a macro, not a qubit\n")
+
+
 def test_huge_register_is_bounded_in_time(workdir, capsys):
     """All-qubit gates on a huge register cost nothing until simulation,
     which refuses the register before allocating it."""

@@ -287,3 +287,176 @@ def test_bitstring_rendering():
     assert bitstring_of(1, 2) == "10"
     assert bitstring_of(2, 2) == "01"
     assert bitstring_of(5, 4) == "1010"
+
+
+# -- segment memo ---------------------------------------------------------------
+# A measurement whose segment (the gates since the last prepare_all) equals
+# the one measured just before reuses its probabilities.
+
+from oracle import interpret_probabilities  # noqa: E402
+
+
+def _segment_source(rng, n, gates_per_segment):
+    names = ["Rx", "Ry", "Sx", "Sy", "Pz"] + (["Sxx", "MS"] if n > 1 else [])
+    lines = ["prepare_all"]
+    for _ in range(gates_per_segment):
+        name = rng.choice(names)
+        qubits = rng.sample(range(n), 2 if name in ("Sxx", "MS") else 1)
+        angles = {"Rx": 1, "Ry": 1, "MS": 2}.get(name, 0)
+        lines.append(" ".join([name, *(f"q[{q}]" for q in qubits),
+                               *(repr(rng.uniform(-3, 3))
+                                 for _ in range(angles))]))
+    lines.append("measure_all")
+    return "\n".join(lines)
+
+
+def _memo_program(rng):
+    """Alternating segments A/B, runs of equal A's and B's, a lone A."""
+    n = rng.randint(1, 3)
+    a = _segment_source(rng, n, 4)
+    b = _segment_source(rng, n, 4)
+    return (f"register q[{n}]\n"
+            f"loop 3 {{\n{a}\n{b}\n}}\n"
+            f"loop 4 {{\n{a}\n}}\n"
+            f"loop 2 {{\n{b}\n}}\n"
+            f"{a}\n{a}\n{b}\n")
+
+
+def _assert_close(mine, reference):
+    assert len(mine) == len(reference)
+    for d, o in zip(mine, reference):
+        keys = set(d) | set(o)
+        assert 0.5 * sum(abs(d.get(k, 0.0) - o.get(k, 0.0))
+                         for k in keys) <= 1e-9
+
+
+@pytest.mark.parametrize("quantize", [False, True])
+def test_alternating_and_repeated_segments_match_oracle(gates, quantize):
+    rng = random.Random(404)
+    for _ in range(8):
+        source = _memo_program(rng)
+        program, diags = parse(source)
+        assert not has_errors(diags), source
+        circuit = expand(program, gates)
+        for seed in (0, 3, 2 ** 33 + 1):
+            assert run(circuit, gates, seed=seed, quantize=quantize) == \
+                interpret_run(program, seed=seed, quantize=quantize), source
+        _assert_close(probabilities(circuit, gates, quantize=quantize),
+                      interpret_probabilities(program, quantize=quantize))
+
+
+def _bell_shots(gates, shots, share):
+    """``shots`` prepare → Sx, Sxx → measure segments, with the gate
+    objects shared between shots or built afresh (equal but distinct)."""
+    def segment(line):
+        return (PrimitiveGate(gates["prepare_all"], line=line),
+                PrimitiveGate(gates["Sx"], (0,), line=line),
+                PrimitiveGate(gates["Sxx"], (0, 1), line=line),
+                PrimitiveGate(gates["Rz"], (1,), (0.25,), line=line),
+                PrimitiveGate(gates["measure_all"], line=line))
+    shared = segment(1)
+    items = []
+    for shot in range(shots):
+        items.extend(shared if share else segment(shot + 1))
+    return FlatCircuit(2, FlatBlock(False, tuple(items)))
+
+
+def _count_applications(monkeypatch):
+    from jaqalc import simulator
+
+    calls = []
+    real = simulator.apply_unitary
+
+    def counting(state, unitary, qubits):
+        calls.append(tuple(qubits))
+        return real(state, unitary, qubits)
+
+    monkeypatch.setattr(simulator, "apply_unitary", counting)
+    return calls
+
+
+def test_equal_but_distinct_gates_hit_the_memo(gates, monkeypatch):
+    shared = _bell_shots(gates, 40, share=True)
+    fresh = _bell_shots(gates, 40, share=False)
+    calls = _count_applications(monkeypatch)
+    for seed in (0, 11):
+        assert run(fresh, gates, seed=seed) == run(shared, gates, seed=seed)
+    assert probabilities(fresh, gates) == probabilities(shared, gates)
+    # one simulated segment (3 gates) per call, however the gates are built
+    assert len(calls) == 6 * 3
+
+
+def test_apply_unitary_runs_once_per_distinct_consecutive_segment(
+        gates, monkeypatch):
+    calls = _count_applications(monkeypatch)
+    circuit = circuit_of(
+        "register q[2]\n"
+        "loop 500 { prepare_all\nSx q[0]\nSxx q[0] q[1]\nmeasure_all }\n",
+        gates)
+    record = run(circuit, gates, seed=5)
+    assert len(record) == 500 and set(record) <= {"00", "01", "10", "11"}
+    assert len(calls) == 2
+    calls.clear()
+    assert len(probabilities(circuit, gates)) == 500
+    assert len(calls) == 2
+    calls.clear()
+    # A B A B ... has no two equal consecutive segments: each is simulated
+    circuit = circuit_of(
+        "register q[2]\n"
+        "loop 50 { prepare_all\nSx q[0]\nmeasure_all\n"
+        "prepare_all\nSy q[1]\nmeasure_all }\n", gates)
+    run(circuit, gates, seed=5)
+    assert calls == [(0,), (1,)] * 50
+
+
+def test_probability_mappings_are_independent_per_measurement(gates):
+    circuit = circuit_of(
+        "register q[1]\nloop 3 { prepare_all\nSx q[0]\nmeasure_all }\n",
+        gates)
+    first, second, third = probabilities(circuit, gates)
+    first["0"] = 7.0
+    assert second == third and second["0"] == pytest.approx(0.5)
+
+
+def test_destroyed_state_is_raised_after_a_memo_hit(gates):
+    for tail in ("Sx q[0]\n", "measure_all\n", "I_Sx q[0]\n"):
+        circuit = circuit_of(
+            "register q[1]\nloop 3 { prepare_all\nSx q[0]\nmeasure_all }\n"
+            + tail, gates)
+        for execute in (lambda: run(circuit, gates),
+                        lambda: probabilities(circuit, gates)):
+            with pytest.raises(SimulationError) as err:
+                execute()
+            assert err.value.code == "destroyed-state"
+
+
+def test_invalid_gate_in_an_unmeasured_segment_still_raises(gates):
+    prepare = PrimitiveGate(gates["prepare_all"])
+    measure = PrimitiveGate(gates["measure_all"])
+    sx = PrimitiveGate(gates["Sx"], (0,))
+    bad = PrimitiveGate(gates["Sx"], (5,))  # no qubit 5 in a 2-qubit state
+    trailing = (prepare, sx, measure, prepare, sx, measure, prepare, bad)
+    discarded = (prepare, sx, measure, prepare, bad, prepare, sx, measure)
+    leading = (bad, prepare, sx, measure)
+    for items in (trailing, discarded, leading):
+        circuit = FlatCircuit(2, FlatBlock(False, items))
+        with pytest.raises(SimulationError):
+            run(circuit, gates)
+        with pytest.raises(SimulationError):
+            probabilities(circuit, gates)
+
+
+def test_quantized_records_of_repeated_segments_match_oracle(gates):
+    from jaqalc.gateset import quantize_angle
+
+    theta = 1.0000000001  # off the hardware grid
+    source = (f"register q[2]\nloop 300 {{ prepare_all\nRx q[0] {theta!r}\n"
+              f"Sxx q[0] q[1]\nRy q[1] {-theta!r}\nmeasure_all }}\n")
+    program, _ = parse(source)
+    circuit = expand(program, gates)
+    assert quantize_angle(theta) != theta
+    for seed in (0, 9):
+        quantized = run(circuit, gates, seed=seed, quantize=True)
+        assert quantized == interpret_run(program, seed=seed, quantize=True)
+        assert run(circuit, gates, seed=seed) == interpret_run(program,
+                                                               seed=seed)
