@@ -1,0 +1,186 @@
+#!/usr/bin/env python3
+"""Compare the command line of the working tree against another revision.
+
+Usage: python scripts/differential.py REV [--programs N]
+
+Extracts ``src/`` at REV (``git archive``) into a temporary directory and
+runs the same invocations against it and against ``src/`` of the working
+tree: ``check``, ``expand``, ``schedule`` (plain and with the benchmark's
+scan duration manifest) and ``run`` (plain, ``-s 7``, ``-p``, ``-q -p``),
+over the corpus ``.jaqal`` files and N seeded ``tests/program_gen.py``
+programs (default 150).  Each tree gets one child interpreter that calls
+``jaqalc.cli.main`` in-process for every invocation, with standard output
+and error captured.
+
+Exit codes, standard output, standard error and the bytes of each output
+file must be identical.  Every difference is printed, then a summary; the
+exit status is 1 on any difference (a traceback in either tree counts as
+one) and 0 otherwise.
+"""
+
+from __future__ import annotations
+
+import argparse
+import io
+import json
+import random
+import shutil
+import subprocess
+import sys
+import tarfile
+import tempfile
+from itertools import zip_longest
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# Runs in a child interpreter: argv is SRC JOBS RESULTS.
+CHILD = r"""
+import contextlib, io, json, os, sys, traceback
+src, jobs_path, results_path = sys.argv[1:4]
+sys.path.insert(0, src)
+from jaqalc.cli import main
+results = []
+with open(jobs_path) as f:
+    jobs = json.load(f)
+for argv, output in jobs:
+    out, err = io.StringIO(), io.StringIO()
+    crash = None
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            status = main(argv)
+        except SystemExit as exc:
+            status = exc.code
+        except Exception:
+            status, crash = None, traceback.format_exc()
+    data = None
+    if output is not None and os.path.exists(output):
+        with open(output, "rb") as f:
+            data = f.read().decode("latin-1")
+        os.remove(output)
+    results.append({"status": status, "stdout": out.getvalue(),
+                    "stderr": err.getvalue(), "output": data,
+                    "traceback": crash})
+with open(results_path, "w") as f:
+    json.dump(results, f)
+"""
+
+FIELDS = ("status", "stdout", "stderr", "output")
+
+
+def _inputs(work: Path, programs: int) -> list:
+    sys.path.insert(0, str(ROOT / "tests"))
+    from program_gen import random_program
+
+    inputs = []
+    corpus = work / "corpus"
+    corpus.mkdir()
+    for source in sorted((ROOT / "src" / "jaqalc" / "corpus").glob("*.jaqal")):
+        inputs.append(shutil.copy(source, corpus / source.name))
+    generated = work / "generated"
+    generated.mkdir()
+    for index in range(programs):
+        path = generated / f"gen{index:04d}.jaqal"
+        path.write_text(random_program(random.Random(index), max_qubits=4))
+        inputs.append(path)
+    return [str(path) for path in inputs]
+
+
+def _jobs(work: Path, inputs: list) -> list:
+    sys.path.insert(0, str(ROOT / "bench"))
+    from workloads import SCAN_MANIFEST
+
+    manifest = work / "scan.manifest"
+    manifest.write_text(SCAN_MANIFEST)
+    commands = (["check"], ["expand"], ["schedule"],
+                ["schedule", "-d", str(manifest)], ["run"],
+                ["run", "-s", "7"], ["run", "-p"], ["run", "-q", "-p"])
+    jobs = []
+    for path in inputs:
+        # ``run`` writes next to its input unless given -o
+        output = str(Path(path).with_suffix(".out"))
+        for command in commands:
+            jobs.append((command + [path],
+                         output if command[0] == "run" else None))
+    return jobs
+
+
+def _extract(rev: str, dest: Path) -> Path:
+    archive = subprocess.run(["git", "-C", str(ROOT), "archive", rev, "src"],
+                             capture_output=True)
+    if archive.returncode != 0:
+        sys.exit(f"git archive {rev} failed: "
+                 f"{archive.stderr.decode(errors='replace').strip()}")
+    with tarfile.open(fileobj=io.BytesIO(archive.stdout)) as tar:
+        tar.extractall(dest, filter="data")
+    return dest / "src"
+
+
+def _run_tree(src: Path, work: Path, jobs_path: Path, name: str) -> list:
+    results_path = work / f"results-{name}.json"
+    subprocess.run([sys.executable, "-I", "-c", CHILD, str(src),
+                    str(jobs_path), str(results_path)], cwd=work, check=True)
+    with open(results_path) as f:
+        return json.load(f)
+
+
+def _clip(text: str, limit=300) -> str:
+    return text if len(text) <= limit else text[:limit] + "..."
+
+
+def _first_difference(before, after):
+    """The two values, or for text their first differing lines."""
+    if not (isinstance(before, str) and isinstance(after, str)):
+        return repr(before), repr(after)
+    lines = zip_longest(before.splitlines(keepends=True),
+                        after.splitlines(keepends=True))
+    for number, (old, new) in enumerate(lines, 1):
+        if old != new:
+            return (f"line {number}: {_clip(repr(old))}",
+                    f"line {number}: {_clip(repr(new))}")
+    return repr(before), repr(after)
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("rev", help="revision to compare against")
+    parser.add_argument("--programs", type=int, default=150,
+                        help="generated programs to add (default 150)")
+    args = parser.parse_args(argv)
+    with tempfile.TemporaryDirectory(prefix="jaqalc-diff-") as tmp:
+        tmp = Path(tmp)
+        old_src = _extract(args.rev, tmp / "old")
+        work = tmp / "work"
+        work.mkdir()
+        inputs = _inputs(work, args.programs)
+        jobs = _jobs(work, inputs)
+        jobs_path = work / "jobs.json"
+        jobs_path.write_text(json.dumps(jobs))
+        old = _run_tree(old_src, work, jobs_path, "old")
+        new = _run_tree(ROOT / "src", work, jobs_path, "new")
+
+    differing = tracebacks = 0
+    for (argv, _), before, after in zip(jobs, old, new):
+        fields = [f for f in FIELDS if before[f] != after[f]]
+        crashed = [(side, r["traceback"]) for side, r in
+                   ((args.rev, before), ("working tree", after))
+                   if r["traceback"] is not None]
+        if not fields and not crashed:
+            continue
+        differing += 1
+        tracebacks += bool(crashed)
+        print(f"DIFF jaqalc {' '.join(argv)}")
+        for field in fields:
+            shown = _first_difference(before[field], after[field])
+            print(f"  {field}: {args.rev}: {shown[0]}")
+            print(f"  {field}: working tree: {shown[1]}")
+        for side, text in crashed:
+            print(f"  traceback in {side}: {text.strip().splitlines()[-1]}")
+    print(f"{len(jobs)} invocations over {len(inputs)} inputs: "
+          f"{len(jobs) - differing} identical, {differing} differ "
+          f"({tracebacks} with a traceback)")
+    return 1 if differing else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -157,21 +157,18 @@ class ArrayView:
 class RegisterInfo:
     name: str
     size: Optional[int]  # None when the declared size did not resolve
-    order: int
 
 
 @dataclass(frozen=True)
 class AliasInfo:
     name: str
     view: Union[SingleView, ArrayView]
-    order: int
 
 
 @dataclass(frozen=True)
 class LetInfo:
     name: str
     value: Union[int, float]
-    order: int
 
     @property
     def is_float(self) -> bool:
@@ -184,7 +181,6 @@ class MacroInfo:
     params: tuple
     param_kinds: dict  # param name -> QUBIT | FLOAT | None (unused)
     body: GateBlock
-    order: int
     uses_entangler: bool
     uses_global_gate: bool
 
@@ -224,7 +220,6 @@ class _Context:
     in_parallel: bool = False
     params: Optional[dict] = None  # param name -> inferred kind, mutated
     current_macro: Optional[str] = None
-    body_index: int = 0
 
 
 def _contains_gate(stmt) -> bool:
@@ -243,7 +238,6 @@ class _Analyzer:
         self.gates = gates
         self.diags: list = []
         self.table = SymbolTable()
-        self.order = 0
         # declaration index of every macro, for forward-reference messages
         self.macro_index = {}
         for idx, stmt in enumerate(program.body):
@@ -255,10 +249,6 @@ class _Analyzer:
 
     def warn(self, stmt, code, message):
         self.diags.append(warning(stmt.line, stmt.column, code, message))
-
-    def next_order(self) -> int:
-        self.order += 1
-        return self.order
 
     # -- headers -------------------------------------------------------------
 
@@ -283,8 +273,7 @@ class _Analyzer:
             self.diag(stmt, "bad-register-size",
                       f"register size must be positive, got {size}")
             size = None
-        self.table.registers[stmt.name] = RegisterInfo(
-            stmt.name, size, self.next_order())
+        self.table.registers[stmt.name] = RegisterInfo(stmt.name, size)
 
     def do_map(self, stmt: MapAlias):
         if self.check_collision(stmt, stmt.name):
@@ -298,8 +287,7 @@ class _Analyzer:
         if isinstance(view, ArrayView) and view.length == 0:
             self.warn(stmt, "empty-alias",
                       f"alias {stmt.name!r} selects no qubits")
-        self.table.aliases[stmt.name] = AliasInfo(
-            stmt.name, view, self.next_order())
+        self.table.aliases[stmt.name] = AliasInfo(stmt.name, view)
 
     def target_view(self, stmt: MapAlias):
         name = stmt.target
@@ -359,8 +347,7 @@ class _Analyzer:
     def do_let(self, stmt: LetConstant):
         if self.check_collision(stmt, stmt.name):
             return
-        self.table.lets[stmt.name] = LetInfo(
-            stmt.name, stmt.value, self.next_order())
+        self.table.lets[stmt.name] = LetInfo(stmt.name, stmt.value)
 
     # -- expressions ----------------------------------------------------------
 
@@ -389,19 +376,19 @@ class _Analyzer:
             else:
                 self.do_let(stmt)
         first_gate_stmt = None
-        for idx, stmt in enumerate(self.program.body):
+        for stmt in self.program.body:
             if isinstance(stmt, MacroDef):
-                self.do_macro(stmt, idx)
+                self.do_macro(stmt)
             else:
                 if first_gate_stmt is None and _contains_gate(stmt):
                     first_gate_stmt = stmt
-                self.check_statement(stmt, _Context(body_index=idx))
+                self.check_statement(stmt, _Context())
         if first_gate_stmt is not None and not self.table.registers:
             self.diag(first_gate_stmt, "no-register",
                       "the program executes gates but declares no register")
         return self.table, self.diags
 
-    def do_macro(self, stmt: MacroDef, idx: int):
+    def do_macro(self, stmt: MacroDef):
         collision = self.table.declared(stmt.name) or stmt.name in self.gates
         if collision:
             self.diag(stmt, "duplicate-name",
@@ -413,12 +400,12 @@ class _Analyzer:
                           f"macro parameter {p!r} collides with another name")
             param_kinds.setdefault(p, None)
         ctx = _Context(in_parallel=stmt.body.parallel, params=param_kinds,
-                       current_macro=stmt.name, body_index=idx)
+                       current_macro=stmt.name)
         usage = self.check_block_children(stmt.body, ctx)
         if not collision:
             self.table.macros[stmt.name] = MacroInfo(
                 stmt.name, stmt.params, param_kinds, stmt.body,
-                self.next_order(), uses_entangler=usage.entangler,
+                uses_entangler=usage.entangler,
                 uses_global_gate=usage.global_gate)
 
     def check_statement(self, stmt, ctx: _Context) -> Usage:
@@ -450,8 +437,7 @@ class _Analyzer:
     def check_block_children(self, block: GateBlock, ctx: _Context) -> Usage:
         inner = _Context(in_parallel=ctx.in_parallel or block.parallel,
                          params=ctx.params,
-                         current_macro=ctx.current_macro,
-                         body_index=ctx.body_index)
+                         current_macro=ctx.current_macro)
         usages = []
         for child in block.statements:
             if isinstance(child, GateBlock) and child.parallel == block.parallel:

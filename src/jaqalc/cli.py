@@ -1,8 +1,7 @@
 """Command-line front end: check, expand, schedule, and run subcommands.
 
 Qubit exclusivity is decided once, by analysis (``check``) and by
-``expand``; ``schedule`` and ``run`` trust the expanded circuit and run no
-further conflict sweep.
+``expand``; ``schedule`` and ``run`` take the expanded circuit as it is.
 
 Exit codes are stable: 0 success, 1 for any language/semantic/runtime
 problem in the program, 2 for environment problems (unreadable input,
@@ -115,7 +114,7 @@ def cmd_schedule(args) -> int:
     gates = _gates_for(args)
     program, symbols = _checked_program(args.file, gates)
     circuit = _expand_checked(args.file, program, symbols, gates)
-    timeline = schedule(circuit, gates, check=False)
+    timeline = schedule(circuit, gates)
     _write(args.output, dump_timeline(timeline)
            + f"total {timeline.total_duration:g}\n")
     return 0

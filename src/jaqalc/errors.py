@@ -22,9 +22,9 @@ class JaqalError(Exception):
 class ConflictError(JaqalError):
     """A gate placement violates qubit-exclusivity rules.
 
-    Raised by post-expansion structural checks (a macro substitution can
-    create conflicts invisible in the unexpanded source) and by the
-    scheduler when two timeline entries on one qubit overlap in time.
+    Raised by the post-expansion structural check (a macro substitution can
+    create conflicts invisible in the unexpanded source), which is also the
+    check for hand-built flat circuits.
     """
 
     code = "parallel-conflict"

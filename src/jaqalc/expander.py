@@ -14,7 +14,9 @@ Substitution can create qubit conflicts that are invisible in the source
 the analyzer's exclusivity rules run again on the flat structure and raise
 ConflictError on violation.  Together with analysis this is where
 exclusivity is decided: a circuit ``expand`` returns never has two gates
-on one qubit at once, so the scheduler need not check it again.
+on one qubit at once, and the scheduler and simulator check nothing
+further.  A hand-built circuit gets the same guarantee by passing
+``check_flat_conflicts``.
 """
 
 from __future__ import annotations
@@ -122,12 +124,7 @@ class _Expander:
                 binding.numbers[param] = self.resolve_number(arg, env)
             elif kind == QUBIT:
                 binding.qubits[param] = self.resolve_offset(arg, env)
-            else:
-                # unused parameter: bind whatever the argument is
-                try:
-                    binding.qubits[param] = self.resolve_offset(arg, env)
-                except JaqalError:
-                    binding.numbers[param] = self.resolve_number(arg, env)
+            # a parameter of kind None is never read by the body: no binding
         return self.expand_block(macro.body, parallel, binding)
 
     def primitive(self, stmt: GateStatement, env: _Binding) -> PrimitiveGate:

@@ -7,18 +7,17 @@ block is padded with synthetic idle entries (one ``I_pad`` per gap, sized
 exactly) so that its busy time plus inserted idle time equals the block
 duration.  Qubits the block never mentions receive no padding.
 
-Qubit exclusivity is decided structurally by analysis and expansion, so a
-circuit from ``expand`` needs no further check.  For circuits built by
-hand, ``schedule`` and ``total_duration`` by default also sweep the
-timeline for temporal conflicts (two entries on one qubit with overlapping
-half-open spans) and raise ConflictError (``qubit-conflict``).
+Precondition: the circuit comes from ``expand``, or it is a hand-built
+circuit that ``expander.check_flat_conflicts`` accepts.  Qubit exclusivity
+is decided structurally there and by analysis, never here; a circuit that
+breaks it still lays out (overlapping spans on one qubit merge when
+padding), but its timeline is meaningless.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .errors import ConflictError
 from .expander import FlatBlock, FlatCircuit, PrimitiveGate, gate_qubits
 
 PAD_IDLE_NAME = "I_pad"
@@ -69,7 +68,8 @@ def _duration_lookup(gates):
 
 def _coverage(intervals, lo: float, hi: float):
     """Gaps of [lo, hi) not covered by the given (start, end) intervals.
-    Overlapping intervals, possible only in hand-built circuits, merge."""
+    Overlapping intervals, possible only in a circuit that breaks the
+    module's precondition, merge, so such a circuit still lays out."""
     gaps = []
     cursor = lo
     for start, end in sorted(intervals):
@@ -119,50 +119,23 @@ class _Layout:
         return end
 
 
-def _check_conflicts(entries, idles, n_qubits: int):
-    per_qubit: dict = {}
-    for entry in entries:
-        for q in gate_qubits(entry.gate, n_qubits):
-            per_qubit.setdefault(q, []).append(
-                (entry.start, entry.end, entry.gate.name))
-    for idle in idles:
-        per_qubit.setdefault(idle.qubit, []).append(
-            (idle.start, idle.end, idle.name))
-    for qubit in sorted(per_qubit):
-        # zero-duration spans occupy nothing and would break the
-        # adjacent-pair scan, so drop them first
-        spans = sorted(s for s in per_qubit[qubit] if s[1] > s[0])
-        for (s1, e1, name1), (s2, e2, name2) in zip(spans, spans[1:]):
-            # half-open spans: touching endpoints do not overlap
-            if s2 < e1:
-                raise ConflictError(
-                    f"qubit {qubit}: {name1} over [{s1:g}, {e1:g}) overlaps "
-                    f"{name2} over [{s2:g}, {e2:g})", code="qubit-conflict")
-
-
-def schedule(circuit: FlatCircuit, gates: dict = None, *,
-             check: bool = True) -> Timeline:
+def schedule(circuit: FlatCircuit, gates: dict = None) -> Timeline:
     """Assign start times and durations to every gate of a flat circuit.
 
     Durations come from each gate's definition, or from ``gates`` when a
     mapping (for example one with manifest overrides applied) is supplied.
-    With ``check``, raises ConflictError if two entries occupy one qubit at
-    once; a circuit from ``expand`` cannot, so callers holding one may pass
-    ``check=False``.
+    The circuit must satisfy the module's precondition.
     """
     layout = _Layout(circuit, _duration_lookup(gates))
     total = layout.place(circuit.root, 0.0)
-    if check:
-        _check_conflicts(layout.entries, layout.idles, circuit.n_qubits)
     return Timeline(layout.entries, layout.idles, total)
 
 
-def total_duration(circuit: FlatCircuit, gates: dict = None, *,
-                   check: bool = True) -> float:
+def total_duration(circuit: FlatCircuit, gates: dict = None) -> float:
     """Total runtime of a circuit, computed algebraically: sequential
-    blocks add, parallel blocks take the maximum.  With ``check`` the
-    occupancy sweep still runs, so conflicting circuits fail the same way
-    ``schedule`` does."""
+    blocks add, parallel blocks take the maximum.  The circuit must come
+    from ``expand`` or pass ``check_flat_conflicts``; nothing is checked
+    here."""
     duration_of = _duration_lookup(gates)
 
     def measure(item) -> float:
@@ -172,10 +145,6 @@ def total_duration(circuit: FlatCircuit, gates: dict = None, *,
             return max((measure(c) for c in item.items), default=0.0)
         return sum(measure(c) for c in item.items)
 
-    if check:
-        layout = _Layout(circuit, duration_of)
-        layout.place(circuit.root, 0.0)
-        _check_conflicts(layout.entries, layout.idles, circuit.n_qubits)
     return measure(circuit.root)
 
 

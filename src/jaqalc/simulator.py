@@ -54,8 +54,11 @@ class SplitMix64:
 
 def _check_qubit_cap(n_qubits: int):
     if n_qubits > MAX_QUBITS:
+        size = str(n_qubits)
+        if len(size) > 10:  # keep the diagnostic on one readable line
+            size = f"a {len(size)}-digit number of"
         raise SimulationError(
-            f"{n_qubits} qubits exceeds the {MAX_QUBITS}-qubit "
+            f"{size} qubits exceeds the {MAX_QUBITS}-qubit "
             "simulation cap", code="too-many-qubits")
 
 

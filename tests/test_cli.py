@@ -172,18 +172,48 @@ def test_macro_used_as_a_qubit_is_reported_as_such(workdir, capsys):
 
 def test_huge_register_is_bounded_in_time(workdir, capsys):
     """All-qubit gates on a huge register cost nothing until simulation,
-    which refuses the register before allocating it."""
-    path = write(workdir, "huge.jaqal",
-                 "register q[3000000]\nprepare_all\nmeasure_all\n")
-    started = time.perf_counter()
-    assert main(["schedule", path]) == 0
-    assert capsys.readouterr().out == ("0 20 prepare_all\n20 20 measure_all\n"
-                                       "total 40\n")
-    assert time.perf_counter() - started < 5.0
-    started = time.perf_counter()
-    assert main(["run", path]) == 1
-    assert "too-many-qubits" in capsys.readouterr().err
-    assert time.perf_counter() - started < 5.0
+    which refuses the register before allocating it, in a short message
+    however long the size is."""
+    for size in ("3000000", "1" + "0" * 400):
+        path = write(workdir, "huge.jaqal",
+                     f"register q[{size}]\nprepare_all\nmeasure_all\n")
+        started = time.perf_counter()
+        assert main(["schedule", path]) == 0
+        assert capsys.readouterr().out == (
+            "0 20 prepare_all\n20 20 measure_all\ntotal 40\n")
+        assert time.perf_counter() - started < 5.0
+        for argv in (["run", path], ["run", "-p", path]):
+            started = time.perf_counter()
+            assert main(argv) == 1
+            err = capsys.readouterr().err
+            assert ": too-many-qubits: " in err and len(err) < 200
+            assert time.perf_counter() - started < 5.0
+
+
+def test_unused_macro_parameter_accepts_any_argument(workdir, capsys):
+    """The body never reads an unused parameter, so a register, an array
+    alias or a macro name is a valid argument, and the program behaves as
+    if the macro body were written inline."""
+    header = "register q[2]\nmap r q\nmacro k b { Sy q[1] }\n"
+    inline = write(workdir, "inline.jaqal",
+                   header + "prepare_all\nSx q[0]\nmeasure_all\n")
+    out = str(workdir / "out.txt")
+    commands = (["check"], ["expand"], ["schedule"], ["run", "-o", out],
+                ["run", "-p", "-o", out])
+
+    def outcome(command, path):
+        status = main(command + [path])
+        data = (workdir / "out.txt").read_text() if out in command else ""
+        return status, capsys.readouterr(), data
+
+    expected = [outcome(command, inline) for command in commands]
+    for arg in ("q", "r", "k"):
+        path = write(workdir, f"unused_{arg}.jaqal",
+                     header + "macro m a { Sx q[0] }\n"
+                     f"prepare_all\nm {arg}\nmeasure_all\n")
+        for command, want in zip(commands, expected):
+            assert want[0] == 0
+            assert outcome(command, path) == want, (arg, command)
 
 
 def test_run_quantize_flag(workdir):

@@ -9,6 +9,7 @@ from jaqalc.expander import (
     FlatBlock,
     FlatCircuit,
     PrimitiveGate,
+    check_flat_conflicts,
     expand,
     gate_qubits,
 )
@@ -249,21 +250,39 @@ def random_maybe_conflicting_circuit(rng, gates):
         node(2, False) for _ in range(rng.randint(1, 3)))))
 
 
+def rejected(circuit) -> bool:
+    try:
+        check_flat_conflicts(circuit)
+    except ConflictError:
+        return True
+    return False
+
+
 def test_conflict_detection_matches_raster_oracle(gates):
+    """``check_flat_conflicts`` rejects every circuit the raster oracle
+    finds double-booked, and every circuit it accepts schedules with no
+    overlap.  The relation is an implication, not an equality, because the
+    structural rule is stricter: ``< { Sx q[0]; Sy q[1] } | { Sy q[1];
+    Sx q[0] } >`` shares qubits across siblings, so it is rejected, but
+    its gates never overlap in time."""
     rng = random.Random(9)
-    conflicts = 0
+    accepted = overlapping = 0
     for _ in range(150):
         circuit = random_maybe_conflicting_circuit(rng, gates)
-        timeline = schedule(circuit, gates, check=False)
-        expected = raster_conflict(timeline, circuit.n_qubits)
-        try:
-            schedule(circuit, gates)
-            detected = False
-        except ConflictError:
-            detected = True
-        assert detected == expected
-        conflicts += detected
-    assert conflicts > 0  # the sample must actually exercise both verdicts
+        overlaps = raster_conflict(schedule(circuit, gates),
+                                   circuit.n_qubits)
+        if not rejected(circuit):
+            assert not overlaps
+            accepted += 1
+        overlapping += overlaps
+    # the sample must exercise both verdicts
+    assert accepted > 0 and overlapping > 0
+    crossed = FlatCircuit(2, FlatBlock(False, (FlatBlock(True, (
+        build(gates, False, single(gates, "Sx", 0), single(gates, "Sy", 1)),
+        build(gates, False, single(gates, "Sy", 1), single(gates, "Sx", 0)),
+    )),)))
+    assert rejected(crossed)
+    assert not raster_conflict(schedule(crossed, gates), 2)
 
 
 def test_conflict_error_names_qubit_and_gates(gates):
@@ -272,9 +291,9 @@ def test_conflict_error_names_qubit_and_gates(gates):
         PrimitiveGate(gates["Sy"], (0,)),
     )),)))
     with pytest.raises(ConflictError) as err:
-        schedule(circuit, gates)
-    message = str(err.value)
-    assert "qubit 0" in message and "Sx" in message and "Sy" in message
+        check_flat_conflicts(circuit)
+    assert err.value.code == "parallel-conflict"
+    assert "qubit offset 0 " in str(err.value)
 
 
 def test_total_duration_checks_conflicts_too(gates):
@@ -282,9 +301,8 @@ def test_total_duration_checks_conflicts_too(gates):
         PrimitiveGate(gates["Sx"], (0,)),
         PrimitiveGate(gates["Sy"], (0,)),
     )),)))
-    with pytest.raises(ConflictError):
-        total_duration(circuit, gates)
-    assert total_duration(circuit, gates, check=False) == 1.0
+    assert total_duration(circuit, gates) == 1.0  # algebraic, unchecked
+    assert rejected(circuit)
 
 
 def test_padding_idle_ends_exactly_at_the_block_end(gates):
@@ -311,10 +329,31 @@ def random_decimal_durations(rng, gates):
     return apply_durations(gates, load_duration_manifest(text, gates))
 
 
+def overlapping_spans(timeline, n_qubits):
+    """The first two spans, gate or idle, that overlap on one qubit, or
+    None.  Spans are half-open and compared exactly as Fractions; an empty
+    span occupies nothing."""
+    per_qubit: dict = {}
+    for entry in timeline.entries:
+        for q in gate_qubits(entry.gate, n_qubits):
+            per_qubit.setdefault(q, []).append(
+                (Fraction(entry.start), Fraction(entry.end), entry.gate.name))
+    for idle in timeline.inserted_idles:
+        per_qubit.setdefault(idle.qubit, []).append(
+            (Fraction(idle.start), Fraction(idle.end), idle.name))
+    for qubit, spans in sorted(per_qubit.items()):
+        spans = sorted(span for span in spans if span[1] > span[0])
+        # sorted by start, any overlap shows between neighbours
+        for first, second in zip(spans, spans[1:]):
+            if second[0] < first[1]:
+                return qubit, first, second
+    return None
+
+
 def test_expanded_programs_never_fail_the_conflict_sweep(gates):
     """Analysis and expansion decide qubit exclusivity, which is why the
-    command line schedules with ``check=False``: whatever ``expand``
-    accepts, the temporal sweep accepts too, under any durations."""
+    scheduler checks nothing: no two spans of an expanded program overlap
+    on one qubit, under any durations."""
     rng = random.Random(17)
     for _ in range(300):
         durations = random_decimal_durations(rng, gates)
@@ -322,7 +361,8 @@ def test_expanded_programs_never_fail_the_conflict_sweep(gates):
         program, diags = parse(source)
         assert not has_errors(diags), source
         circuit = expand(program, durations)
-        schedule(circuit, durations)  # raises ConflictError on an overlap
+        timeline = schedule(circuit, durations)
+        assert overlapping_spans(timeline, circuit.n_qubits) is None, source
 
 
 # -- dump --------------------------------------------------------------------------
