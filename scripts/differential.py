@@ -7,10 +7,12 @@ Extracts ``src/`` at REV (``git archive``) into a temporary directory and
 runs the same invocations against it and against ``src/`` of the working
 tree: ``check``, ``expand``, ``schedule`` (plain and with the benchmark's
 scan duration manifest) and ``run`` (plain, ``-s 7``, ``-p``, ``-q -p``),
-over the corpus ``.jaqal`` files and N seeded ``tests/program_gen.py``
-programs (default 150).  Each tree gets one child interpreter that calls
-``jaqalc.cli.main`` in-process for every invocation, with standard output
-and error captured.
+over the corpus ``.jaqal`` files, a fixed set of seeded single-character
+mutants of them (each inserts, deletes or replaces one character, so most
+exercise lexer and parser diagnostics) and N seeded
+``tests/program_gen.py`` programs (default 150).  Each tree gets one child
+interpreter that calls ``jaqalc.cli.main`` in-process for every
+invocation, with standard output and error captured.
 
 Exit codes, standard output, standard error and the bytes of each output
 file must be identical.  Every difference is printed, then a summary; the
@@ -25,6 +27,7 @@ import io
 import json
 import random
 import shutil
+import string
 import subprocess
 import sys
 import tarfile
@@ -67,6 +70,20 @@ with open(results_path, "w") as f:
 
 FIELDS = ("status", "stdout", "stderr", "output")
 
+MUTANTS_PER_SOURCE = 10
+# what a mutant may insert or substitute: the Jaqal alphabet, a carriage
+# return, the comment characters, '-', '.' and a non-ASCII letter
+MUTANT_CHARS = (string.ascii_letters + string.digits + "_ \t\n{}<>[]:;|"
+                + "\r/*-.\u00e9")
+
+
+def _mutant(rng: random.Random, text: str) -> str:
+    at = rng.randrange(len(text) + 1)
+    edit = rng.choice("idr") if at < len(text) else "i"
+    if edit == "d":
+        return text[:at] + text[at + 1:]
+    return text[:at] + rng.choice(MUTANT_CHARS) + text[at + (edit == "r"):]
+
 
 def _inputs(work: Path, programs: int) -> list:
     sys.path.insert(0, str(ROOT / "tests"))
@@ -75,8 +92,18 @@ def _inputs(work: Path, programs: int) -> list:
     inputs = []
     corpus = work / "corpus"
     corpus.mkdir()
+    mutants = work / "mutants"
+    mutants.mkdir()
     for source in sorted((ROOT / "src" / "jaqalc" / "corpus").glob("*.jaqal")):
         inputs.append(shutil.copy(source, corpus / source.name))
+        text = source.read_text(encoding="utf-8")
+        rng = random.Random(source.name)
+        for index in range(MUTANTS_PER_SOURCE):
+            path = mutants / f"{source.stem}-{index}.jaqal"
+            # newline="" keeps a mutant's carriage returns as written
+            with open(path, "w", encoding="utf-8", newline="") as f:
+                f.write(_mutant(rng, text))
+            inputs.append(path)
     generated = work / "generated"
     generated.mkdir()
     for index in range(programs):
@@ -118,7 +145,8 @@ def _extract(rev: str, dest: Path) -> Path:
 
 def _run_tree(src: Path, work: Path, jobs_path: Path, name: str) -> list:
     results_path = work / f"results-{name}.json"
-    subprocess.run([sys.executable, "-I", "-c", CHILD, str(src),
+    # -I ignores PYTHONDONTWRITEBYTECODE; -B keeps __pycache__ out of src/
+    subprocess.run([sys.executable, "-I", "-B", "-c", CHILD, str(src),
                     str(jobs_path), str(results_path)], cwd=work, check=True)
     with open(results_path) as f:
         return json.load(f)

@@ -21,7 +21,9 @@ Checks performed, each with its own diagnostic code:
   qubit slots take qubits (``unknown-gate``, ``arity-mismatch``,
   ``type-mismatch``, ``bad-loop-count``);
 * block shape rules: no loop inside a parallel block, no same-kind direct
-  nesting (``loop-in-parallel``, ``same-kind-nesting``);
+  nesting (``loop-in-parallel``, ``same-kind-nesting``), and no macro
+  invocation that, expanded, nests blocks more than ``MAX_NESTING`` deep
+  (``nesting-too-deep``);
 * hardware exclusivity: one gate may not use a qubit twice, directly
   parallel statements may not share qubits, the two-qubit entangler runs
   with no parallel siblings, and all-qubit preparation/measurement never
@@ -41,6 +43,7 @@ from dataclasses import dataclass, field
 from typing import NamedTuple, Optional, Union
 
 from .ast import (
+    MAX_NESTING,
     FloatLiteral,
     GateBlock,
     GateStatement,
@@ -183,6 +186,7 @@ class MacroInfo:
     body: GateBlock
     uses_entangler: bool
     uses_global_gate: bool
+    depth: int  # how deep the expanded body nests blocks, itself included
 
 
 @dataclass
@@ -220,6 +224,7 @@ class _Context:
     in_parallel: bool = False
     params: Optional[dict] = None  # param name -> inferred kind, mutated
     current_macro: Optional[str] = None
+    depth: int = 0  # blocks open around the statement
 
 
 def _contains_gate(stmt) -> bool:
@@ -238,6 +243,7 @@ class _Analyzer:
         self.gates = gates
         self.diags: list = []
         self.table = SymbolTable()
+        self.deepest = 0  # deepest nesting in the macro body being checked
         # declaration index of every macro, for forward-reference messages
         self.macro_index = {}
         for idx, stmt in enumerate(program.body):
@@ -401,12 +407,13 @@ class _Analyzer:
             param_kinds.setdefault(p, None)
         ctx = _Context(in_parallel=stmt.body.parallel, params=param_kinds,
                        current_macro=stmt.name)
+        self.deepest = 0
         usage = self.check_block_children(stmt.body, ctx)
         if not collision:
             self.table.macros[stmt.name] = MacroInfo(
                 stmt.name, stmt.params, param_kinds, stmt.body,
                 uses_entangler=usage.entangler,
-                uses_global_gate=usage.global_gate)
+                uses_global_gate=usage.global_gate, depth=self.deepest)
 
     def check_statement(self, stmt, ctx: _Context) -> Usage:
         """Check one statement and return its Usage."""
@@ -437,7 +444,9 @@ class _Analyzer:
     def check_block_children(self, block: GateBlock, ctx: _Context) -> Usage:
         inner = _Context(in_parallel=ctx.in_parallel or block.parallel,
                          params=ctx.params,
-                         current_macro=ctx.current_macro)
+                         current_macro=ctx.current_macro,
+                         depth=ctx.depth + 1)
+        self.deepest = max(self.deepest, inner.depth)
         usages = []
         for child in block.statements:
             if isinstance(child, GateBlock) and child.parallel == block.parallel:
@@ -470,6 +479,13 @@ class _Analyzer:
                           f"macro {name!r} prepares or measures all qubits "
                           "and cannot appear inside a parallel block")
             self.check_macro_args(stmt, macro, ctx)
+            depth = ctx.depth + macro.depth
+            if depth > MAX_NESTING:
+                self.diag(stmt, "nesting-too-deep",
+                          f"macro {name!r} nests blocks {depth} deep here, "
+                          f"more than {MAX_NESTING}")
+            else:
+                self.deepest = max(self.deepest, depth)
             # the body's qubits are checked after expansion
             return Usage(frozenset(), macro.uses_global_gate,
                          macro.uses_entangler)

@@ -20,13 +20,21 @@ from typing import Optional, Union
 
 KEYWORDS = frozenset({"register", "map", "let", "macro", "loop"})
 
-_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
+# The one identifier rule, shared with the lexer's token pattern.  Written
+# with explicit ASCII ranges: the grammar rejects Unicode letters and digits.
+IDENTIFIER = r"[A-Za-z_][A-Za-z0-9_]*"
+
+# How deep blocks may nest along one path once macros are expanded: every
+# block, loop body and macro body is one level, so invoking a macro adds
+# the levels of its body.  The limit keeps each recursive walk of the tree
+# and of the expanded circuit well inside Python's recursion limit.
+MAX_NESTING = 200
 
 
 def is_valid_identifier(text: str) -> bool:
     """True for a legal name: ASCII letters/digits/underscore, not starting
     with a digit, and not one of the statement keywords."""
-    return bool(_IDENT_RE.match(text)) and text not in KEYWORDS
+    return re.fullmatch(IDENTIFIER, text) is not None and text not in KEYWORDS
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,16 @@ a list of diagnostics rather than raising, so a single run can report many
 problems.  A parse counts as successful when the diagnostic list contains
 no errors.
 
+The lexer is one compiled pattern, ``_TOKEN``, whose alternatives are
+tried in order: spaces and tabs; a LF or CRLF line break (NEWLINE); a
+``//`` comment (NEWLINE only at end of input); a ``/* */`` comment, closed
+by the first ``*/``; an unclosed ``/*`` (``unterminated-comment``); an
+identifier (IDENT or KEYWORD); a number with any name characters or dots
+that follow it (INT or FLOAT, or ``bad-number`` when malformed, not finite
+or too long for ``int()``); a punctuation mark; and any other character,
+such as a lone CR or ``/`` (``illegal-character``).  Letters and digits
+are ASCII only.  Each position is computed once, from the match start.
+
 Syntax rules enforced here (semantic rules live in the analyzer):
 
 * header statements precede body statements;
@@ -16,7 +26,10 @@ Syntax rules enforced here (semantic rules live in the analyzer):
 * blocks never directly nest inside a block of the same kind;
 * macro and loop bodies are blocks, never a single bare gate;
 * there are no arithmetic expressions: ``/`` outside a comment and ``-``
-  not starting a numeric literal are lexical errors.
+  not starting a numeric literal are lexical errors;
+* blocks nest at most ``ast.MAX_NESTING`` deep; the first opening bracket
+  past the limit is reported and its block skipped unparsed, so parsing
+  never recurses deeper.
 
 On an error the parser skips to the next statement boundary (newline,
 separator, or block close) and keeps going.
@@ -25,11 +38,14 @@ separator, or block close) and keeps going.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from typing import Optional, Union
 
 from .ast import (
+    IDENTIFIER,
     KEYWORDS,
+    MAX_NESTING,
     FloatLiteral,
     GateBlock,
     GateStatement,
@@ -44,9 +60,25 @@ from .ast import (
     RegisterDecl,
     Slice,
 )
-from .diagnostics import Diagnostic, error
+from .diagnostics import error
 
-_PUNCT = frozenset("{}<>[]:;|")
+# Letters and digits are the ASCII ranges written here, never \d or \w,
+# which admit Unicode.
+_TOKEN = re.compile(r"""
+    (?P<space>[ \t]+)
+  | (?P<newline>\r?\n)
+  | (?P<line_comment>//[^\n]*)
+  | (?P<block_comment>/\*.*?\*/)
+  | (?P<open_comment>/\*.*)
+  | (?P<ident>""" + IDENTIFIER + r""")
+  | (?=[-.0-9])(?P<number>-?(?P<literal>(?:[0-9]+\.?[0-9]*|\.[0-9]+)
+        (?:[eE][+-]?[0-9]+)?)?[A-Za-z0-9_.]*)  # "0q" is one bad token
+  | (?P<punct>[{}<>\[\]:;|])
+  | (?P<other>.)
+""", re.VERBOSE | re.DOTALL)
+
+_STRAY = {"\r": "stray carriage return",
+          "/": "'/' is only valid inside comments"}
 
 
 @dataclass(frozen=True)
@@ -57,157 +89,60 @@ class Token:
     column: int
 
 
-def _is_ident_start(ch: str) -> bool:
-    return "A" <= ch <= "Z" or "a" <= ch <= "z" or ch == "_"
-
-
-def _is_ident_char(ch: str) -> bool:
-    return _is_ident_start(ch) or _is_digit(ch)
-
-
-def _is_digit(ch: str) -> bool:
-    # ASCII only: str.isdigit() admits Unicode digits the grammar rejects
-    return "0" <= ch <= "9"
-
-
 def lex(source: str):
-    """Tokenize source text.
+    """Tokenize source text into ``(tokens, diagnostics)``.
 
-    Returns ``(tokens, diagnostics)``.  Whitespace and comments disappear;
-    newlines survive as NEWLINE tokens because they terminate statements.
-    A ``//`` comment ends its line even at end of input, while newlines
-    inside a ``/* */`` comment are plain whitespace.  Both LF and CRLF are
-    accepted.
+    Whitespace and comments disappear; line breaks outside ``/* */``
+    comments survive as NEWLINE tokens because they terminate statements.
     """
     tokens: list = []
     diags: list = []
-    i, line, col = 0, 1, 1
-    n = len(source)
-
-    def emit(kind, value, l, c):
-        tokens.append(Token(kind, value, l, c))
-
-    while i < n:
-        ch = source[i]
-        if ch in " \t":
-            i += 1
-            col += 1
-        elif ch == "\n":
-            emit("NEWLINE", None, line, col)
-            i += 1
-            line += 1
-            col = 1
-        elif ch == "\r":
-            if i + 1 < n and source[i + 1] == "\n":
-                emit("NEWLINE", None, line, col)
-                i += 2
-                line += 1
-                col = 1
+    line, line_start = 1, 0
+    for match in _TOKEN.finditer(source):
+        kind, text = match.lastgroup, match.group()
+        column = match.start() - line_start + 1
+        if kind == "ident":
+            tokens.append(Token("KEYWORD" if text in KEYWORDS else "IDENT",
+                                text, line, column))
+        elif kind == "punct":
+            tokens.append(Token(text, text, line, column))
+        elif kind == "newline":
+            tokens.append(Token("NEWLINE", None, line, column))
+        elif kind == "number":
+            token = _number(text, match.end("literal") == match.end())
+            if isinstance(token, str):
+                diags.append(error(line, column, "bad-number", token))
             else:
-                diags.append(error(line, col, "illegal-character",
-                                   "stray carriage return"))
-                i += 1
-                col += 1
-        elif ch == "/":
-            if source.startswith("//", i):
-                while i < n and source[i] != "\n":
-                    i += 1
-                    col += 1
-                if i >= n:
-                    # the comment ran to end of input, which ends the line
-                    emit("NEWLINE", None, line, col)
-            elif source.startswith("/*", i):
-                start_line, start_col = line, col
-                end = source.find("*/", i + 2)
-                if end < 0:
-                    diags.append(error(start_line, start_col,
-                                       "unterminated-comment",
-                                       "block comment is never closed"))
-                    for c2 in source[i:]:
-                        if c2 == "\n":
-                            line += 1
-                    i = n
-                else:
-                    # comments do not nest: the first */ closes
-                    for c2 in source[i:end + 2]:
-                        if c2 == "\n":
-                            line += 1
-                            col = 1
-                        else:
-                            col += 1
-                    i = end + 2
-            else:
-                diags.append(error(line, col, "illegal-character",
-                                   "'/' is only valid inside comments"))
-                i += 1
-                col += 1
-        elif _is_ident_start(ch):
-            start, start_col = i, col
-            while i < n and _is_ident_char(source[i]):
-                i += 1
-                col += 1
-            text = source[start:i]
-            emit("KEYWORD" if text in KEYWORDS else "IDENT", text, line, start_col)
-        elif _is_digit(ch) or ch in "-.":
-            i, col = _lex_number(source, i, line, col, emit, diags)
-        elif ch in _PUNCT:
-            emit(ch, ch, line, col)
-            i += 1
-            col += 1
-        else:
-            diags.append(error(line, col, "illegal-character",
-                               f"illegal character {ch!r}"))
-            i += 1
-            col += 1
+                tokens.append(Token(*token, line, column))
+        elif kind == "line_comment" and match.end() == len(source):
+            # the comment ran to end of input, which ends the line
+            tokens.append(Token("NEWLINE", None, line, column + len(text)))
+        elif kind == "open_comment":
+            diags.append(error(line, column, "unterminated-comment",
+                               "block comment is never closed"))
+        elif kind == "other":
+            message = _STRAY.get(text, f"illegal character {text!r}")
+            diags.append(error(line, column, "illegal-character", message))
+        if "\n" in text:
+            line += text.count("\n")
+            line_start = match.start() + text.rindex("\n") + 1
     return tokens, diags
 
 
-def _lex_number(source, i, line, col, emit, diags):
-    n = len(source)
-    start, start_col = i, col
-    if i < n and source[i] == "-":
-        i += 1
-    int_digits = 0
-    while i < n and _is_digit(source[i]):
-        i += 1
-        int_digits += 1
-    is_float = False
-    if i < n and source[i] == ".":
-        is_float = True
-        i += 1
-        while i < n and _is_digit(source[i]):
-            i += 1
-            int_digits += 1
-    if int_digits and i < n and source[i] in "eE":
-        j = i + 1
-        if j < n and source[j] in "+-":
-            j += 1
-        if j < n and _is_digit(source[j]):
-            is_float = True
-            i = j
-            while i < n and _is_digit(source[i]):
-                i += 1
-    # a literal immediately followed by name characters (e.g. "0q") or
-    # more dots is one malformed token, not two adjacent ones
-    bad = int_digits == 0
-    while i < n and (_is_ident_char(source[i]) or source[i] == "."):
-        bad = True
-        i += 1
-    text = source[start:i]
-    if bad:
-        diags.append(error(line, start_col, "bad-number",
-                           f"malformed numeric literal {text!r}"))
-    elif is_float:
+def _number(text: str, well_formed: bool):
+    """A numeric literal's ``(kind, value)``, or why it is a bad number."""
+    if not well_formed:
+        return f"malformed numeric literal {text!r}"
+    if any(c in text for c in ".eE"):
         value = float(text)
         if math.isfinite(value):
-            emit("FLOAT", value, line, start_col)
-        else:
-            diags.append(error(line, start_col, "bad-number",
-                               f"numeric literal {text!r} is too large for "
-                               "a finite number"))
-    else:
-        emit("INT", int(text), line, start_col)
-    return i, col + (i - start)
+            return "FLOAT", value
+        return f"numeric literal {text!r} is too large for a finite number"
+    try:
+        return "INT", int(text)
+    except ValueError:  # more digits than int() converts
+        digits = len(text.lstrip("-"))
+        return f"a {digits}-digit integer literal is too long to read"
 
 
 _TERMINATORS = frozenset({"NEWLINE", ";", "|", "}", ">", "EOF"})
@@ -223,6 +158,7 @@ class _Parser:
         self.toks = tokens + [eof]
         self.pos = 0
         self.diags = diags
+        self.depth = 0  # blocks open around the current token
 
     # -- primitives ---------------------------------------------------------
 
@@ -328,47 +264,32 @@ class _Parser:
 
     def selector(self):
         """Index or Python-style slice inside a map statement's brackets."""
-        parts: list = []
-        saw_colon = False
+        parts: list = []  # one per component; None where it is omitted
         while True:
-            if self.at(":"):
+            if self.at(":") or self.at("]") or self.cur.kind in _TERMINATORS:
                 parts.append(None)
-                saw_colon = True
-                self.advance()
-                continue
-            if self.at("]") or self.cur.kind in _TERMINATORS:
-                parts.append(None)
-                break
-            expr = self.int_expr("map selector component")
-            if expr is None:
-                return None
-            if self.at(":"):
+            else:
+                expr = self.int_expr("map selector component")
+                if expr is None:
+                    return None
                 parts.append(expr)
-                saw_colon = True
-                self.advance()
-                continue
-            parts.append(expr)
-            break
-        if not saw_colon:
-            return parts[0] if parts[0] is not None else None
+            if not self.at(":"):
+                break
+            self.advance()
+        if len(parts) == 1:
+            return parts[0]
         if len(parts) > 3:
             self.diag("bad-slice", "a slice has at most three components")
             return None
-        while len(parts) < 3:
-            parts.append(None)
         return Slice(*parts)
 
     def let_constant(self, kw):
         name = self.ident("constant name")
         if name is None:
             return None
-        tok = self.cur
-        if tok.kind == "INT":
-            self.advance()
-            return LetConstant(name, int(tok.value), line=kw.line, column=kw.column)
-        if tok.kind == "FLOAT":
-            self.advance()
-            return LetConstant(name, float(tok.value), line=kw.line, column=kw.column)
+        if self.cur.kind in ("INT", "FLOAT"):
+            value = self.advance().value
+            return LetConstant(name, value, line=kw.line, column=kw.column)
         self.diag("syntax-error", "let requires a numeric value")
         self.recover()
         return None
@@ -437,6 +358,11 @@ class _Parser:
 
     def block(self, parallel_context: Optional[bool]):
         open_tok = self.advance()
+        if self.depth == MAX_NESTING:
+            self.diag("nesting-too-deep",
+                      f"blocks nest more than {MAX_NESTING} deep", open_tok)
+            self.skip_block()
+            return None
         parallel = open_tok.kind == "<"
         if parallel_context is not None and parallel == parallel_context:
             kind = "parallel" if parallel else "sequential"
@@ -446,6 +372,7 @@ class _Parser:
                 f"{kind} block", open_tok)
         close = ">" if parallel else "}"
         statements: list = []
+        self.depth += 1
         while True:
             self.skip_separators(parallel)
             tok = self.cur
@@ -466,19 +393,25 @@ class _Parser:
             stmt = self.body_statement(parallel=parallel)
             if stmt is not None:
                 statements.append(stmt)
+        self.depth -= 1
         return GateBlock(parallel, tuple(statements),
                          line=open_tok.line, column=open_tok.column)
+
+    def skip_block(self):
+        """Skip past the bracket that closes the block just opened."""
+        open_blocks = 1
+        while open_blocks and not self.at("EOF"):
+            kind = self.advance().kind
+            if kind in ("{", "<"):
+                open_blocks += 1
+            elif kind in ("}", ">"):
+                open_blocks -= 1
 
     def loop_statement(self):
         kw = self.advance()
         tok = self.cur
-        count = None
-        if tok.kind == "INT":
-            self.advance()
-            count = IntLiteral(int(tok.value))
-        elif tok.kind == "IDENT":
-            self.advance()
-            count = NameRef(tok.value)
+        if tok.kind in ("INT", "IDENT"):
+            count = self.int_expr("loop count")
         elif tok.kind == "FLOAT":
             self.advance()
             self.diag("bad-loop-count",
@@ -488,7 +421,7 @@ class _Parser:
             self.diag("syntax-error", "loop requires an iteration count", tok)
             self.recover()
             return None
-        body = self.headed_block("loop")
+        body = self.block(None) if self.find_body("loop") else None
         if body is None:
             return None
         return LoopStatement(count, body, line=kw.line, column=kw.column)
@@ -501,19 +434,20 @@ class _Parser:
         params: list = []
         while self.cur.kind == "IDENT":
             params.append(self.advance().value)
-        body = self.headed_block("macro")
+        body = self.block(None) if self.find_body("macro") else None
         if body is None:
             return None
         return MacroDef(name, tuple(params), body, line=kw.line, column=kw.column)
 
-    def headed_block(self, construct: str):
-        """Parse the block that a loop or macro head requires.
+    def find_body(self, construct: str) -> bool:
+        """Move to the opening bracket of the block a loop or macro head
+        requires, or report its absence and return False.
 
         The opening bracket must be on the same line as the head; a bare
         gate does not satisfy the block requirement.
         """
         if self.cur.kind in ("{", "<"):
-            return self.block(parallel_context=None)
+            return True
         if self.at("NEWLINE"):
             # look past blank lines: a bracket further down is the classic
             # "brace on the next line" mistake and deserves its own message
@@ -525,11 +459,11 @@ class _Parser:
                           f"line break is not allowed before the opening "
                           f"bracket of a {construct} body", self.toks[ahead])
                 self.pos = ahead
-                return self.block(parallel_context=None)
+                return True
         self.diag("expected-block",
                   f"{construct} requires a gate block, not a single gate")
         self.recover()
-        return None
+        return False
 
     # -- helpers ------------------------------------------------------------
 

@@ -102,3 +102,28 @@ def random_program(rng: random.Random, max_qubits=3, max_gates=30,
                                  depth=rng.randint(0, 3), indent=0))
         lines.append("measure_all")
     return "\n".join(lines) + "\n"
+
+
+# -- deep nesting --------------------------------------------------------------
+
+def nested_blocks(depth: int) -> str:
+    """``depth`` blocks nested around one gate, alternately sequential and
+    parallel (directly nesting two of one kind is illegal)."""
+    opens = "".join("{<"[i % 2] for i in range(depth))
+    closes = "".join("}>"[i % 2] for i in reversed(range(depth)))
+    return opens + "Sx q[0]" + closes
+
+
+def nested_loops(depth: int) -> str:
+    """``depth`` one-iteration loops nested around one gate."""
+    return "loop 1 {\n" * depth + "Sx q[0]\n" + "}\n" * depth
+
+
+def macro_chain(length: int, alternate: bool = False) -> str:
+    """A one-qubit register and macros m0..m<length-1>, each invoking the
+    one before; with ``alternate`` every other body is a parallel block."""
+    lines = ["register q[1]", "macro m0 a { Sx a }"]
+    for k in range(1, length):
+        opening, closing = "<>" if alternate and k % 2 else "{}"
+        lines.append(f"macro m{k} a {opening} m{k - 1} a {closing}")
+    return "\n".join(lines) + "\n"

@@ -3,10 +3,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jaqalc.analyzer import ArrayView, SingleView, analyze, resolve_qubit
-from jaqalc.ast import IntLiteral, NameRef, QubitRef
+from jaqalc.ast import MAX_NESTING, IntLiteral, NameRef, QubitRef
 from jaqalc.diagnostics import has_errors
 from jaqalc.errors import JaqalError
 from jaqalc.parser import parse
+from program_gen import macro_chain
 
 
 def analyzed(source, gates):
@@ -262,6 +263,39 @@ def test_forward_macro_reference_rejected(gates):
               "macro second a { Sx a }\n"
               "first q[0]\n")
     assert "forward-macro-reference" in codes(source, gates)
+
+
+@pytest.mark.parametrize("alternate", [False, True])
+def test_macro_chain_up_to_the_nesting_limit_is_accepted(gates, alternate):
+    accept(macro_chain(MAX_NESTING, alternate)
+           + f"m{MAX_NESTING - 1} q[0]\n", gates)
+
+
+@pytest.mark.parametrize("alternate", [False, True])
+def test_macro_chain_past_the_nesting_limit_is_reported_once(gates,
+                                                             alternate):
+    length = MAX_NESTING + 50
+    _, diags = analyzed(macro_chain(length, alternate)
+                        + f"m{length - 1} q[0]\n", gates)
+    (diag,) = diags
+    # m200's body invokes m199, whose body nests 200 blocks: 201 in all
+    assert (diag.code, diag.line, diag.column) == (
+        "nesting-too-deep", MAX_NESTING + 2, 16)
+    assert diag.message == (f"macro 'm{MAX_NESTING - 1}' nests blocks "
+                            f"{MAX_NESTING + 1} deep here, more than "
+                            f"{MAX_NESTING}")
+
+
+def test_invocation_depth_adds_the_enclosing_blocks(gates):
+    length = MAX_NESTING - 2  # the last macro nests MAX_NESTING - 2 blocks
+    chain = macro_chain(length)
+    last = f"m{length - 1} q[0]"
+    assert "nesting-too-deep" not in codes(chain + f"{{ < {last} > }}\n",
+                                           gates)
+    _, diags = analyzed(chain + f"{{ < {{ {last} }} > }}\n", gates)
+    (diag,) = diags
+    assert (diag.code, diag.line, diag.column) == (
+        "nesting-too-deep", length + 2, 7)
 
 
 def test_macro_param_used_as_qubit_and_number(gates):

@@ -2,7 +2,9 @@ import time
 
 import pytest
 
+from jaqalc.ast import MAX_NESTING
 from jaqalc.cli import main
+from program_gen import macro_chain, nested_blocks, nested_loops
 
 WORKED_EXAMPLE = """register q[2]
 
@@ -151,6 +153,8 @@ def test_run_rejects_integer_angle_too_large_for_a_float(workdir, capsys):
                      "Rx q[0] big\nmeasure_all\n",
         "macro.jaqal": "register q[1]\nmacro m a { Rx q[0] a }\n"
                        f"prepare_all\nm {huge}\nmeasure_all\n",
+        "register.jaqal": f"register q[{'1' * 5000}]\nprepare_all\n"
+                          "measure_all\n",
     }
     for name, source in sources.items():
         path = write(workdir, name, source)
@@ -160,6 +164,64 @@ def test_run_rejects_integer_angle_too_large_for_a_float(workdir, capsys):
             err = capsys.readouterr().err
             assert f"{path}:" in err and ": bad-number:" in err
             assert "Traceback" not in err
+
+
+EVERY_COMMAND = (["check"], ["expand"], ["schedule"], ["run"], ["run", "-p"])
+
+
+def deep_program(shape, depth):
+    if shape in ("chain", "alternating-chain"):
+        return (macro_chain(depth, alternate=shape != "chain")
+                + f"prepare_all\nm{depth - 1} q[0]\nmeasure_all\n")
+    nested = nested_loops if shape == "loops" else nested_blocks
+    return f"register q[1]\nprepare_all\n{nested(depth)}\nmeasure_all\n"
+
+
+DEEP_SHAPES = ("alternating-chain", "blocks", "chain", "loops")
+
+
+@pytest.mark.parametrize("shape", DEEP_SHAPES)
+def test_nesting_at_the_limit_passes_every_command(workdir, capsys, shape):
+    path = write(workdir, "deep.jaqal", deep_program(shape, MAX_NESTING))
+    out = str(workdir / "deep.out")
+    for command in EVERY_COMMAND:
+        argv = command + ([path, "-o", out] if command[0] == "run" else [path])
+        started = time.perf_counter()
+        assert main(argv) == 0, (command, capsys.readouterr().err)
+        assert time.perf_counter() - started < 5.0
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("shape, depth", [
+    *((shape, MAX_NESTING + 1) for shape in DEEP_SHAPES),
+    ("blocks", 350),
+    ("chain", 900),
+])
+def test_nesting_past_the_limit_exits_one_under_every_command(
+        workdir, capsys, shape, depth):
+    path = write(workdir, "deep.jaqal", deep_program(shape, depth))
+    for command in EVERY_COMMAND:
+        started = time.perf_counter()
+        assert main(command + [path]) == 1
+        err = capsys.readouterr().err
+        assert f"{path}:" in err and ": nesting-too-deep: " in err
+        assert "Traceback" not in err
+        assert time.perf_counter() - started < 5.0
+
+
+@pytest.mark.parametrize("source", [
+    f"register q[{'1' * 5000}]\nprepare_all\nmeasure_all\n",
+    f"register q[1]\nprepare_all\nloop {'1' * 5000} {{ Sx q[0] }}\n"
+    "measure_all\n",
+], ids=["register", "loop-count"])
+def test_overlong_integer_literal_exits_one_under_every_command(
+        workdir, capsys, source):
+    path = write(workdir, "long.jaqal", source)
+    for command in EVERY_COMMAND:
+        assert main(command + [path]) == 1
+        err = capsys.readouterr().err
+        assert ": bad-number: a 5000-digit integer literal" in err
+        assert "Traceback" not in err and "1" * 100 not in err
 
 
 def test_macro_used_as_a_qubit_is_reported_as_such(workdir, capsys):

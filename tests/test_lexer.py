@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jaqalc.diagnostics import has_errors
 from jaqalc.parser import lex
@@ -96,6 +98,7 @@ def test_lexical_errors(source, code):
     ("1e400", 1),
     ("-1e400", 1),
     ("Rx q[0] 1e400", 9),
+    pytest.param("1" * 5000, 1, id="5000-digit-integer"),
 ])
 def test_non_finite_literals_are_bad_numbers(source, column):
     tokens, diags = lex(source)
@@ -113,3 +116,45 @@ def test_positions_are_one_based():
 def test_line_comment_ends_line_at_eof():
     tokens, _ = lex("Sx q[0] // trailing comment, no newline")
     assert tokens[-1].kind == "NEWLINE"
+
+
+@pytest.mark.parametrize("literal", ["1" * 5000, "-" + "9" * 4301],
+                         ids=["5000-digits", "minus-4301-digits"])
+def test_overlong_integer_message_gives_the_digit_count(literal):
+    """int() refuses more than 4300 digits; the literal is reported by its
+    length, not echoed."""
+    tokens, diags = lex(f"loop {literal} {{")
+    (diag,) = diags
+    assert (diag.code, diag.line, diag.column) == ("bad-number", 1, 6)
+    digits = len(literal.lstrip("-"))
+    assert diag.message == (f"a {digits}-digit integer literal is too long "
+                            "to read")
+    assert [t.kind for t in tokens] == ["KEYWORD", "{"]
+
+
+_PIECES = st.sampled_from([
+    "Sx", "q", "loop", "register", "_a1", "0", "12", "-3", "1.5", ".5",
+    "1e3", "1e", "0q", "-", ".", "/", "*", "@", "\u00e9", "\u0661", " ", "\t",
+    "\n", "\r\n", "\r", "{", "}", "<", ">", "[", "]", ":", ";", "|",
+    "// note", "//", "/* a */", "/* a\nb */", "/*\r\n*/", "/*", "*/",
+])
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(_PIECES, max_size=40).map("".join))
+def test_positions_point_at_their_text(source):
+    """Token and diagnostic positions index ``source.split("\\n")``, with
+    LF and CRLF line breaks, lone CRs, and comments spanning lines."""
+    lines = source.split("\n")
+    tokens, diags = lex(source)
+    for token in tokens:
+        rest = lines[token.line - 1][token.column - 1:]
+        if token.kind in ("IDENT", "KEYWORD") or token.kind == token.value:
+            assert rest.startswith(token.value), (token, source)
+        elif token.kind in ("INT", "FLOAT"):
+            assert rest[:1] in set("0123456789-."), (token, source)
+        elif token.kind == "NEWLINE":  # at the line break or end of input
+            assert rest in ("", "\r"), (token, source)
+    for diag in diags:
+        assert 1 <= diag.line <= len(lines), (diag, source)
+        assert 1 <= diag.column <= len(lines[diag.line - 1]), (diag, source)

@@ -10,11 +10,13 @@ from jaqalc.ast import (
     MacroDef,
     NameRef,
     QubitRef,
+    MAX_NESTING,
     RegisterDecl,
     Slice,
 )
 from jaqalc.diagnostics import has_errors
 from jaqalc.parser import parse
+from program_gen import nested_blocks, nested_loops
 
 
 def parse_ok(source):
@@ -189,6 +191,31 @@ def test_arithmetic_is_not_in_the_grammar():
         "register q[1]\nlet pi 3.1415926536\nRy q[0] pi/32\n")
     assert "bad-number" in error_codes(
         "macro CRz t angle { Rz t -angle }\n")
+
+
+def test_nesting_up_to_the_limit_is_accepted():
+    parse_ok(nested_blocks(MAX_NESTING))
+    parse_ok(nested_loops(MAX_NESTING))
+
+
+@pytest.mark.parametrize("depth", [MAX_NESTING + 1, 5000])
+def test_nesting_too_deep_is_reported_at_the_first_block_past_the_limit(
+        depth):
+    program, diags = parse(nested_blocks(depth) + "\nSy q[1]\n")
+    (diag,) = diags
+    assert (diag.code, diag.line, diag.column) == (
+        "nesting-too-deep", 1, MAX_NESTING + 1)
+    # the skipped block ends at its matching bracket; parsing goes on
+    assert program.body[-1] == GateStatement(
+        "Sy", (QubitRef("q", IntLiteral(1)),))
+
+
+def test_nested_loops_too_deep_are_reported_at_the_loop_bracket():
+    depth = MAX_NESTING + 1
+    _, diags = parse(nested_loops(depth))
+    (diag,) = diags
+    assert (diag.code, diag.line, diag.column) == (
+        "nesting-too-deep", depth, 8)
 
 
 # -- recovery -------------------------------------------------------------------
