@@ -27,7 +27,6 @@ import io
 import json
 import random
 import shutil
-import string
 import subprocess
 import sys
 import tarfile
@@ -71,23 +70,11 @@ with open(results_path, "w") as f:
 FIELDS = ("status", "stdout", "stderr", "output")
 
 MUTANTS_PER_SOURCE = 10
-# what a mutant may insert or substitute: the Jaqal alphabet, a carriage
-# return, the comment characters, '-', '.' and a non-ASCII letter
-MUTANT_CHARS = (string.ascii_letters + string.digits + "_ \t\n{}<>[]:;|"
-                + "\r/*-.\u00e9")
-
-
-def _mutant(rng: random.Random, text: str) -> str:
-    at = rng.randrange(len(text) + 1)
-    edit = rng.choice("idr") if at < len(text) else "i"
-    if edit == "d":
-        return text[:at] + text[at + 1:]
-    return text[:at] + rng.choice(MUTANT_CHARS) + text[at + (edit == "r"):]
 
 
 def _inputs(work: Path, programs: int) -> list:
     sys.path.insert(0, str(ROOT / "tests"))
-    from program_gen import random_program
+    from program_gen import mutant, random_program
 
     inputs = []
     corpus = work / "corpus"
@@ -102,7 +89,7 @@ def _inputs(work: Path, programs: int) -> list:
             path = mutants / f"{source.stem}-{index}.jaqal"
             # newline="" keeps a mutant's carriage returns as written
             with open(path, "w", encoding="utf-8", newline="") as f:
-                f.write(_mutant(rng, text))
+                f.write(mutant(rng, text))
             inputs.append(path)
     generated = work / "generated"
     generated.mkdir()

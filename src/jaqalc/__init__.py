@@ -30,11 +30,9 @@ from .gateset import (
     builtin_gateset,
     load_duration_manifest,
     quantize_angle,
-    unitary_of,
 )
 from .parser import lex, parse
 from .scheduler import Timeline, schedule, total_duration
-from .simulator import QuantumState, apply_unitary, probabilities, run
 
 __version__ = "0.1.0"
 
@@ -74,3 +72,16 @@ __all__ = [
     "total_duration",
     "unitary_of",
 ]
+
+# The simulator's names resolve on first use (PEP 562): only it needs the
+# array library, whose import would dominate check, expand and schedule.
+_SIMULATOR_NAMES = frozenset(
+    {"QuantumState", "apply_unitary", "probabilities", "run", "unitary_of"})
+
+
+def __getattr__(name):
+    if name in _SIMULATOR_NAMES:
+        from . import simulator
+
+        return getattr(simulator, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

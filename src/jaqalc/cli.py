@@ -23,7 +23,6 @@ from .expander import dump_flat, expand
 from .gateset import apply_durations, builtin_gateset, load_duration_manifest
 from .parser import parse
 from .scheduler import dump_timeline, schedule
-from .simulator import probabilities, run
 
 
 class _Exit(Exception):
@@ -38,8 +37,10 @@ def _fail(status: int, message: str):
 
 def _read_text(path: str) -> str:
     try:
-        # utf-8-sig tolerates a leading byte-order mark from Windows editors
-        return Path(path).read_text(encoding="utf-8-sig")
+        # utf-8-sig tolerates a leading byte-order mark from Windows editors;
+        # decoding the bytes ourselves keeps line endings as written, so the
+        # lexer sees a stray carriage return
+        return Path(path).read_bytes().decode("utf-8-sig")
     except OSError as exc:
         _fail(2, f"{path}: cannot read: {exc.strerror or exc}")
     except UnicodeDecodeError:
@@ -121,6 +122,9 @@ def cmd_schedule(args) -> int:
 
 
 def cmd_run(args) -> int:
+    # imported here: the simulator's array library would slow every start-up
+    from .simulator import probabilities, run
+
     gates = _gates_for(args)
     program, symbols = _checked_program(args.file, gates)
     if not program.body:

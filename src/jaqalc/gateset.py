@@ -6,14 +6,14 @@ variants in both directions), the two-qubit Molmer-Sorensen entangling gate
 and its XX-type instance, and one idle twin per single- and two-qubit gate
 whose duration matches the gate it shadows.
 
-Unitaries follow the half-angle convention: a rotation by theta about axis A
-is exp(-i*theta/2 * A), and the general Molmer-Sorensen gate is
-
-    MS(phi, theta) = exp(-i*(theta/2) * (cos(phi) X + sin(phi) Y)^{tensor 2})
-
-with Sxx = MS(0, pi/2).  Durations are placeholders in arbitrary time units
+A definition holds what checking, expanding and scheduling need: the gate's
+name, argument kinds, duration and kind.  A rotation also names its axis
+and fixed angles in a ``RotationSpec``; ``simulator.unitary_of`` builds the
+matrix from it.  Durations are placeholders in arbitrary time units
 (single-qubit gates 1, two-qubit gates 10, prepare/measure 20) and can be
-overridden through a duration manifest file.
+overridden through a duration manifest file.  This module also snaps angles
+to the hardware grid.  It uses only the standard library, so commands that
+do not simulate start without the simulator's array library.
 """
 
 from __future__ import annotations
@@ -21,8 +21,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from typing import Optional
-
-import numpy as np
 
 from .errors import ManifestError
 
@@ -36,16 +34,11 @@ IDLE = "idle"
 
 IDLE_PREFIX = "I_"
 
-_PAULI = {
-    "x": np.array([[0, 1], [1, 0]], dtype=complex),
-    "y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "z": np.array([[1, 0], [0, -1]], dtype=complex),
-}
-
 
 @dataclass(frozen=True)
 class RotationSpec:
-    """How to build a gate's unitary.
+    """Which rotation a gate performs (``simulator.unitary_of`` builds its
+    unitary).
 
     family 'axis' is a single-qubit rotation about ``axis``; family 'ms' is
     the two-qubit Molmer-Sorensen gate.  A None angle means the value comes
@@ -110,40 +103,6 @@ def builtin_gateset() -> dict:
                                   g.duration, IDLE)
             table[twin.name] = twin
     return table
-
-
-def unitary_of(definition: GateDefinition, float_args=()) -> np.ndarray:
-    """Build the unitary matrix of a rotation or idle gate.
-
-    ``float_args`` supplies the gate's float arguments; fixed-angle gates
-    take none.  Preparation and measurement are not unitary operations and
-    are rejected.
-    """
-    float_args = [float(a) for a in float_args]
-    if len(float_args) != definition.float_arity:
-        raise ValueError(
-            f"{definition.name} takes {definition.float_arity} float "
-            f"argument(s), got {len(float_args)}")
-    if any(not math.isfinite(a) for a in float_args):
-        raise ValueError(f"{definition.name}: angle must be finite")
-    if definition.kind == IDLE:
-        return np.eye(2 ** definition.qubit_arity, dtype=complex)
-    if definition.kind != ROTATION:
-        raise ValueError(f"{definition.name} has no unitary")
-    spec = definition.rotation
-    args = list(float_args)
-    if spec.family == "axis":
-        theta = spec.theta if spec.theta is not None else args.pop(0)
-        axis = _PAULI[spec.axis]
-        return (math.cos(theta / 2) * np.eye(2, dtype=complex)
-                - 1j * math.sin(theta / 2) * axis)
-    phi = spec.phi if spec.phi is not None else args.pop(0)
-    theta = spec.theta if spec.theta is not None else args.pop(0)
-    axis = math.cos(phi) * _PAULI["x"] + math.sin(phi) * _PAULI["y"]
-    pair = np.kron(axis, axis)
-    # (A tensor A) squares to the identity, so the exponential closes
-    return (math.cos(theta / 2) * np.eye(4, dtype=complex)
-            - 1j * math.sin(theta / 2) * pair)
 
 
 # ---------------------------------------------------------------------------

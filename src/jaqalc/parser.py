@@ -130,14 +130,19 @@ def lex(source: str):
 
 
 def _number(text: str, well_formed: bool):
-    """A numeric literal's ``(kind, value)``, or why it is a bad number."""
+    """A numeric literal's ``(kind, value)``, or why it is a bad number.
+
+    The reasons give the literal's length, not the literal, which can be
+    thousands of characters long.
+    """
     if not well_formed:
-        return f"malformed numeric literal {text!r}"
+        return f"malformed numeric literal of length {len(text)}"
     if any(c in text for c in ".eE"):
         value = float(text)
         if math.isfinite(value):
             return "FLOAT", value
-        return f"numeric literal {text!r} is too large for a finite number"
+        return (f"numeric literal of length {len(text)} is too large for a "
+                "finite number")
     try:
         return "INT", int(text)
     except ValueError:  # more digits than int() converts

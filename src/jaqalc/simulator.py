@@ -14,15 +14,74 @@ therefore depends only on its segment, the gates since the last
 state when it is measured, unless it equals the segment measured just
 before: then that segment's Born probabilities, the only ones kept, are
 reused, and the records stay bit-identical.
+
+This is the only module that builds unitaries, and the only one that
+imports numpy.  Unitaries follow the half-angle convention: a rotation by
+theta about axis A is exp(-i*theta/2 * A), and the general Molmer-Sorensen
+gate is
+
+    MS(phi, theta) = exp(-i*(theta/2) * (cos(phi) X + sin(phi) Y)^{tensor 2})
+
+with Sxx = MS(0, pi/2).
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
 from .errors import SimulationError
 from .expander import FlatCircuit, iter_gates
-from .gateset import IDLE, MEASUREMENT, PREPARATION, quantize_angle, unitary_of
+from .gateset import (
+    IDLE,
+    MEASUREMENT,
+    PREPARATION,
+    ROTATION,
+    GateDefinition,
+    quantize_angle,
+)
+
+_PAULI = {
+    "x": np.array([[0, 1], [1, 0]], dtype=complex),
+    "y": np.array([[0, -1j], [1j, 0]], dtype=complex),
+    "z": np.array([[1, 0], [0, -1]], dtype=complex),
+}
+
+
+def unitary_of(definition: GateDefinition, float_args=()) -> np.ndarray:
+    """Build the unitary matrix of a rotation or idle gate.
+
+    ``float_args`` supplies the gate's float arguments; fixed-angle gates
+    take none.  Preparation and measurement are not unitary operations and
+    are rejected.
+    """
+    float_args = [float(a) for a in float_args]
+    if len(float_args) != definition.float_arity:
+        raise ValueError(
+            f"{definition.name} takes {definition.float_arity} float "
+            f"argument(s), got {len(float_args)}")
+    if any(not math.isfinite(a) for a in float_args):
+        raise ValueError(f"{definition.name}: angle must be finite")
+    if definition.kind == IDLE:
+        return np.eye(2 ** definition.qubit_arity, dtype=complex)
+    if definition.kind != ROTATION:
+        raise ValueError(f"{definition.name} has no unitary")
+    spec = definition.rotation
+    args = list(float_args)
+    if spec.family == "axis":
+        theta = spec.theta if spec.theta is not None else args.pop(0)
+        axis = _PAULI[spec.axis]
+        return (math.cos(theta / 2) * np.eye(2, dtype=complex)
+                - 1j * math.sin(theta / 2) * axis)
+    phi = spec.phi if spec.phi is not None else args.pop(0)
+    theta = spec.theta if spec.theta is not None else args.pop(0)
+    axis = math.cos(phi) * _PAULI["x"] + math.sin(phi) * _PAULI["y"]
+    pair = np.kron(axis, axis)
+    # (A tensor A) squares to the identity, so the exponential closes
+    return (math.cos(theta / 2) * np.eye(4, dtype=complex)
+            - 1j * math.sin(theta / 2) * pair)
+
 
 MAX_QUBITS = 24  # 2**24 complex amplitudes is the practical cap
 

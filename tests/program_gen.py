@@ -7,6 +7,7 @@ counts are small, and the primitive-gate budget bounds the unrolled size.
 """
 
 import random
+import string
 
 _SINGLE_FIXED = ["Px", "Py", "Pz", "Sx", "Sy", "Sz", "Sxd", "Syd", "Szd"]
 _SINGLE_ANGLE = ["Rx", "Ry", "Rz"]
@@ -127,3 +128,21 @@ def macro_chain(length: int, alternate: bool = False) -> str:
         opening, closing = "<>" if alternate and k % 2 else "{}"
         lines.append(f"macro m{k} a {opening} m{k - 1} a {closing}")
     return "\n".join(lines) + "\n"
+
+
+# -- single-character edits ----------------------------------------------------
+
+# what a mutant may insert or substitute: the Jaqal alphabet, a carriage
+# return, the comment characters, '-', '.' and a non-ASCII letter
+MUTANT_CHARS = (string.ascii_letters + string.digits + "_ \t\n{}<>[]:;|"
+                + "\r/*-.\u00e9")
+
+
+def mutant(rng: random.Random, text: str) -> str:
+    """``text`` with one character inserted, deleted or replaced; most
+    mutants exercise lexer and parser diagnostics."""
+    at = rng.randrange(len(text) + 1)
+    edit = rng.choice("idr") if at < len(text) else "i"
+    if edit == "d":
+        return text[:at] + text[at + 1:]
+    return text[:at] + rng.choice(MUTANT_CHARS) + text[at + (edit == "r"):]

@@ -25,12 +25,11 @@ from jaqalc.gateset import (
     ANGLE_STEP,
     builtin_gateset,
     quantize_angle,
-    unitary_of,
     wrap_angle,
 )
 from jaqalc.parser import parse
 from jaqalc.scheduler import schedule, total_duration
-from jaqalc.simulator import probabilities, run
+from jaqalc.simulator import probabilities, run, unitary_of
 
 from helpers import max_phase_deviation
 from oracle import interpret_probabilities

@@ -1,10 +1,28 @@
+import os
+import random
+import re
+import subprocess
+import sys
 import time
+from datetime import timedelta
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from jaqalc.ast import MAX_NESTING
 from jaqalc.cli import main
-from program_gen import macro_chain, nested_blocks, nested_loops
+from jaqalc.simulator import MAX_QUBITS
+from program_gen import (
+    macro_chain,
+    mutant,
+    nested_blocks,
+    nested_loops,
+    random_program,
+)
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 WORKED_EXAMPLE = """register q[2]
 
@@ -60,6 +78,29 @@ def test_check_rejects_arithmetic(workdir, capsys):
 def test_check_missing_file_is_environment_error(workdir, capsys):
     assert main(["check", str(workdir / "nope.jaqal")]) == 2
     assert "cannot read" in capsys.readouterr().err
+
+
+def test_check_reports_a_lone_carriage_return(workdir, capsys):
+    path = workdir / "cr.jaqal"
+    path.write_bytes(b"register q[1]\rSx q[0]\n")
+    assert main(["check", str(path)]) == 1
+    assert capsys.readouterr().err == (
+        f"{path}:1:14: illegal-character: stray carriage return\n")
+
+
+def test_crlf_source_gives_the_positions_of_its_lf_twin(workdir, capsys):
+    lf = ("register q[3]\n// c\nmap none q[2:1]\n"
+          "  map e q[1:1] /* x\n */ ; map f q[0:0]\nSx q[0]\n")
+    reports = []
+    for name, text in (("lf", lf), ("crlf", lf.replace("\n", "\r\n"))):
+        path = workdir / "twin.jaqal"
+        path.write_bytes(text.encode())
+        assert main(["check", str(path)]) == 0, name
+        reports.append(capsys.readouterr().err)
+    assert reports[0] == reports[1]
+    assert [line.split(": ")[0] for line in reports[0].splitlines()] == [
+        f"{workdir / 'twin.jaqal'}:{position}"
+        for position in ("3:1", "4:3", "5:7")]
 
 
 def test_diagnostic_format_has_line_and_column(workdir, capsys):
@@ -391,3 +432,83 @@ def test_run_equals_library_pipeline(workdir):
     symbols, _ = analyze(program, gates)
     circuit = expand(program, gates, symbols)
     assert emit(lib_run(circuit, gates, seed=3)) == cli_bytes
+
+
+# -- start-up --------------------------------------------------------------------
+
+STARTUP_PROBE = r"""
+import sys
+from jaqalc.cli import main
+source, manifest, out = sys.argv[1:4]
+for argv in (["check", source], ["expand", source, "-o", out],
+             ["schedule", source, "-d", manifest, "-o", out]):
+    assert main(argv) == 0, argv
+print("numpy" in sys.modules)
+assert main(["run", source, "-o", out]) == 0
+print("numpy" in sys.modules)
+"""
+
+NAMES_PROBE = r"""
+import jaqalc
+for name in jaqalc.__all__:
+    getattr(jaqalc, name)
+print(len(jaqalc.__all__))
+"""
+
+
+def _python(workdir, code, *args) -> str:
+    done = subprocess.run([sys.executable, "-c", code, *map(str, args)],
+                          env={**os.environ, "PYTHONPATH": str(SRC)},
+                          cwd=workdir, capture_output=True, text=True,
+                          timeout=120)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+def test_only_run_imports_the_simulator_and_numpy(workdir):
+    """check, expand and schedule need names, arities and durations, never a
+    matrix, so they start without numpy."""
+    source = SRC / "jaqalc" / "corpus" / "output_example.jaqal"
+    manifest = write(workdir, "durations.txt", "Px 2.5\nprepare_all 7\n")
+    out = workdir / "out.txt"
+    assert _python(workdir, STARTUP_PROBE, source, manifest, out) == (
+        "False\nTrue\n")
+
+
+def test_every_public_name_resolves_in_a_fresh_interpreter(workdir):
+    import jaqalc
+
+    assert _python(workdir, NAMES_PROBE) == f"{len(jaqalc.__all__)}\n"
+
+
+# -- totality ------------------------------------------------------------------
+
+def _small_register(source: str) -> bool:
+    """Registers that run simulates quickly, or that it refuses before
+    allocating: a 20-qubit state is 16 MiB swept once per gate."""
+    return all(int(size) <= 12 or int(size) > MAX_QUBITS
+               for size in re.findall(r"register\s+q\[(\d+)\]", source))
+
+
+@settings(max_examples=200, deadline=timedelta(seconds=10),
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(seed=st.integers(0, 2 ** 32 - 1), edited=st.booleans())
+def test_every_command_is_total(tmp_path, capsys, seed, edited):
+    """Any program or single-character edit of one gets exit code 0, 1 or 2
+    and diagnostics, never a traceback, under every command."""
+    rng = random.Random(seed)
+    source = random_program(rng, max_qubits=4)
+    if edited:
+        source = mutant(rng, source)
+    assume(_small_register(source))
+    path = tmp_path / "prog.jaqal"
+    path.write_bytes(source.encode())
+    out = str(tmp_path / "prog.out")
+    for command in EVERY_COMMAND:
+        argv = command + [str(path)]
+        if command[0] != "check":
+            argv += ["-o", out]
+        status = main(argv)
+        captured = capsys.readouterr()
+        assert status in (0, 1, 2), (argv, source)
+        assert "Traceback" not in captured.out + captured.err, (argv, source)

@@ -14,9 +14,9 @@ from jaqalc.gateset import (
     builtin_gateset,
     load_duration_manifest,
     quantize_angle,
-    unitary_of,
     wrap_angle,
 )
+from jaqalc.simulator import unitary_of
 
 from helpers import max_phase_deviation
 

@@ -99,12 +99,15 @@ def test_lexical_errors(source, code):
     ("-1e400", 1),
     ("Rx q[0] 1e400", 9),
     pytest.param("1" * 5000, 1, id="5000-digit-integer"),
+    pytest.param("1" * 5000 + ".0", 1, id="5000-digit-float"),
+    pytest.param("1" * 5000 + "q", 1, id="5001-character-malformed"),
 ])
 def test_non_finite_literals_are_bad_numbers(source, column):
     tokens, diags = lex(source)
     (diag,) = diags
     assert (diag.code, diag.column) == ("bad-number", column)
     assert all(t.kind != "FLOAT" for t in tokens)
+    assert len(diag.message) < 200
 
 
 def test_positions_are_one_based():

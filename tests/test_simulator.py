@@ -8,7 +8,6 @@ import pytest
 from jaqalc.diagnostics import has_errors
 from jaqalc.errors import SimulationError
 from jaqalc.expander import FlatBlock, FlatCircuit, PrimitiveGate, expand
-from jaqalc.gateset import unitary_of
 from jaqalc.parser import parse
 from jaqalc.simulator import (
     QuantumState,
@@ -17,6 +16,7 @@ from jaqalc.simulator import (
     bitstring_of,
     probabilities,
     run,
+    unitary_of,
 )
 
 from helpers import embed_dense, random_state, random_unitary
