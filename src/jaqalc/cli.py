@@ -35,7 +35,7 @@ def _fail(status: int, message: str):
     raise _Exit(status)
 
 
-def _read_text(path: str) -> str:
+def _read_text(path: str, what: str = "source") -> str:
     try:
         # utf-8-sig tolerates a leading byte-order mark from Windows editors;
         # decoding the bytes ourselves keeps line endings as written, so the
@@ -44,7 +44,7 @@ def _read_text(path: str) -> str:
     except OSError as exc:
         _fail(2, f"{path}: cannot read: {exc.strerror or exc}")
     except UnicodeDecodeError:
-        _fail(1, f"{path}: source is not valid UTF-8 text")
+        _fail(1, f"{path}: {what} is not valid UTF-8 text")
 
 
 def _write(path, data, as_bytes: bool = False):
@@ -84,7 +84,7 @@ def _gates_for(args) -> dict:
     manifest = getattr(args, "durations", None)
     if manifest is None:
         return gates
-    text = _read_text(manifest)
+    text = _read_text(manifest, "manifest")
     try:
         return apply_durations(gates, load_duration_manifest(text, gates))
     except ManifestError as exc:
@@ -153,6 +153,18 @@ def cmd_run(args) -> int:
     return 0
 
 
+def _seed(text: str) -> int:
+    """An argparse type: SplitMix64 takes exactly the seeds 0 to 2**64-1."""
+    try:
+        seed = int(text)
+    except ValueError:
+        seed = None
+    if seed is None or not 0 <= seed < 2 ** 64:
+        raise argparse.ArgumentTypeError(
+            "must be an integer from 0 to 2**64-1")
+    return seed
+
+
 def _out_path(args):
     if args.output is not None:
         return args.output
@@ -188,8 +200,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p = add("run", cmd_run, "simulate and write the measurement output file")
     p.add_argument("-o", "--output",
                    help="output path (default: source with .out extension)")
-    p.add_argument("-s", "--seed", type=int, default=0,
-                   help="measurement sampling seed (default 0)")
+    p.add_argument("-s", "--seed", type=_seed, default=0,
+                   help="measurement sampling seed, 0 to 2**64-1 "
+                   "(default 0)")
     p.add_argument("-q", "--quantize", action="store_true",
                    help="snap angles to the 40-bit hardware grid")
     p.add_argument("-p", "--probabilities", action="store_true",

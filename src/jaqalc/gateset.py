@@ -156,7 +156,9 @@ def load_duration_manifest(text: str, gates=None) -> dict:
     if gates is None:
         gates = builtin_gateset()
     overrides: dict = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    # only LF ends a line (strip() drops the CR of a CRLF): str.splitlines
+    # would also break at a vertical tab, form feed or U+2028
+    for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

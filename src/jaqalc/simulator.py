@@ -15,6 +15,10 @@ state when it is measured, unless it equals the segment measured just
 before: then that segment's Born probabilities, the only ones kept, are
 reused, and the records stay bit-identical.
 
+A state holds two 2**n complex vectors, the amplitudes and a scratch
+vector that each gate swaps with them (512 MiB together at the 24-qubit
+cap), so applying a gate allocates nothing the size of the state.
+
 This is the only module that builds unitaries, and the only one that
 imports numpy.  Unitaries follow the half-angle convention: a rotation by
 theta about axis A is exp(-i*theta/2 * A), and the general Molmer-Sorensen
@@ -93,7 +97,9 @@ class SplitMix64:
     constants); trivially portable because it is pure integer arithmetic."""
 
     def __init__(self, seed: int):
-        self._state = seed & _MASK64
+        if not 0 <= seed <= _MASK64:  # masking would alias distinct seeds
+            raise ValueError("seed must be in [0, 2**64)")
+        self._state = seed
 
     def next_u64(self) -> int:
         self._state = (self._state + 0x9E3779B97F4A7C15) & _MASK64
@@ -123,7 +129,9 @@ def _check_qubit_cap(n_qubits: int):
 
 class QuantumState:
     """A normalized complex amplitude vector over 2**n_qubits basis states,
-    starting in the all-zeros state."""
+    starting in the all-zeros state.  Assigning ``amplitudes`` copies the
+    values, because ``apply_unitary`` writes into the state's own vectors.
+    """
 
     def __init__(self, n_qubits: int):
         _check_qubit_cap(n_qubits)
@@ -131,12 +139,25 @@ class QuantumState:
         self.amplitudes = np.zeros(2 ** n_qubits, dtype=complex)
         self.amplitudes[0] = 1.0
 
+    @property
+    def amplitudes(self) -> np.ndarray:
+        return self._amplitudes
+
+    @amplitudes.setter
+    def amplitudes(self, values):
+        self._amplitudes = np.array(values, dtype=complex)
+        self._scratch = None
+
 
 def apply_unitary(state: QuantumState, unitary, qubits) -> QuantumState:
     """Apply a unitary to the given qubits, identity on the rest.
 
     The matrix is indexed with ``qubits[0]`` as the most significant bit of
     its row/column index.  Works in place and returns the state.
+
+    ``np.matmul`` sees the shapes, operand order and C-contiguous values
+    of the ``np.moveaxis`` formulation kept in tests/helpers.py, so the
+    amplitudes are bit-identical to it.
     """
     qubits = tuple(qubits)
     k = len(qubits)
@@ -156,11 +177,18 @@ def apply_unitary(state: QuantumState, unitary, qubits) -> QuantumState:
         return state
     # row-major reshape puts qubit q on axis n-1-q
     axes = [n - 1 - q for q in qubits]
-    psi = state.amplitudes.reshape((2,) * n)
-    psi = np.moveaxis(psi, axes, range(k))
-    psi = unitary @ psi.reshape(2 ** k, -1)
-    psi = np.moveaxis(psi.reshape((2,) * n), range(k), axes)
-    state.amplitudes = np.ascontiguousarray(psi).reshape(-1)
+    order = axes + [a for a in range(n) if a not in axes]
+    psi, scratch = state._amplitudes, state._scratch
+    if scratch is None:
+        scratch = np.empty_like(psi)
+    tensor = (2,) * n
+    # gather with the gate's axes first, multiply into the state's vector,
+    # scatter back in basis order, then swap the two vectors
+    scratch.reshape(tensor)[...] = psi.reshape(tensor).transpose(order)
+    np.matmul(unitary, scratch.reshape(2 ** k, -1),
+              out=psi.reshape(2 ** k, -1))
+    scratch.reshape(tensor).transpose(order)[...] = psi.reshape(tensor)
+    state._amplitudes, state._scratch = scratch, psi
     return state
 
 
@@ -169,19 +197,17 @@ def bitstring_of(index: int, n_qubits: int) -> str:
     return "".join("1" if index >> t & 1 else "0" for t in range(n_qubits))
 
 
+def _bitstrings(indices: np.ndarray, n_qubits: int) -> list:
+    """``bitstring_of`` of every index, in one numpy step."""
+    if n_qubits == 0:  # a zero-width string dtype does not exist
+        return [""] * len(indices)
+    digits = (indices[:, None] >> np.arange(n_qubits)) & 1
+    digits = (digits + ord("0")).astype(np.uint8)
+    return digits.view(f"S{n_qubits}").ravel().astype(str).tolist()
+
+
 def born_probabilities(state: QuantumState) -> np.ndarray:
     return np.abs(state.amplitudes) ** 2
-
-
-def _sample_index(probs: np.ndarray, u: float) -> int:
-    """Inverse-CDF draw: the first index whose cumulative probability
-    reaches u, for u in (0, 1]."""
-    cumulative = np.cumsum(probs)
-    index = int(np.searchsorted(cumulative, u, side="left"))
-    if index >= len(probs):  # float sums can land a hair under 1.0
-        nonzero = np.nonzero(probs)[0]
-        index = int(nonzero[-1]) if len(nonzero) else 0
-    return index
 
 
 def _simulate(n_qubits: int, segment: tuple, gates, quantize: bool):
@@ -256,10 +282,24 @@ def run(circuit: FlatCircuit, gates: dict = None, seed: int = 0,
     """
     rng = SplitMix64(seed)
     record: list = []
+    # inverse-CDF sampling state, rebuilt once per distinct segment
+    cumulative = last = names = None
 
     def on_measure(probs: np.ndarray, repeated: bool):
-        index = _sample_index(probs, rng.uniform())
-        record.append(bitstring_of(index, circuit.n_qubits))
+        nonlocal cumulative, last, names
+        if not repeated:
+            cumulative = np.cumsum(probs)
+            nonzero = np.nonzero(probs)[0]
+            last = int(nonzero[-1]) if len(nonzero) else 0
+            names = {}
+        # the first index whose cumulative probability reaches u in (0, 1]
+        index = int(np.searchsorted(cumulative, rng.uniform(), side="left"))
+        if index >= len(cumulative):  # float sums can land a hair under 1.0
+            index = last
+        name = names.get(index)
+        if name is None:
+            name = names[index] = bitstring_of(index, circuit.n_qubits)
+        record.append(name)
 
     _execute(circuit, gates, quantize, on_measure)
     return record
@@ -278,7 +318,7 @@ def probabilities(circuit: FlatCircuit, gates: dict = None,
             return
         indices = np.nonzero(probs)[0]
         distributions.append(dict(zip(
-            (bitstring_of(i, circuit.n_qubits) for i in indices.tolist()),
+            _bitstrings(indices, circuit.n_qubits),
             probs[indices].tolist())))
 
     _execute(circuit, gates, quantize, on_measure)

@@ -55,3 +55,23 @@ def random_unitary(rng, dim):
     mat = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     q, r = np.linalg.qr(mat)
     return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def apply_unitary_reference(state, unitary, qubits):
+    """The simulator's kernel before it reused a scratch vector: two
+    ``np.moveaxis`` calls around one ``np.matmul`` and a contiguous copy.
+    ``simulator.apply_unitary`` must match it bit for bit."""
+    qubits = tuple(qubits)
+    k = len(qubits)
+    unitary = np.asarray(unitary, dtype=complex)
+    n = state.n_qubits
+    if k == 0:
+        return state
+    # row-major reshape puts qubit q on axis n-1-q
+    axes = [n - 1 - q for q in qubits]
+    psi = state.amplitudes.reshape((2,) * n)
+    psi = np.moveaxis(psi, axes, range(k))
+    psi = unitary @ psi.reshape(2 ** k, -1)
+    psi = np.moveaxis(psi.reshape((2,) * n), range(k), axes)
+    state.amplitudes = np.ascontiguousarray(psi).reshape(-1)
+    return state

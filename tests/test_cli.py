@@ -142,6 +142,26 @@ def test_run_seed_changes_sampled_records(workdir):
     assert (workdir / "a.out").read_bytes() != (workdir / "b.out").read_bytes()
 
 
+@pytest.mark.parametrize("seed", [
+    "-1", str(2 ** 64), str(-(2 ** 64)), "0x10", "1.5", "9" * 5000],
+    ids=["-1", "2**64", "-2**64", "hex", "float", "5000-digits"])
+def test_run_refuses_seeds_outside_64_bits(workdir, capsys, seed):
+    """Masking to 64 bits made -s 2**64 write the same record as -s 0."""
+    path = write(workdir, "bell.jaqal", BELL)
+    with pytest.raises(SystemExit) as exit_:
+        main(["run", path, "--seed", seed])
+    assert exit_.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: jaqalc run") and len(err) < 300
+    assert "--seed: must be an integer from 0 to 2**64-1" in err
+    assert not (workdir / "bell.out").exists()
+
+
+def test_run_accepts_the_largest_seed(workdir):
+    path = write(workdir, "bell.jaqal", BELL)
+    assert main(["run", path, "--seed", str(2 ** 64 - 1)]) == 0
+
+
 def test_run_probabilities_bell(workdir):
     path = write(workdir, "bell.jaqal", BELL)
     assert main(["run", path, "--probabilities"]) == 0
@@ -415,6 +435,24 @@ def test_bad_manifest_exits_one(workdir, capsys):
     path = write(workdir, "ok.jaqal", "register q[1]\nSx q[0]\n")
     assert main(["schedule", path, "--durations", manifest]) == 1
     assert "bad-manifest" in capsys.readouterr().err
+
+
+def test_only_a_line_feed_ends_a_manifest_line(workdir, capsys):
+    """A vertical tab is whitespace inside a line, not a line break."""
+    manifest = write(workdir, "durations.txt", "Sx 1\vSy 2\n")
+    path = write(workdir, "ok.jaqal", "register q[1]\nSx q[0]\n")
+    assert main(["schedule", path, "-d", manifest]) == 1
+    err = capsys.readouterr().err
+    assert "bad-manifest: manifest line 1: expected '<gate> <duration>'" in err
+
+
+def test_undecodable_manifest_is_named_as_the_manifest(workdir, capsys):
+    manifest = workdir / "durations.txt"
+    manifest.write_bytes(b"Sx \xff\n")
+    path = write(workdir, "ok.jaqal", "register q[1]\nSx q[0]\n")
+    assert main(["schedule", path, "-d", str(manifest)]) == 1
+    assert capsys.readouterr().err == (
+        f"{manifest}: manifest is not valid UTF-8 text\n")
 
 
 # -- pipeline composability ------------------------------------------------------

@@ -1,9 +1,12 @@
 import math
 import random
+import tracemalloc
 from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jaqalc.diagnostics import has_errors
 from jaqalc.errors import SimulationError
@@ -12,6 +15,7 @@ from jaqalc.parser import parse
 from jaqalc.simulator import (
     QuantumState,
     SplitMix64,
+    _bitstrings,
     apply_unitary,
     bitstring_of,
     probabilities,
@@ -19,7 +23,12 @@ from jaqalc.simulator import (
     unitary_of,
 )
 
-from helpers import embed_dense, random_state, random_unitary
+from helpers import (
+    apply_unitary_reference,
+    embed_dense,
+    random_state,
+    random_unitary,
+)
 from oracle import interpret_run
 from program_gen import random_program
 
@@ -112,6 +121,56 @@ def test_norm_preserved_over_long_random_circuit(gates):
         apply_unitary(state, unitary_of(definition, args), qubits)
     norm = float(np.sum(np.abs(state.amplitudes) ** 2))
     assert abs(norm - 1.0) <= 1e-9
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_apply_unitary_is_bit_identical_to_the_reference(data):
+    """The scratch-vector kernel computes exactly what the moveaxis
+    formulation in tests/helpers.py computes, gate after gate, also when
+    the state was assigned a strided view."""
+    n = data.draw(st.integers(1, 10), label="n")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    vec = random_state(rng, n)
+    if data.draw(st.booleans(), label="strided"):
+        backing = np.zeros(2 * len(vec), dtype=complex)
+        backing[::2] = vec
+        vec = backing[::2]
+    given_values = vec.copy()
+    state, reference = QuantumState(n), QuantumState(n)
+    state.amplitudes = vec
+    reference.amplitudes = vec
+    for _ in range(data.draw(st.integers(1, 6), label="gates")):
+        k = data.draw(st.integers(1, min(2, n)), label="k")
+        qubits = data.draw(st.permutations(range(n)))[:k]
+        unitary = random_unitary(rng, 2 ** k)
+        apply_unitary(state, unitary, qubits)
+        apply_unitary_reference(reference, unitary, qubits)
+    assert np.array_equal(state.amplitudes.view(np.uint64),
+                          reference.amplitudes.view(np.uint64))
+    assert np.array_equal(vec, given_values)  # the caller's array is kept
+
+
+def test_gates_allocate_no_state_sized_vectors():
+    """80 gates cost one scratch vector; the moveaxis formulation peaked
+    at three state vectors above the start."""
+    rng = np.random.default_rng(8)
+    n = 14
+    state = QuantumState(n)
+    gates = []
+    for _ in range(80):
+        k = int(rng.integers(1, 3))
+        qubits = tuple(int(q) for q in rng.choice(n, size=k, replace=False))
+        gates.append((random_unitary(rng, 2 ** k), qubits))
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        for unitary, qubits in gates:
+            apply_unitary(state, unitary, qubits)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * state.amplitudes.nbytes
 
 
 # -- run ------------------------------------------------------------------------
@@ -283,10 +342,51 @@ def test_splitmix64_uniform_range():
     assert all(0.0 < u <= 1.0 for u in draws)
 
 
+def test_splitmix64_refuses_seeds_outside_64_bits():
+    SplitMix64(2 ** 64 - 1)
+    for seed in (-1, 2 ** 64, -(2 ** 64)):
+        with pytest.raises(ValueError):
+            SplitMix64(seed)
+    circuit = FlatCircuit(1, FlatBlock(False, ()))
+    with pytest.raises(ValueError):
+        run(circuit, seed=2 ** 64)
+
+
 def test_bitstring_rendering():
     assert bitstring_of(1, 2) == "10"
     assert bitstring_of(2, 2) == "01"
     assert bitstring_of(5, 4) == "1010"
+
+
+def test_bitstrings_of_an_index_array_equal_the_loop():
+    rng = np.random.default_rng(6)
+    for n in range(21):
+        indices = np.sort(rng.choice(2 ** n, size=min(2 ** n, 50),
+                                     replace=False))
+        assert _bitstrings(indices, n) == [bitstring_of(i, n)
+                                           for i in indices.tolist()]
+
+
+def test_zero_qubit_circuit_measures_the_empty_string(gates):
+    shot = (PrimitiveGate(gates["prepare_all"]),
+            PrimitiveGate(gates["measure_all"]))
+    circuit = FlatCircuit(0, FlatBlock(False, shot * 2))
+    assert probabilities(circuit, gates) == [{"": 1.0}, {"": 1.0}]
+    assert run(circuit, gates) == ["", ""]
+
+
+def test_draw_past_a_sum_below_one_takes_the_last_nonzero_outcome(
+        gates, monkeypatch):
+    """Rx(theta) on qubit 0 of two gives probabilities that sum to a hair
+    under 1; a draw of exactly 1.0 then lies past the cumulative sum and
+    must land on "10", not past the end or on a zero-probability tail."""
+    theta = 0.1387959866220736
+    circuit = circuit_of(f"register q[2]\nloop 3 {{ prepare_all\n"
+                         f"Rx q[0] {theta!r}\nmeasure_all }}\n", gates)
+    (dist, _, _) = probabilities(circuit, gates)
+    assert sum(dist.values()) < 1.0 and list(dist) == ["00", "10"]
+    monkeypatch.setattr(SplitMix64, "uniform", lambda self: 1.0)
+    assert run(circuit, gates) == ["10", "10", "10"]
 
 
 # -- segment memo ---------------------------------------------------------------
