@@ -9,8 +9,10 @@ tree: ``check``, ``expand``, ``schedule`` (plain and with the benchmark's
 scan duration manifest) and ``run`` (plain, ``-s 7``, ``-p``, ``-q -p``),
 over the corpus ``.jaqal`` files, a fixed set of seeded single-character
 mutants of them (each inserts, deletes or replaces one character, so most
-exercise lexer and parser diagnostics) and N seeded
-``tests/program_gen.py`` programs (default 150).  Each tree gets one child
+exercise lexer and parser diagnostics), macro chains (plain and
+alternating), nested loops and nested blocks at ``MAX_NESTING`` and one
+past it (the chains pass macro arguments through every level) and N
+seeded ``tests/program_gen.py`` programs (default 150).  Each tree gets one child
 interpreter that calls ``jaqalc.cli.main`` in-process for every
 invocation, with standard output and error captured.
 
@@ -72,8 +74,22 @@ FIELDS = ("status", "stdout", "stderr", "output")
 MUTANTS_PER_SOURCE = 10
 
 
+def _deep(depth: int) -> dict:
+    """Programs nesting ``depth`` levels, by file stem."""
+    from program_gen import macro_chain, nested_blocks, nested_loops
+
+    invoke = f"prepare_all\nm{depth - 1} q[0]\nmeasure_all\n"
+    programs = {f"chain{depth}": macro_chain(depth) + invoke,
+                f"alternating{depth}": macro_chain(depth, True) + invoke}
+    for nested in (nested_blocks, nested_loops):
+        programs[f"{nested.__name__}{depth}"] = (
+            f"register q[1]\nprepare_all\n{nested(depth)}\nmeasure_all\n")
+    return programs
+
+
 def _inputs(work: Path, programs: int) -> list:
-    sys.path.insert(0, str(ROOT / "tests"))
+    sys.path[:0] = [str(ROOT / "tests"), str(ROOT / "src")]
+    from jaqalc.ast import MAX_NESTING
     from program_gen import mutant, random_program
 
     inputs = []
@@ -90,6 +106,13 @@ def _inputs(work: Path, programs: int) -> list:
             # newline="" keeps a mutant's carriage returns as written
             with open(path, "w", encoding="utf-8", newline="") as f:
                 f.write(mutant(rng, text))
+            inputs.append(path)
+    deep = work / "deep"
+    deep.mkdir()
+    for depth in (MAX_NESTING, MAX_NESTING + 1):
+        for stem, text in _deep(depth).items():
+            path = deep / f"{stem}.jaqal"
+            path.write_text(text)
             inputs.append(path)
     generated = work / "generated"
     generated.mkdir()

@@ -1,9 +1,13 @@
 """Semantic analysis: name resolution and hardware-model checks.
 
 Validates a parsed program against a gate set and builds the symbol table
-the expander consumes.  Aliases resolve to affine views (start, stride,
-length) over the single qubit register, so chained Python-style slices
-compose without materializing index lists.
+the expander consumes.  Jaqal has one flat namespace, so the table is one
+dict from each name to what it denotes; the kind of the entry picks the
+diagnostic for a name in the wrong slot.  Two resolvers read it, one for
+qubits and one for numbers, and the expander calls the same two.  Aliases
+resolve to affine views (start, stride, length) over the single qubit
+register, so chained Python-style slices compose without materializing
+index lists.
 
 Checks performed, each with its own diagnostic code:
 
@@ -17,9 +21,10 @@ Checks performed, each with its own diagnostic code:
   (``bad-index``, ``bad-slice``, ``index-out-of-bounds``, warning
   ``empty-alias``);
 * gate names exist, arities match, and each argument fits its slot: integer
-  slots take integer constants only, angle slots take either numeric kind,
-  qubit slots take qubits (``unknown-gate``, ``arity-mismatch``,
-  ``type-mismatch``, ``bad-loop-count``);
+  slots take integer constants only, angle slots take either numeric kind
+  if it fits a float, qubit slots take qubits (``unknown-gate``,
+  ``arity-mismatch``, ``type-mismatch``, ``bad-number``,
+  ``bad-loop-count``);
 * block shape rules: no loop inside a parallel block, no same-kind direct
   nesting (``loop-in-parallel``, ``same-kind-nesting``), and no macro
   invocation that, expanded, nests blocks more than ``MAX_NESTING`` deep
@@ -28,7 +33,11 @@ Checks performed, each with its own diagnostic code:
   parallel statements may not share qubits, the two-qubit entangler runs
   with no parallel siblings, and all-qubit preparation/measurement never
   sits inside a parallel block (``duplicate-qubit``, ``parallel-conflict``,
-  ``ms-in-parallel``, ``global-gate-in-parallel``).
+  ``ms-in-parallel``, ``global-gate-in-parallel``);
+* a budget: the program expands to at most ``MAX_GATES`` primitive gates,
+  counted algebraically (loops multiply their body, a macro invocation
+  adds its body's count), and the first top-level statement that passes it
+  is reported (``too-many-gates``).
 
 Each statement is summarised once, as a ``Usage``, while it is checked; the
 parallel-sibling rules read only those summaries.  The rules are
@@ -40,7 +49,7 @@ bodies are checked precisely after expansion, by the same
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import NamedTuple, Optional, Union
+from typing import NamedTuple, Optional
 
 from .ast import (
     MAX_NESTING,
@@ -60,7 +69,12 @@ from .ast import (
 )
 from .diagnostics import error, warning
 from .errors import JaqalError
-from .gateset import FLOAT, MEASUREMENT, PREPARATION, QUBIT
+from .gateset import MEASUREMENT, PREPARATION, QUBIT
+
+# The most primitive gates a program may expand to.  Expansion, scheduling
+# and simulation all take time in proportion to it, so past it analysis
+# fails before any of them start.
+MAX_GATES = 2 ** 22
 
 
 class Usage(NamedTuple):
@@ -70,24 +84,27 @@ class Usage(NamedTuple):
     when it holds an all-qubit gate and so occupies every offset.
     ``global_gate`` and ``entangler`` say whether it holds an all-qubit
     preparation/measurement or the two-qubit entangler, also through
-    macro invocations.
+    macro invocations.  ``gates`` counts the primitive gates it expands
+    to.
     """
 
     offsets: Optional[frozenset] = frozenset()
     global_gate: bool = False
     entangler: bool = False
+    gates: int = 0
 
     @classmethod
     def of_gate(cls, definition, offsets) -> "Usage":
         is_global = definition.kind in (PREPARATION, MEASUREMENT)
         rotation = definition.rotation
         return cls(None if is_global else frozenset(offsets), is_global,
-                   rotation is not None and rotation.family == "ms")
+                   rotation is not None and rotation.family == "ms", 1)
 
     @classmethod
     def union(cls, usages) -> "Usage":
         offsets = set()
         global_gate = entangler = False
+        gates = 0
         for usage in usages:
             if usage.offsets is None:
                 offsets = None
@@ -95,8 +112,9 @@ class Usage(NamedTuple):
                 offsets |= usage.offsets
             global_gate = global_gate or usage.global_gate
             entangler = entangler or usage.entangler
+            gates += usage.gates
         return cls(None if offsets is None else frozenset(offsets),
-                   global_gate, entangler)
+                   global_gate, entangler, gates)
 
 
 _NO_USAGE = Usage()
@@ -163,66 +181,33 @@ class RegisterInfo:
 
 
 @dataclass(frozen=True)
-class AliasInfo:
-    name: str
-    view: Union[SingleView, ArrayView]
-
-
-@dataclass(frozen=True)
-class LetInfo:
-    name: str
-    value: Union[int, float]
-
-    @property
-    def is_float(self) -> bool:
-        return isinstance(self.value, float)
-
-
-@dataclass(frozen=True)
 class MacroInfo:
     name: str
     params: tuple
     param_kinds: dict  # param name -> QUBIT | FLOAT | None (unused)
     body: GateBlock
-    uses_entangler: bool
-    uses_global_gate: bool
+    usage: Usage  # the body's
     depth: int  # how deep the expanded body nests blocks, itself included
 
 
 @dataclass
 class SymbolTable:
-    registers: dict = field(default_factory=dict)
-    aliases: dict = field(default_factory=dict)
-    lets: dict = field(default_factory=dict)
-    macros: dict = field(default_factory=dict)
+    """The one namespace of a program.
 
-    @property
-    def register(self) -> Optional[RegisterInfo]:
-        if not self.registers:
-            return None
-        return next(iter(self.registers.values()))
+    ``names`` maps each declared name to what it denotes: the register's
+    name to its RegisterInfo, an alias to its SingleView or ArrayView, a
+    let constant to its int or float value and a macro to its MacroInfo.
+    """
 
-    def declared(self, name: str) -> bool:
-        return (name in self.registers or name in self.aliases
-                or name in self.lets or name in self.macros)
-
-    def array_view(self, name: str) -> Optional[ArrayView]:
-        """The array view behind a name, or None if it is not an array."""
-        if name in self.registers:
-            size = self.registers[name].size
-            if size is None:
-                return None
-            return ArrayView(0, 1, size)
-        info = self.aliases.get(name)
-        if info is not None and isinstance(info.view, ArrayView):
-            return info.view
-        return None
+    names: dict = field(default_factory=dict)
+    register: Optional[RegisterInfo] = None
 
 
 @dataclass
 class _Context:
     in_parallel: bool = False
-    params: Optional[dict] = None  # param name -> inferred kind, mutated
+    # the enclosing macro's param name -> inferred kind, mutated
+    params: dict = field(default_factory=dict)
     current_macro: Optional[str] = None
     depth: int = 0  # blocks open around the statement
 
@@ -259,14 +244,14 @@ class _Analyzer:
     # -- headers -------------------------------------------------------------
 
     def check_collision(self, stmt, name) -> bool:
-        if self.table.declared(name):
+        if name in self.table.names:
             self.diag(stmt, "duplicate-name",
                       f"the name {name!r} is already defined")
             return True
         return False
 
     def do_register(self, stmt: RegisterDecl):
-        if self.table.registers:
+        if self.table.register is not None:
             other = self.table.register.name
             self.diag(stmt, "duplicate-register",
                       f"a register {other!r} is already declared; programs "
@@ -279,7 +264,8 @@ class _Analyzer:
             self.diag(stmt, "bad-register-size",
                       f"register size must be positive, got {size}")
             size = None
-        self.table.registers[stmt.name] = RegisterInfo(stmt.name, size)
+        self.table.register = RegisterInfo(stmt.name, size)
+        self.table.names[stmt.name] = self.table.register
 
     def do_map(self, stmt: MapAlias):
         if self.check_collision(stmt, stmt.name):
@@ -293,24 +279,22 @@ class _Analyzer:
         if isinstance(view, ArrayView) and view.length == 0:
             self.warn(stmt, "empty-alias",
                       f"alias {stmt.name!r} selects no qubits")
-        self.table.aliases[stmt.name] = AliasInfo(stmt.name, view)
+        self.table.names[stmt.name] = view
 
     def target_view(self, stmt: MapAlias):
         name = stmt.target
-        if name in self.table.registers:
-            size = self.table.registers[name].size
-            if size is None:
-                return None  # already diagnosed at the register
-            return ArrayView(0, 1, size)
-        if name in self.table.aliases:
-            return self.table.aliases[name].view
-        if name in self.table.lets:
+        entry = self.table.names.get(name)
+        if isinstance(entry, RegisterInfo):
+            return _register_view(entry)  # a bad size is reported already
+        if isinstance(entry, (SingleView, ArrayView)):
+            return entry
+        if entry is None:
+            self.diag(stmt, "undefined-name",
+                      f"map target {name!r} is not declared")
+        else:  # headers declare no macros, so this is a let constant
             self.diag(stmt, "type-mismatch",
                       f"map target {name!r} is a constant, not a register "
                       "or alias")
-            return None
-        self.diag(stmt, "undefined-name",
-                  f"map target {name!r} is not declared")
         return None
 
     def apply_selector(self, stmt: MapAlias, view):
@@ -353,7 +337,7 @@ class _Analyzer:
     def do_let(self, stmt: LetConstant):
         if self.check_collision(stmt, stmt.name):
             return
-        self.table.lets[stmt.name] = LetInfo(stmt.name, stmt.value)
+        self.table.names[stmt.name] = stmt.value
 
     # -- expressions ----------------------------------------------------------
 
@@ -367,9 +351,8 @@ class _Analyzer:
             self.diag(stmt, code, message)
         return None
 
-    def resolve_int(self, expr, stmt, what: str, params=None) -> Optional[int]:
-        return self.report(stmt, _int_value(expr, self.table, what,
-                                            params or ()))
+    def resolve_int(self, expr, stmt, what: str, params=()) -> Optional[int]:
+        return self.report(stmt, _number(expr, self.table, what, params))
 
     # -- body -----------------------------------------------------------------
 
@@ -382,26 +365,32 @@ class _Analyzer:
             else:
                 self.do_let(stmt)
         first_gate_stmt = None
+        total = 0  # primitive gates up to here
         for stmt in self.program.body:
             if isinstance(stmt, MacroDef):
                 self.do_macro(stmt)
-            else:
-                if first_gate_stmt is None and _contains_gate(stmt):
-                    first_gate_stmt = stmt
-                self.check_statement(stmt, _Context())
-        if first_gate_stmt is not None and not self.table.registers:
+                continue
+            if first_gate_stmt is None and _contains_gate(stmt):
+                first_gate_stmt = stmt
+            gates = self.check_statement(stmt, _Context()).gates
+            total += gates
+            if total > MAX_GATES >= total - gates:  # first passed here
+                self.diag(stmt, "too-many-gates",
+                          f"the program expands to more than {MAX_GATES} "
+                          "primitive gates by the end of this statement")
+        if first_gate_stmt is not None and self.table.register is None:
             self.diag(first_gate_stmt, "no-register",
                       "the program executes gates but declares no register")
         return self.table, self.diags
 
     def do_macro(self, stmt: MacroDef):
-        collision = self.table.declared(stmt.name) or stmt.name in self.gates
+        collision = stmt.name in self.table.names or stmt.name in self.gates
         if collision:
             self.diag(stmt, "duplicate-name",
                       f"the name {stmt.name!r} is already defined")
         param_kinds: dict = {}
         for p in stmt.params:
-            if p in param_kinds or self.table.declared(p):
+            if p in param_kinds or p in self.table.names:
                 self.diag(stmt, "duplicate-name",
                           f"macro parameter {p!r} collides with another name")
             param_kinds.setdefault(p, None)
@@ -410,10 +399,9 @@ class _Analyzer:
         self.deepest = 0
         usage = self.check_block_children(stmt.body, ctx)
         if not collision:
-            self.table.macros[stmt.name] = MacroInfo(
-                stmt.name, stmt.params, param_kinds, stmt.body,
-                uses_entangler=usage.entangler,
-                uses_global_gate=usage.global_gate, depth=self.deepest)
+            self.table.names[stmt.name] = MacroInfo(
+                stmt.name, stmt.params, param_kinds, stmt.body, usage,
+                self.deepest)
 
     def check_statement(self, stmt, ctx: _Context) -> Usage:
         """Check one statement and return its Usage."""
@@ -434,7 +422,11 @@ class _Analyzer:
             if stmt.body.parallel:
                 self.diag(stmt, "expected-block",
                           "a loop body must be a sequential block")
-            return self.check_statement(stmt.body, ctx)
+            usage = self.check_statement(stmt.body, ctx)
+            # a count that did not resolve, or is negative, is reported; the
+            # cap keeps nested huge counts from multiplying huge integers
+            gates = min(usage.gates * max(count or 0, 0), MAX_GATES + 1)
+            return usage._replace(gates=gates)
         if isinstance(stmt, MacroDef):
             self.diag(stmt, "macro-in-block",
                       "macro definitions are not allowed inside gate blocks")
@@ -472,9 +464,9 @@ class _Analyzer:
                           "inside a parallel block")
             offsets = self.check_native_args(stmt, definition, ctx)
             return Usage.of_gate(definition, offsets)
-        macro = self.table.macros.get(name)
-        if macro is not None:
-            if ctx.in_parallel and macro.uses_global_gate:
+        macro = self.table.names.get(name)
+        if isinstance(macro, MacroInfo):
+            if ctx.in_parallel and macro.usage.global_gate:
                 self.diag(stmt, "global-gate-in-parallel",
                           f"macro {name!r} prepares or measures all qubits "
                           "and cannot appear inside a parallel block")
@@ -487,8 +479,7 @@ class _Analyzer:
             else:
                 self.deepest = max(self.deepest, depth)
             # the body's qubits are checked after expansion
-            return Usage(frozenset(), macro.uses_global_gate,
-                         macro.uses_entangler)
+            return macro.usage._replace(offsets=frozenset())
         if name == ctx.current_macro:
             self.diag(stmt, "recursive-macro",
                       f"macro {name!r} cannot invoke itself; a macro is "
@@ -513,10 +504,9 @@ class _Analyzer:
             return []
         offsets = []
         for arg, kind in zip(stmt.args, kinds):
+            resolved = self.check_arg(stmt, arg, kind, ctx)
             if kind == QUBIT:
-                offsets.append(self.check_qubit_arg(stmt, arg, ctx))
-            else:
-                self.check_float_arg(stmt, arg, ctx)
+                offsets.append(resolved)
         resolved = [o for o in offsets if o is not None]
         if len(set(resolved)) != len(resolved):
             self.diag(stmt, "duplicate-qubit",
@@ -531,65 +521,25 @@ class _Analyzer:
             return
         for arg, param in zip(stmt.args, macro.params):
             kind = macro.param_kinds.get(param)
-            if kind == QUBIT:
-                self.check_qubit_arg(stmt, arg, ctx)
-            elif kind == FLOAT:
-                self.check_float_arg(stmt, arg, ctx)
-            else:
-                # the parameter is unused inside the macro: any argument
-                # that resolves cleanly is acceptable
-                if isinstance(arg, QubitRef):
-                    self.check_qubit_arg(stmt, arg, ctx)
-                elif isinstance(arg, NameRef):
-                    name = arg.name
-                    known = (self.table.declared(name)
-                             or (ctx.params is not None and name in ctx.params))
-                    if not known:
-                        self.diag(stmt, "undefined-name",
-                                  f"{name!r} is not declared")
+            # a parameter the body never uses (kind None) takes any
+            # argument that resolves cleanly
+            if kind is not None or isinstance(arg, QubitRef):
+                self.check_arg(stmt, arg, kind or QUBIT, ctx)
+            elif (isinstance(arg, NameRef) and arg.name not in self.table.names
+                  and arg.name not in ctx.params):
+                self.diag(stmt, "undefined-name",
+                          f"{arg.name!r} is not declared")
 
-    def check_qubit_arg(self, stmt, arg, ctx: _Context):
-        """Validate a qubit-slot argument; returns its register offset when
-        statically resolvable, or None."""
-        params = ctx.params or {}
-        if isinstance(arg, NameRef) and arg.name in params:
-            return self.infer_param(stmt, arg.name, QUBIT, params)
-        return self.report(stmt, _qubit_offset(arg, self.table, params))
-
-    def check_float_arg(self, stmt, arg, ctx: _Context):
-        params = ctx.params or {}
-        if isinstance(arg, (IntLiteral, FloatLiteral)):
-            # integer literals promote in angle slots
-            self.check_angle_value(stmt, arg.value, "integer literal")
-            return
-        if isinstance(arg, QubitRef):
-            self.diag(stmt, "type-mismatch",
-                      f"expected a number, got qubit "
-                      f"{arg.base}[{_expr_text(arg.index)}]")
-            return
-        name = arg.name
-        if name in params:
-            self.infer_param(stmt, name, FLOAT, params)
-            return
-        if name in self.table.lets:
-            # int and float constants are both fine in angle slots
-            self.check_angle_value(stmt, self.table.lets[name].value,
-                                   f"constant {name!r}")
-            return
-        if self.table.declared(name):
-            self.diag(stmt, "type-mismatch",
-                      f"{name!r} is not a numeric constant")
-            return
-        self.diag(stmt, "undefined-name", f"{name!r} is not declared")
-
-    def check_angle_value(self, stmt, value, what: str):
-        """An integer angle must convert to a finite float; float literals
-        and constants are finite already (the lexer rejects the rest)."""
-        try:
-            float(value)
-        except OverflowError:
-            self.diag(stmt, "bad-number",
-                      f"{what} is too large for a float angle")
+    def check_arg(self, stmt, arg, kind, ctx: _Context):
+        """Validate an argument in a QUBIT or FLOAT slot; returns its
+        register offset or number when statically resolvable, or None.
+        Naming a parameter of the enclosing macro infers its kind."""
+        if isinstance(arg, NameRef) and arg.name in ctx.params:
+            return self.infer_param(stmt, arg.name, kind, ctx.params)
+        if kind == QUBIT:
+            return self.report(stmt, _qubit_offset(arg, self.table,
+                                                   ctx.params))
+        return self.report(stmt, _number(arg, self.table))
 
     def infer_param(self, stmt, name, kind, params):
         current = params.get(name)
@@ -600,8 +550,6 @@ class _Analyzer:
             self.diag(stmt, "type-mismatch",
                       f"macro parameter {name!r} is used both as {role} and "
                       "as something else")
-            return None
-        return None
 
 
 def analyze(program: Program, gates: dict):
@@ -622,25 +570,51 @@ def _expr_text(expr) -> str:
     return expr.name
 
 
-def _int_value(expr, table: SymbolTable, what: str, params=()):
-    """Resolve an integer expression to its value, or to a (code, message)
-    pair saying why it has none.  Integer slots reject float constants
-    rather than truncating them."""
-    if isinstance(expr, IntLiteral):
-        return expr.value
-    name = expr.name
-    if name in params:
-        return ("type-mismatch",
-                f"macro parameter {name!r} cannot be used as {what}")
-    info = table.lets.get(name)
-    if info is not None:
-        if info.is_float:
+def _register_view(register: RegisterInfo) -> Optional[ArrayView]:
+    """The whole register as a view, or None if its size did not resolve."""
+    if register.size is None:
+        return None
+    return ArrayView(0, 1, register.size)
+
+
+def _number(expr, table: SymbolTable, what: Optional[str] = None,
+            params=()):
+    """The one number resolver.
+
+    Resolves a numeric argument to its value, or returns a (code, message)
+    pair saying why it has none.  ``what`` names an integer slot, which
+    rejects float constants rather than truncating them; without it the
+    slot is an angle, which takes either kind but only integers that
+    convert to a finite float (float literals and constants are finite
+    already: the lexer rejects the rest).  ``params`` are the enclosing
+    macro's parameter names, which no integer slot accepts.
+    """
+    if isinstance(expr, QubitRef):
+        return ("type-mismatch", f"expected a number, got qubit "
+                f"{expr.base}[{_expr_text(expr.index)}]")
+    if isinstance(expr, (IntLiteral, FloatLiteral)):
+        name, value = None, expr.value
+    else:
+        name = expr.name
+        if name in params:
+            return ("type-mismatch",
+                    f"macro parameter {name!r} cannot be used as {what}")
+        value = table.names.get(name)
+        if value is None:
+            return ("undefined-name", f"{name!r} is not declared")
+        if not isinstance(value, (int, float)):
+            return ("type-mismatch", f"{name!r} is not a numeric constant")
+    if what is not None:
+        if isinstance(value, float):
             return ("type-mismatch", f"{what} requires an integer, but "
                     f"{name!r} is a float constant")
-        return info.value
-    if table.declared(name):
-        return ("type-mismatch", f"{name!r} is not a numeric constant")
-    return ("undefined-name", f"{name!r} is not declared")
+        return value
+    try:
+        float(value)
+    except OverflowError:
+        source = "integer literal" if name is None else f"constant {name!r}"
+        return ("bad-number", f"{source} is too large for a float angle")
+    return value
 
 
 def _qubit_offset(arg, table: SymbolTable, params=()):
@@ -658,32 +632,33 @@ def _qubit_offset(arg, table: SymbolTable, params=()):
                 f"expected a qubit, got the number {_expr_text(arg)}")
     if isinstance(arg, NameRef) or arg.index is None:
         name = arg.name if isinstance(arg, NameRef) else arg.base
-        info = table.aliases.get(name)
-        if info is not None and isinstance(info.view, SingleView):
-            return info.view.offset
-        if info is not None or name in table.registers:
+        entry = table.names.get(name)
+        if isinstance(entry, SingleView):
+            return entry.offset
+        if isinstance(entry, (ArrayView, RegisterInfo)):
             return ("bad-index", f"{name!r} is an array and needs an index")
-        if name in table.lets:
-            return ("type-mismatch", f"{name!r} is a constant and cannot be "
-                    "a qubit argument")
-        if name in table.macros:
+        if isinstance(entry, MacroInfo):
             return ("type-mismatch", f"{name!r} is a macro, not a qubit")
-        return ("undefined-name", f"{name!r} is not declared")
+        if entry is None:
+            return ("undefined-name", f"{name!r} is not declared")
+        return ("type-mismatch", f"{name!r} is a constant and cannot be "
+                "a qubit argument")
     base = arg.base
     if base in params:
         return ("bad-index", f"macro parameter {base!r} is a single qubit "
                 "and takes no index")
-    view = table.array_view(base)
-    if view is None:
-        if base in table.aliases:
-            return ("bad-index",
-                    f"{base!r} is a single qubit and takes no index")
-        if base in table.registers:
+    view = table.names.get(base)
+    if isinstance(view, RegisterInfo):
+        view = _register_view(view)
+        if view is None:
             return (None, f"register {base!r} has no valid size")
-        if table.declared(base):
-            return ("type-mismatch", f"{base!r} is not a qubit array")
+    if isinstance(view, SingleView):
+        return ("bad-index", f"{base!r} is a single qubit and takes no index")
+    if view is None:
         return ("undefined-name", f"{base!r} is not declared")
-    index = _int_value(arg.index, table, "qubit index", params)
+    if not isinstance(view, ArrayView):
+        return ("type-mismatch", f"{base!r} is not a qubit array")
+    index = _number(arg.index, table, "qubit index", params)
     if isinstance(index, tuple):
         return index
     if not 0 <= index < view.length:

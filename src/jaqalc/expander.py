@@ -24,17 +24,17 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .analyzer import (
+    MacroInfo,
     SymbolTable,
     Usage,
+    _number,
+    _qubit_offset,
     analyze,
     parallel_conflicts,
-    resolve_qubit,
 )
 from .ast import (
-    FloatLiteral,
     GateBlock,
     GateStatement,
-    IntLiteral,
     LoopStatement,
     MacroDef,
     NameRef,
@@ -70,23 +70,16 @@ class FlatCircuit:
     root: FlatBlock  # always sequential
 
 
-class _Binding:
-    """Macro arguments bound for one invocation: name -> offset or number."""
-
-    def __init__(self, qubits=None, numbers=None):
-        self.qubits = qubits or {}
-        self.numbers = numbers or {}
-
-
-_EMPTY = _Binding()
-
-
 class _Expander:
+    """Expands statements in an environment ``env``: the arguments bound
+    to the parameters of the macro being expanded, as a dict from each
+    parameter name to its register offset or number."""
+
     def __init__(self, table: SymbolTable, gates: dict):
         self.table = table
         self.gates = gates
 
-    def expand_body(self, statements, parallel: bool, env: _Binding) -> list:
+    def expand_body(self, statements, parallel: bool, env: dict) -> list:
         items: list = []
         for stmt in statements:
             if isinstance(stmt, MacroDef):
@@ -96,7 +89,7 @@ class _Expander:
             elif isinstance(stmt, GateBlock):
                 items.extend(self.expand_block(stmt, parallel, env))
             elif isinstance(stmt, LoopStatement):
-                count = self.resolve_number(stmt.count, env, want_int=True)
+                count = self.resolve(stmt.count, env, FLOAT, "loop count")
                 body = self.expand_body(stmt.body.statements, False, env)
                 for _ in range(count):
                     items.extend(body)
@@ -106,64 +99,48 @@ class _Expander:
         return items
 
     def expand_block(self, block: GateBlock, parallel: bool,
-                     env: _Binding) -> list:
+                     env: dict) -> list:
         items = self.expand_body(block.statements, block.parallel, env)
         if block.parallel == parallel or not items:
             return items  # same-kind splice; empty blocks vanish
         return [FlatBlock(block.parallel, tuple(items))]
 
     def expand_gate(self, stmt: GateStatement, parallel: bool,
-                    env: _Binding) -> list:
-        macro = self.table.macros.get(stmt.name)
-        if macro is None:
+                    env: dict) -> list:
+        macro = self.table.names.get(stmt.name)
+        if not isinstance(macro, MacroInfo):
             return [self.primitive(stmt, env)]
-        binding = _Binding()
+        binding = {}
         for param, arg in zip(macro.params, stmt.args):
-            kind = macro.param_kinds.get(param)
-            if kind == FLOAT:
-                binding.numbers[param] = self.resolve_number(arg, env)
-            elif kind == QUBIT:
-                binding.qubits[param] = self.resolve_offset(arg, env)
-            # a parameter of kind None is never read by the body: no binding
+            kind = macro.param_kinds[param]
+            if kind is not None:  # the body never reads a kind-None one
+                binding[param] = self.resolve(arg, env, kind)
         return self.expand_block(macro.body, parallel, binding)
 
-    def primitive(self, stmt: GateStatement, env: _Binding) -> PrimitiveGate:
+    def primitive(self, stmt: GateStatement, env: dict) -> PrimitiveGate:
         definition = self.gates[stmt.name]
         qubits: list = []
         floats: list = []
         for arg, kind in zip(stmt.args, definition.param_kinds):
             if kind == QUBIT:
-                qubits.append(self.resolve_offset(arg, env))
+                qubits.append(self.resolve(arg, env, kind))
             else:
-                floats.append(self.resolve_number(arg, env))
+                floats.append(self.resolve(arg, env, kind))
         return PrimitiveGate(definition, tuple(qubits), tuple(floats),
                              line=stmt.line, column=stmt.column)
 
-    def resolve_offset(self, arg, env: _Binding) -> int:
-        if isinstance(arg, NameRef) and arg.name in env.qubits:
-            return env.qubits[arg.name]
-        return resolve_qubit(arg, self.table)
-
-    def resolve_number(self, arg, env: _Binding, want_int: bool = False):
-        if isinstance(arg, IntLiteral):
-            return arg.value
-        if isinstance(arg, FloatLiteral):
-            value = arg.value
-        elif isinstance(arg, NameRef):
-            if arg.name in env.numbers:
-                value = env.numbers[arg.name]
-            else:
-                info = self.table.lets.get(arg.name)
-                if info is None:
-                    raise JaqalError(f"{arg.name!r} is not a constant",
-                                     code="undefined-name")
-                value = info.value
-        else:
-            raise JaqalError(f"{arg!r} is not a number", code="type-mismatch")
-        if want_int and not isinstance(value, int):
-            raise JaqalError(f"expected an integer, got {value!r}",
-                             code="type-mismatch")
-        return value
+    def resolve(self, arg, env: dict, kind, what=None):
+        """The register offset of a QUBIT argument or the value of a FLOAT
+        one: a macro parameter's binding, else what the analyzer's resolver
+        gives; ``what`` names an integer slot, as there."""
+        if isinstance(arg, NameRef) and arg.name in env:
+            return env[arg.name]
+        resolved = (_qubit_offset(arg, self.table) if kind == QUBIT
+                    else _number(arg, self.table, what))
+        if isinstance(resolved, tuple):
+            code, message = resolved
+            raise JaqalError(message, code=code or "bad-register-size")
+        return resolved
 
 
 def expand(program: Program, gates: dict,
@@ -182,7 +159,7 @@ def expand(program: Program, gates: dict,
     register = symbols.register
     n_qubits = register.size if register is not None else 0
     expander = _Expander(symbols, gates)
-    items = expander.expand_body(program.body, False, _EMPTY)
+    items = expander.expand_body(program.body, False, {})
     circuit = FlatCircuit(n_qubits, FlatBlock(False, tuple(items)))
     check_flat_conflicts(circuit)
     return circuit

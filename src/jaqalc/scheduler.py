@@ -133,19 +133,23 @@ def schedule(circuit: FlatCircuit, gates: dict = None) -> Timeline:
 
 def total_duration(circuit: FlatCircuit, gates: dict = None) -> float:
     """Total runtime of a circuit, computed algebraically: sequential
-    blocks add, parallel blocks take the maximum.  The circuit must come
-    from ``expand`` or pass ``check_flat_conflicts``; nothing is checked
-    here."""
+    blocks add, parallel blocks take the maximum.  Each item's end is its
+    start plus durations, added in ``schedule``'s order, so the two agree
+    to the last bit.  The circuit must come from ``expand`` or pass
+    ``check_flat_conflicts``; nothing is checked here."""
     duration_of = _duration_lookup(gates)
 
-    def measure(item) -> float:
+    def finish(item, t0: float) -> float:
         if isinstance(item, PrimitiveGate):
-            return duration_of(item)
+            return t0 + duration_of(item)
         if item.parallel:
-            return max((measure(c) for c in item.items), default=0.0)
-        return sum(measure(c) for c in item.items)
+            return max([t0] + [finish(c, t0) for c in item.items])
+        t = t0
+        for child in item.items:
+            t = finish(child, t)
+        return t
 
-    return measure(circuit.root)
+    return finish(circuit.root, 0.0)
 
 
 def dump_timeline(timeline: Timeline) -> str:

@@ -1,13 +1,17 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from jaqalc import analyzer
 from jaqalc.analyzer import ArrayView, SingleView, analyze, resolve_qubit
 from jaqalc.ast import MAX_NESTING, IntLiteral, NameRef, QubitRef
 from jaqalc.diagnostics import has_errors
 from jaqalc.errors import JaqalError
+from jaqalc.expander import count_primitive_gates, expand
 from jaqalc.parser import parse
-from program_gen import macro_chain
+from program_gen import macro_chain, random_program
 
 
 def analyzed(source, gates):
@@ -31,7 +35,7 @@ def accept(source, gates):
 
 def test_slice_alias_materializes_odd_qubits(gates):
     table = accept("register q[7]\nmap ancilla q[1:7:2]\n", gates)
-    view = table.aliases["ancilla"].view
+    view = table.names["ancilla"]
     assert view.offsets() == [1, 3, 5]
     for i, expected in enumerate([1, 3, 5]):
         ref = QubitRef("ancilla", IntLiteral(i))
@@ -45,24 +49,24 @@ def test_whole_register_alias(gates):
 
 def test_single_qubit_alias(gates):
     table = accept("register q[3]\nmap ancilla q[0]\n", gates)
-    assert table.aliases["ancilla"].view == SingleView(0)
+    assert table.names["ancilla"] == SingleView(0)
     assert resolve_qubit(NameRef("ancilla"), table) == 0
 
 
 def test_chained_slices_compose(gates):
     table = accept("register q[7]\nmap a q[1:7:2]\nmap b a[1:3]\n", gates)
     assert resolve_qubit(QubitRef("b", IntLiteral(0)), table) == 3
-    assert table.aliases["b"].view.offsets() == [3, 5]
+    assert table.names["b"].offsets() == [3, 5]
 
 
 def test_negative_slice_components(gates):
     table = accept("register q[5]\nmap tail q[-2:]\n", gates)
-    assert table.aliases["tail"].view.offsets() == [3, 4]
+    assert table.names["tail"].offsets() == [3, 4]
 
 
 def test_negative_map_index_counts_from_end(gates):
     table = accept("register q[5]\nmap last q[-1]\n", gates)
-    assert table.aliases["last"].view == SingleView(4)
+    assert table.names["last"] == SingleView(4)
 
 
 def test_empty_alias_is_a_warning_not_error(gates):
@@ -74,7 +78,7 @@ def test_empty_alias_is_a_warning_not_error(gates):
 def test_let_in_register_size_and_slice(gates):
     table = accept("let n 6\nregister q[n]\nmap half q[0:n:2]\n", gates)
     assert table.register.size == 6
-    assert table.aliases["half"].view.offsets() == [0, 2, 4]
+    assert table.names["half"].offsets() == [0, 2, 4]
 
 
 @settings(max_examples=200, deadline=None)
@@ -197,6 +201,90 @@ def test_huge_integer_is_fine_outside_angle_slots(gates):
            f"m {HUGE}\nm big\n", gates)
 
 
+RESOLVER_HEADER = ("register q[2]\nmap one q[0]\nmap arr q\nlet n 1\n"
+                   "let f 1.5\nmacro m a { Sx a }\n")
+# every kind of name: what the namespace holds, a parameter, and nothing
+RESOLVER_NAMES = {"register": "q", "single alias": "one", "array alias": "arr",
+                  "int let": "n", "float let": "f", "macro": "m",
+                  "parameter": "p", "undeclared": "nope"}
+RESOLVER_SLOTS = {"loop count": "loop {} {{ Sx q[0] }}",
+                  "qubit index": "Sx q[{}]",
+                  "angle": "Rx q[0] {}",
+                  "indexed qubit": "Sx {}[0]",
+                  "bare qubit": "Sx {}",
+                  "indexed angle": "Rx q[1] {}[0]"}
+NOT_NUMERIC = ("type-mismatch", "'{}' is not a numeric constant")
+NOT_DECLARED = ("undefined-name", "'{}' is not declared")
+AS_CONSTANT = ("type-mismatch", "'{}' is a constant and cannot be a qubit "
+               "argument")
+NOT_ARRAY = ("type-mismatch", "'{}' is not a qubit array")
+NEEDS_INDEX = ("bad-index", "'{}' is an array and needs an index")
+# an indexed reference is a qubit whatever its name is
+GOT_QUBIT = ("type-mismatch", "expected a number, got qubit {}[0]")
+RESOLVER_EXPECTED = {
+    "register": [NOT_NUMERIC, NOT_NUMERIC, NOT_NUMERIC, None, NEEDS_INDEX],
+    "single alias": [
+        NOT_NUMERIC, NOT_NUMERIC, NOT_NUMERIC,
+        ("bad-index", "'{}' is a single qubit and takes no index"), None],
+    "array alias": [NOT_NUMERIC, NOT_NUMERIC, NOT_NUMERIC, None, NEEDS_INDEX],
+    "int let": [None, None, None, NOT_ARRAY, AS_CONSTANT],
+    "float let": [
+        ("type-mismatch",
+         "loop count requires an integer, but '{}' is a float constant"),
+        ("type-mismatch",
+         "qubit index requires an integer, but '{}' is a float constant"),
+        None, NOT_ARRAY, AS_CONSTANT],
+    "macro": [NOT_NUMERIC, NOT_NUMERIC, NOT_NUMERIC, NOT_ARRAY,
+              ("type-mismatch", "'{}' is a macro, not a qubit")],
+    "parameter": [
+        ("type-mismatch",
+         "macro parameter '{}' cannot be used as loop count"),
+        ("type-mismatch",
+         "macro parameter '{}' cannot be used as qubit index"),
+        None,
+        ("bad-index", "macro parameter '{}' is a single qubit and takes no "
+         "index"),
+        None],
+    "undeclared": [NOT_DECLARED] * 5,
+}
+
+
+@pytest.mark.parametrize("kind, slot, expected", [
+    (kind, slot, expected)
+    for kind, row in RESOLVER_EXPECTED.items()
+    for slot, expected in zip(RESOLVER_SLOTS, row + [GOT_QUBIT])
+])
+def test_resolver_messages_for_every_kind_of_name_in_every_slot(
+        gates, kind, slot, expected):
+    """Each kind of name in each slot gets one diagnostic, pinned by code,
+    position and message, or none where it fits.  A parameter's statement
+    sits in its macro's body."""
+    name = RESOLVER_NAMES[kind]
+    statement = RESOLVER_SLOTS[slot].format(name)
+    column = 1
+    if kind == "parameter":
+        statement = f"macro k p {{ {statement} }}"
+        column = 13
+    _, diags = analyzed(RESOLVER_HEADER + statement + "\n", gates)
+    got = [(d.code, f"{d.line}:{d.column}", d.message) for d in diags]
+    if expected is None:
+        assert got == []
+    else:
+        code, message = expected
+        assert got == [(code, f"7:{column}", message.format(name))]
+
+
+def test_register_without_a_valid_size_is_reported_only_at_the_register(
+        gates):
+    table, diags = analyzed("register q[0]\nSx q[0]\n", gates)
+    assert [str(d) for d in diags] == [
+        "1:1: bad-register-size: register size must be positive, got 0"]
+    with pytest.raises(JaqalError) as err:
+        resolve_qubit(QubitRef("q", IntLiteral(0)), table)
+    assert (err.value.code, str(err.value)) == (
+        "bad-register-size", "register 'q' has no valid size")
+
+
 def test_macro_used_as_a_qubit_is_a_type_mismatch(gates):
     _, diags = analyzed(
         "register q[1]\nmacro m a { Sx a }\nSx m\nm m\n", gates)
@@ -296,6 +384,39 @@ def test_invocation_depth_adds_the_enclosing_blocks(gates):
     (diag,) = diags
     assert (diag.code, diag.line, diag.column) == (
         "nesting-too-deep", length + 2, 7)
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), cap=st.integers(0, 70),
+       as_macro=st.booleans())
+def test_too_many_gates_exactly_when_the_expansion_passes_the_cap(
+        gates, seed, cap, as_macro):
+    """The analyzer's algebraic count equals the expanded count: loops
+    multiply their body, and a macro's body counts at each invocation."""
+    source = random_program(random.Random(seed), max_qubits=3)
+    if as_macro:
+        headers, _, body = source.partition("\n\n")
+        source = (f"{headers}\nmacro whole {{\n{body}}}\n"
+                  "whole\nloop 2 { whole }\n")
+    program, diags = parse(source)
+    assert not has_errors(diags), diags
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(analyzer, "MAX_GATES", cap)
+        table, diags = analyze(program, gates)
+    over = count_primitive_gates(expand(program, gates, table)) > cap
+    assert [d.code for d in diags] == (["too-many-gates"] if over else [])
+
+
+def test_too_many_gates_is_reported_once_where_the_total_passes(gates):
+    source = ("register q[1]\nmacro m a { loop 2 { Sx a } }\nSx q[0]\n"
+              "loop 3 { m q[0] }\nm q[0]\nloop 1000000000000 { m q[0] }\n")
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(analyzer, "MAX_GATES", 8)
+        _, diags = analyzed(source, gates)
+    # 1 gate, then 7, then 9: the third statement passes 8
+    assert [str(d) for d in diags] == [
+        "5:1: too-many-gates: the program expands to more than 8 primitive "
+        "gates by the end of this statement"]
 
 
 def test_macro_param_used_as_qubit_and_number(gates):

@@ -285,6 +285,45 @@ def test_overlong_integer_literal_exits_one_under_every_command(
         assert "Traceback" not in err and "1" * 100 not in err
 
 
+def doubling_chain(levels):
+    """Macros m0..m<levels-1>, m0 running two gates and each later one
+    invoking the one before twice, so m<levels-1> runs 2**levels gates."""
+    lines = ["register q[1]", "macro m0 a { Sx a; Sx a }"]
+    lines += [f"macro m{k} a {{ m{k - 1} a; m{k - 1} a }}"
+              for k in range(1, levels)]
+    lines += ["prepare_all", f"m{levels - 1} q[0]", "measure_all"]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("source, position", [
+    ("register q[1]\nprepare_all\nloop 1000000000000 { Sx q[0] }\n"
+     "measure_all\n", "3:1"),
+    (f"register q[1]\nprepare_all\nloop 1{'0' * 400} {{ Sx q[0] }}\n"
+     "measure_all\n", "3:1"),
+    (doubling_chain(22), "25:1"),
+], ids=["loop-10^12", "loop-401-digits", "doubling-chain-22"])
+def test_too_many_gates_exits_one_at_once_under_every_command(
+        workdir, capsys, source, position):
+    path = write(workdir, "big.jaqal", source)
+    for command in EVERY_COMMAND:
+        started = time.perf_counter()
+        assert main(command + [path, "-o", str(workdir / "big.out")]
+                    if command[0] == "run" else command + [path]) == 1
+        elapsed = time.perf_counter() - started
+        err = capsys.readouterr().err
+        assert err == (f"{path}:{position}: too-many-gates: the program "
+                       "expands to more than 4194304 primitive gates by the "
+                       "end of this statement\n"), command
+        assert elapsed < 1.0, command
+
+
+def test_three_million_gates_pass_check(workdir, capsys):
+    path = write(workdir, "shots.jaqal", "register q[2]\nloop 1000000 { "
+                 "prepare_all; Sxx q[0] q[1]; measure_all }\n")
+    assert main(["check", path]) == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_macro_used_as_a_qubit_is_reported_as_such(workdir, capsys):
     path = write(workdir, "macro_qubit.jaqal",
                  "register q[1]\nmacro m a { Sx a }\nSx m\n")

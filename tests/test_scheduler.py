@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jaqalc.diagnostics import has_errors
 from jaqalc.errors import ConflictError
@@ -206,6 +208,37 @@ def test_total_duration_is_max_entry_end(gates):
         ends += [i.end for i in timeline.inserted_idles]
         assert timeline.total_duration == max(ends, default=0.0)
         assert timeline.total_duration == total_duration(circuit, gates)
+
+
+NESTED_TIMES = """register q[3]
+prepare_all
+loop 3 { < Sx q[0] | { Rx q[1] 0.5; Sy q[1] } > ; Sxx q[0] q[2] }
+< { Sy q[2]; Sz q[2] } | Sz q[1] >
+measure_all
+"""
+
+DECIMAL = st.integers(0, 99).map(lambda tenths: str(tenths / 10))
+
+
+@settings(max_examples=300, deadline=None)
+@given(names=st.lists(st.sampled_from(["Sx", "Sy", "Sz", "Rx", "Sxx",
+                                       "prepare_all", "measure_all"]),
+                      min_size=1, max_size=7),
+       durations=st.lists(DECIMAL, min_size=7, max_size=7),
+       seed=st.integers(0, 2 ** 16))
+def test_total_duration_equals_the_schedule_under_decimal_manifests(
+        gates, names, durations, seed):
+    """Both add the same floats in the same order, so decimal durations,
+    whose sums round, give the same total to the last bit."""
+    manifest = "".join(f"{name} {duration}\n"
+                       for name, duration in zip(names, durations))
+    timed = apply_durations(gates, load_duration_manifest(manifest, gates))
+    sources = [NESTED_TIMES,
+               random_program(random.Random(seed), max_qubits=3)]
+    for source in sources:
+        circuit = circuit_of(source, gates)
+        assert (total_duration(circuit, timed)
+                == schedule(circuit, timed).total_duration), manifest
 
 
 # -- conflicts ---------------------------------------------------------------------
