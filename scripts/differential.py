@@ -11,8 +11,10 @@ over the corpus ``.jaqal`` files, a fixed set of seeded single-character
 mutants of them (each inserts, deletes or replaces one character, so most
 exercise lexer and parser diagnostics), macro chains (plain and
 alternating), nested loops and nested blocks at ``MAX_NESTING`` and one
-past it (the chains pass macro arguments through every level) and N
-seeded ``tests/program_gen.py`` programs (default 150).  Each tree gets one child
+past it (the chains pass macro arguments through every level), the
+benchmark's ``shots`` and ``scan`` programs at the default seed, a few
+loop edge cases (``EDGES``) and N seeded ``tests/program_gen.py`` programs
+(default 150).  Each tree gets one child
 interpreter that calls ``jaqalc.cli.main`` in-process for every
 invocation, with standard output and error captured.
 
@@ -73,6 +75,23 @@ FIELDS = ("status", "stdout", "stderr", "output")
 
 MUTANTS_PER_SOURCE = 10
 
+# Loops kept whole in the flat IR meet blocks, macros and conflicts here.
+EDGES = {
+    # the parallel block's conflict is reported before the duplicate
+    # qubit inside the macro body
+    "conflict_order": ("register q[2]\nmacro d a b { I_Sxx a b }\n"
+                       "< d q[0] q[0] | Sz q[0] >\n"),
+    "loop_in_parallel_macro": ("register q[2]\n"
+                               "macro m a { loop 2 { Sx a\nRz a 0.5 } }\n"
+                               "prepare_all\n< m q[0] | Sz q[1] >\n"
+                               "measure_all\n"),
+    "shot_loop": ("register q[2]\nloop 20000 { prepare_all; Sxx q[0] q[1]; "
+                  "measure_all }\n"),
+    "nested_shot_loops": ("register q[1]\nloop 3 { loop 0 { Sx q[0] }\n"
+                          "loop 1 { prepare_all }\nloop 4 { Sy q[0] }\n"
+                          "< Sz q[0] >\nmeasure_all }\n"),
+}
+
 
 def _deep(depth: int) -> dict:
     """Programs nesting ``depth`` levels, by file stem."""
@@ -88,9 +107,10 @@ def _deep(depth: int) -> dict:
 
 
 def _inputs(work: Path, programs: int) -> list:
-    sys.path[:0] = [str(ROOT / "tests"), str(ROOT / "src")]
+    sys.path[:0] = [str(ROOT / d) for d in ("tests", "src", "bench")]
     from jaqalc.ast import MAX_NESTING
     from program_gen import mutant, random_program
+    from workloads import DEFAULT_SEED, generate
 
     inputs = []
     corpus = work / "corpus"
@@ -114,6 +134,16 @@ def _inputs(work: Path, programs: int) -> list:
             path = deep / f"{stem}.jaqal"
             path.write_text(text)
             inputs.append(path)
+    edges = work / "edges"
+    edges.mkdir()
+    texts = dict(EDGES)
+    for name in ("shots", "scan"):
+        for program in generate(name, DEFAULT_SEED).programs:
+            texts[program.name] = program.source
+    for stem, text in texts.items():
+        path = edges / f"{stem}.jaqal"
+        path.write_text(text)
+        inputs.append(path)
     generated = work / "generated"
     generated.mkdir()
     for index in range(programs):
@@ -124,7 +154,6 @@ def _inputs(work: Path, programs: int) -> list:
 
 
 def _jobs(work: Path, inputs: list) -> list:
-    sys.path.insert(0, str(ROOT / "bench"))
     from workloads import SCAN_MANIFEST
 
     manifest = work / "scan.manifest"

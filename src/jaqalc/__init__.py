@@ -20,6 +20,7 @@ from .errors import (
 from .expander import (
     FlatBlock,
     FlatCircuit,
+    FlatLoop,
     PrimitiveGate,
     count_primitive_gates,
     expand,
@@ -41,6 +42,7 @@ __all__ = [
     "ConflictError",
     "FlatBlock",
     "FlatCircuit",
+    "FlatLoop",
     "GateDefinition",
     "JaqalError",
     "ManifestError",

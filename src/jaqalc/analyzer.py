@@ -71,9 +71,9 @@ from .diagnostics import error, warning
 from .errors import JaqalError
 from .gateset import MEASUREMENT, PREPARATION, QUBIT
 
-# The most primitive gates a program may expand to.  Expansion, scheduling
-# and simulation all take time in proportion to it, so past it analysis
-# fails before any of them start.
+# The most primitive gates a program may run.  Expansion keeps loops whole,
+# but the dumps, scheduling and simulation take time in proportion to the
+# gates run, so past it analysis fails before any of them start.
 MAX_GATES = 2 ** 22
 
 

@@ -113,10 +113,6 @@ class LetConstant:
     line: int = field(default=0, compare=False)
     column: int = field(default=0, compare=False)
 
-    @property
-    def is_float(self) -> bool:
-        return isinstance(self.value, float)
-
 
 @dataclass(frozen=True)
 class GateStatement:

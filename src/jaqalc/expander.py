@@ -1,13 +1,14 @@
 """Lowering an analyzed program to a flat circuit.
 
 Expansion substitutes let constants, resolves aliases to absolute register
-offsets, inlines macro bodies with their arguments bound (arguments are
+offsets and inlines macro bodies with their arguments bound (arguments are
 resolved in the caller's environment first, so substitution cannot capture
-names), and unrolls loops into the stated number of copies.  The result
-contains only primitive gate applications inside alternating
-sequential/parallel block structure: a block expanding inside a block of
-the same kind is spliced inline, and a one-iteration loop leaves no wrapper
-behind.
+names).  The result holds primitive gate applications in alternating
+sequential/parallel blocks (a block expanding inside one of the same kind
+is spliced inline) and loops: a ``FlatLoop`` holds its body once, so
+expansion costs time in proportion to the source, not to the gates run.  A
+one-iteration loop splices its body; a zero-iteration or empty one leaves
+nothing.
 
 Substitution can create qubit conflicts that are invisible in the source
 (for example a macro invoked with the same qubit for two parameters), so
@@ -61,7 +62,15 @@ class PrimitiveGate:
 @dataclass(frozen=True)
 class FlatBlock:
     parallel: bool
-    items: tuple = ()  # PrimitiveGate | FlatBlock, same-kind never nests
+    items: tuple = ()  # PrimitiveGate | FlatBlock | FlatLoop; no same kind
+    count = 1  # walkers repeat a node's items ``count`` times
+
+
+@dataclass(frozen=True)
+class FlatLoop:
+    count: int  # at least 2
+    items: tuple  # the body, run ``count`` times in sequence; never empty
+    parallel = False
 
 
 @dataclass(frozen=True)
@@ -91,7 +100,9 @@ class _Expander:
             elif isinstance(stmt, LoopStatement):
                 count = self.resolve(stmt.count, env, FLOAT, "loop count")
                 body = self.expand_body(stmt.body.statements, False, env)
-                for _ in range(count):
+                if count >= 2 and body:
+                    items.append(FlatLoop(count, tuple(body)))
+                elif count == 1:
                     items.extend(body)
             else:
                 raise JaqalError(
@@ -166,26 +177,29 @@ def expand(program: Program, gates: dict,
 
 
 def count_primitive_gates(circuit: FlatCircuit) -> int:
+    """Primitive gates the circuit runs; a loop multiplies its body's."""
     def count(item) -> int:
         if isinstance(item, PrimitiveGate):
             return 1
-        return sum(count(child) for child in item.items)
+        return item.count * sum(count(child) for child in item.items)
 
     return count(circuit.root)
 
 
 def iter_gates(circuit: FlatCircuit):
     """All primitive gates in execution order (parallel siblings in listed
-    order; they commute because they touch disjoint qubits)."""
+    order; they commute because they touch disjoint qubits), a loop body's
+    gate objects again on every iteration."""
 
-    def walk(item):
-        if isinstance(item, PrimitiveGate):
-            yield item
-        else:
-            for child in item.items:
-                yield from walk(child)
+    def walk(items):
+        for item in items:
+            if isinstance(item, PrimitiveGate):
+                yield item
+            else:
+                for _ in range(item.count):
+                    yield from walk(item.items)
 
-    yield from walk(circuit.root)
+    yield from walk(circuit.root.items)
 
 
 def gate_qubits(gate: PrimitiveGate, n_qubits: int) -> set:
@@ -199,45 +213,34 @@ def check_flat_conflicts(circuit: FlatCircuit):
     """Check the qubit-exclusivity rules on the expanded structure and
     raise ConflictError at the first violation.
 
-    Unrolled loop iterations share their gate and block objects, so each
-    distinct object is summarised and checked once.
+    One post-order walk returns each node's Usage and first violation, so
+    a loop body is checked once.  A parallel block's own violation comes
+    before any inside it, as in execution order.
     """
-    usages: dict = {}  # id(item) -> Usage
-    checked: set = set()
 
-    def usage(item) -> Usage:
-        key = id(item)
-        if key not in usages:
-            if isinstance(item, PrimitiveGate):
-                usages[key] = Usage.of_gate(item.definition, item.qubits)
-            else:
-                usages[key] = Usage.union(usage(c) for c in item.items)
-        return usages[key]
-
-    def walk(item):
-        if id(item) in checked:
-            return
-        checked.add(id(item))
+    def walk(item) -> tuple:  # (Usage, ConflictError or None)
         if isinstance(item, PrimitiveGate):
+            error = None
             if len(set(item.qubits)) != len(item.qubits):
-                raise ConflictError(
-                    f"{item.name} uses the same qubit twice",
-                    code="duplicate-qubit")
-            return
-        if item.parallel:
-            children = [usage(child) for child in item.items]
-            if any(child.global_gate for child in children):
-                raise ConflictError(
-                    "an all-qubit preparation or measurement cannot "
-                    "appear inside a parallel block",
-                    code="global-gate-in-parallel")
-            for _, code, message in parallel_conflicts(children,
-                                                       circuit.n_qubits):
-                raise ConflictError(message, code=code)
-        for child in item.items:
-            walk(child)
+                error = ConflictError(f"{item.name} uses the same qubit "
+                                      "twice", code="duplicate-qubit")
+            return Usage.of_gate(item.definition, item.qubits), error
+        children = [walk(child) for child in item.items]
+        usages = [usage for usage, _ in children]
+        own = None
+        if item.parallel and any(usage.global_gate for usage in usages):
+            own = ConflictError("an all-qubit preparation or measurement "
+                                "cannot appear inside a parallel block",
+                                code="global-gate-in-parallel")
+        elif item.parallel:
+            own = next((ConflictError(message, code=code) for _, code, message
+                        in parallel_conflicts(usages, circuit.n_qubits)), None)
+        return Usage.union(usages), own or next(
+            (error for _, error in children if error), None)
 
-    walk(circuit.root)
+    violation = walk(circuit.root)[1]
+    if violation is not None:
+        raise violation
 
 
 def dump_flat(circuit: FlatCircuit) -> str:
@@ -245,24 +248,26 @@ def dump_flat(circuit: FlatCircuit) -> str:
     floats...``, nested blocks bracketed by indented markers.  Top-level
     items print at indent zero (the implicit sequential root shows no
     brackets)."""
-    lines: list = []
 
-    def emit(item, indent: int):
+    def render(items, indent: int) -> list:
         pad = "    " * indent
-        if isinstance(item, PrimitiveGate):
-            parts = [item.name]
-            parts += [str(q) for q in item.qubits]
-            parts += [repr(f) for f in item.float_args]
-            lines.append(pad + " ".join(parts))
-        else:
-            open_ch, close_ch = ("<", ">") if item.parallel else ("{", "}")
-            lines.append(pad + open_ch)
-            for child in item.items:
-                emit(child, indent + 1)
-            lines.append(pad + close_ch)
+        lines: list = []
+        for item in items:
+            if isinstance(item, PrimitiveGate):
+                parts = [item.name]
+                parts += [str(q) for q in item.qubits]
+                parts += [repr(f) for f in item.float_args]
+                lines.append(pad + " ".join(parts))
+            elif isinstance(item, FlatLoop):  # no brackets: the body repeats
+                lines += render(item.items, indent) * item.count
+            else:
+                open_ch, close_ch = ("<", ">") if item.parallel else ("{", "}")
+                lines.append(pad + open_ch)
+                lines += render(item.items, indent + 1)
+                lines.append(pad + close_ch)
+        return lines
 
-    for item in circuit.root.items:
-        emit(item, 0)
+    lines = render(circuit.root.items, 0)
     if not lines:
         return ""
     return "\n".join(lines) + "\n"

@@ -96,8 +96,9 @@ class _Layout:
         if item.parallel:
             return self.place_parallel(item, t0)
         t = t0
-        for child in item.items:
-            t = self.place(child, t)
+        for _ in range(item.count):
+            for child in item.items:
+                t = self.place(child, t)
         return t
 
     def place_parallel(self, block: FlatBlock, t0: float) -> float:
@@ -135,7 +136,8 @@ def total_duration(circuit: FlatCircuit, gates: dict = None) -> float:
     """Total runtime of a circuit, computed algebraically: sequential
     blocks add, parallel blocks take the maximum.  Each item's end is its
     start plus durations, added in ``schedule``'s order, so the two agree
-    to the last bit.  The circuit must come from ``expand`` or pass
+    to the last bit (a loop adds its body once per iteration, never times
+    ``count``).  The circuit must come from ``expand`` or pass
     ``check_flat_conflicts``; nothing is checked here."""
     duration_of = _duration_lookup(gates)
 
@@ -145,8 +147,9 @@ def total_duration(circuit: FlatCircuit, gates: dict = None) -> float:
         if item.parallel:
             return max([t0] + [finish(c, t0) for c in item.items])
         t = t0
-        for child in item.items:
-            t = finish(child, t)
+        for _ in range(item.count):
+            for child in item.items:
+                t = finish(child, t)
         return t
 
     return finish(circuit.root, 0.0)

@@ -229,10 +229,10 @@ def _execute(circuit: FlatCircuit, gates, quantize: bool, on_measure):
     execution order, with the Born probabilities of the outcomes and
     whether they are the very vector passed at the previous measurement.
 
-    Unrolled loop iterations share their gate objects, so comparing a
-    segment with the previous one is mostly identity checks.  Gates that
-    no measurement follows are simulated too, so they raise the same
-    errors as measured ones.
+    Loop iterations yield the same gate objects, so comparing a segment
+    with the previous one is mostly identity checks.  Gates that no
+    measurement follows are simulated too, so they raise the same errors
+    as measured ones.
     """
     n_qubits = circuit.n_qubits
     _check_qubit_cap(n_qubits)

@@ -75,3 +75,26 @@ def apply_unitary_reference(state, unitary, qubits):
     psi = np.moveaxis(psi.reshape((2,) * n), range(k), axes)
     state.amplitudes = np.ascontiguousarray(psi).reshape(-1)
     return state
+
+
+def unroll(circuit):
+    """``circuit`` with every ``FlatLoop`` replaced by ``count`` copies of
+    its items, spliced into the enclosing sequence: the flat IR as
+    expansion built it before loops stayed nodes.  Copies share their gate
+    and block objects, as the unrolled iterations did."""
+    from jaqalc.expander import FlatBlock, FlatCircuit, FlatLoop
+
+    def spliced(items) -> list:
+        out = []
+        for item in items:
+            if isinstance(item, FlatLoop):
+                out.extend(spliced(item.items) * item.count)
+            elif isinstance(item, FlatBlock):
+                out.append(FlatBlock(item.parallel,
+                                     tuple(spliced(item.items))))
+            else:
+                out.append(item)
+        return out
+
+    return FlatCircuit(circuit.n_qubits,
+                       FlatBlock(False, tuple(spliced(circuit.root.items))))

@@ -1,11 +1,17 @@
 import random
+import re
+import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from jaqalc.analyzer import analyze
 from jaqalc.diagnostics import has_errors
 from jaqalc.errors import ConflictError, JaqalError
 from jaqalc.expander import (
     FlatBlock,
+    FlatLoop,
     PrimitiveGate,
     count_primitive_gates,
     dump_flat,
@@ -13,8 +19,10 @@ from jaqalc.expander import (
     iter_gates,
 )
 from jaqalc.parser import parse
-from jaqalc.simulator import probabilities
+from jaqalc.scheduler import dump_timeline, schedule, total_duration
+from jaqalc.simulator import probabilities, run
 
+from helpers import unroll
 from oracle import interpret_probabilities
 from program_gen import random_program
 
@@ -58,6 +66,36 @@ def test_nested_loops_multiply(gates):
 def test_loop_count_from_let(gates):
     circuit = flat("register q[1]\nlet n 4\nloop n { Sx q[0] }\n", gates)
     assert count_primitive_gates(circuit) == 4
+
+
+def test_loop_stays_one_node_holding_its_body_once(gates):
+    circuit = flat("register q[1]\nloop 5 { Sx q[0]\nSy q[0] }\n", gates)
+    (loop,) = circuit.root.items
+    assert isinstance(loop, FlatLoop) and loop.count == 5
+    assert [g.name for g in loop.items] == ["Sx", "Sy"]
+
+
+def test_empty_loop_leaves_nothing(gates):
+    circuit = flat("register q[1]\nloop 3 { < > }\n", gates)
+    assert circuit.root.items == ()
+
+
+def _gate_nodes(item) -> int:
+    """Primitive gates stored in the IR, each counted once."""
+    if isinstance(item, PrimitiveGate):
+        return 1
+    return sum(_gate_nodes(child) for child in item.items)
+
+
+def test_million_iteration_loop_expands_to_its_body(gates):
+    program, diags = parse("register q[2]\nloop 1000000 { prepare_all; "
+                           "Sxx q[0] q[1]; measure_all }\n")
+    assert not has_errors(diags)
+    started = time.perf_counter()
+    circuit = expand(program, gates)
+    assert count_primitive_gates(circuit) == 3_000_000
+    assert time.perf_counter() - started < 1.0
+    assert _gate_nodes(circuit.root) == 3
 
 
 @pytest.mark.parametrize("count", [0, 1, 2, 5])
@@ -230,9 +268,22 @@ def test_macro_substitution_can_create_parallel_conflict(gates):
     assert err.value.code == "parallel-conflict"
 
 
-def test_entangler_hidden_in_macro_caught_at_analysis(gates):
-    from jaqalc.analyzer import analyze
+def test_parallel_conflict_comes_before_a_duplicate_inside_it(gates):
+    """The parallel block's own violation is reported, not the duplicate
+    qubit inside the macro body that comes later in a pre-order walk."""
+    source = ("register q[2]\n"
+              "macro d a b { I_Sxx a b }\n"
+              "< d q[0] q[0] | Sz q[0] >\n")
+    program, diags = parse(source)
+    assert not has_errors(diags)
+    _, sem = analyze(program, gates)
+    assert not has_errors(sem), sem
+    with pytest.raises(ConflictError) as err:
+        expand(program, gates)
+    assert err.value.code == "parallel-conflict"
 
+
+def test_entangler_hidden_in_macro_caught_at_analysis(gates):
     source = ("register q[3]\n"
               "macro m a b { Sxx a b }\n"
               "< m q[0] q[1] | Sz q[2] >\n")
@@ -271,6 +322,15 @@ def test_flat_dump_empty_program(gates):
     assert dump_flat(flat("register q[1]\n", gates)) == ""
 
 
+def test_flat_dump_repeats_a_loop_body_inside_a_parallel_block(gates):
+    source = ("register q[2]\n"
+              "macro m a { loop 2 { Sx a\nRz a 0.5 } }\n"
+              "< m q[0] | Sz q[1] >\n")
+    body = "        Sx 0\n        Rz 0 0.5\n"
+    assert dump_flat(flat(source, gates)) == (
+        "<\n    {\n" + body * 2 + "    }\n    Sz 1\n>\n")
+
+
 # -- cross-module equivalence ---------------------------------------------------
 
 def test_simulation_matches_ast_oracle_on_random_programs(gates):
@@ -287,3 +347,43 @@ def test_simulation_matches_ast_oracle_on_random_programs(gates):
             keys = set(d) | set(o)
             tvd = 0.5 * sum(abs(d.get(k, 0.0) - o.get(k, 0.0)) for k in keys)
             assert tvd <= 1e-9, source
+
+
+# -- loops against their unrolled twin ----------------------------------------
+
+def _in_a_parallel_block(source: str) -> str:
+    """``source`` with its gates moved into a macro that runs, between one
+    prepare_all and measure_all, in a parallel block; the block gives the
+    macro an extra qubit's company unless the body holds an entangler,
+    which may have none."""
+    header, *lines = source.splitlines()
+    n = int(header[len("register q["):-1])
+    lets = [line for line in lines if line.startswith("let ")]
+    body = [line for line in lines if line and line not in lets
+            and line not in ("prepare_all", "measure_all")]
+    company = ("" if re.search(r"\b(Sxx|MS)\b", source)
+               else f" | Sz q[{n}]")
+    return "\n".join([f"register q[{n + 1}]", *lets, "macro m {", *body,
+                      "}", "loop 2 {", "prepare_all", f"< m{company} >",
+                      "measure_all", "}"]) + "\n"
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), wrap=st.booleans())
+def test_loops_behave_as_their_unrolled_copies(gates, seed, wrap):
+    rng = random.Random(seed)
+    source = random_program(rng)
+    if wrap:
+        source = _in_a_parallel_block(source)
+    circuit = flat(source, gates)
+    twin = unroll(circuit)
+    assert dump_flat(circuit) == dump_flat(twin)
+    timeline, twin_timeline = schedule(circuit, gates), schedule(twin, gates)
+    assert dump_timeline(timeline) == dump_timeline(twin_timeline)
+    assert timeline.total_duration == twin_timeline.total_duration \
+        == total_duration(circuit, gates)
+    run_seed = rng.randrange(2 ** 64)
+    assert run(circuit, gates, seed=run_seed) == \
+        run(twin, gates, seed=run_seed)
+    assert probabilities(circuit, gates) == probabilities(twin, gates)
+    assert count_primitive_gates(circuit) == len(list(iter_gates(circuit)))

@@ -410,6 +410,19 @@ def test_timeline_dump_sorted_by_start_then_qubit(gates):
                     "1 1 Sy 1\n")
 
 
+def test_timeline_dump_sorts_across_loop_iterations(gates):
+    """A zero-duration gate ending one iteration ties with the next
+    iteration's first gate, and the sort puts that gate first, so the dump
+    cannot be sorted one iteration at a time."""
+    circuit = circuit_of("register q[1]\nloop 2 { Sx q[0]\nSz q[0] }\n",
+                         gates)
+    timed = apply_durations(gates, {"Sz": 0.0})
+    assert dump_timeline(schedule(circuit, timed)) == ("0 1 Sx 0\n"
+                                                       "1 1 Sx 0\n"
+                                                       "1 0 Sz 0\n"
+                                                       "2 0 Sz 0\n")
+
+
 def test_timeline_dump_empty(gates):
     circuit = circuit_of("register q[1]\n", gates)
     assert dump_timeline(schedule(circuit, gates)) == ""
