@@ -6,17 +6,17 @@ Usage: python scripts/differential.py REV [--programs N]
 Extracts ``src/`` at REV (``git archive``) into a temporary directory and
 runs the same invocations against it and against ``src/`` of the working
 tree: ``check``, ``expand``, ``schedule`` (plain and with the benchmark's
-scan duration manifest) and ``run`` (plain, ``-s 7``, ``-p``, ``-q -p``),
-over the corpus ``.jaqal`` files, a fixed set of seeded single-character
-mutants of them (each inserts, deletes or replaces one character, so most
-exercise lexer and parser diagnostics), macro chains (plain and
-alternating), nested loops and nested blocks at ``MAX_NESTING`` and one
-past it (the chains pass macro arguments through every level), the
-benchmark's ``shots`` and ``scan`` programs at the default seed, a few
-loop edge cases (``EDGES``) and N seeded ``tests/program_gen.py`` programs
-(default 150).  Each tree gets one child
-interpreter that calls ``jaqalc.cli.main`` in-process for every
-invocation, with standard output and error captured.
+scan duration manifest) and ``run`` (plain, ``-s 7``, ``-q -s 7``, ``-p``,
+``-q -p``), over the corpus ``.jaqal`` files, a fixed set of seeded
+single-character mutants of them (each inserts, deletes or replaces one
+character, so most exercise lexer and parser diagnostics), macro chains
+(plain and alternating), nested loops and nested blocks at ``MAX_NESTING``
+and one past it (the chains pass macro arguments through every level), the
+benchmark's ``shots`` and ``scan`` programs at the default seed, a few loop
+edge cases (``EDGES``) and N seeded ``tests/program_gen.py`` programs
+(default 150).  Each tree gets one child interpreter that calls
+``jaqalc.cli.main`` in-process for every invocation, with standard output
+and error captured.
 
 Exit codes, standard output, standard error and the bytes of each output
 file must be identical.  Every difference is printed, then a summary; the
@@ -160,7 +160,8 @@ def _jobs(work: Path, inputs: list) -> list:
     manifest.write_text(SCAN_MANIFEST)
     commands = (["check"], ["expand"], ["schedule"],
                 ["schedule", "-d", str(manifest)], ["run"],
-                ["run", "-s", "7"], ["run", "-p"], ["run", "-q", "-p"])
+                ["run", "-s", "7"], ["run", "-q", "-s", "7"], ["run", "-p"],
+                ["run", "-q", "-p"])
     jobs = []
     for path in inputs:
         # ``run`` writes next to its input unless given -o

@@ -22,7 +22,7 @@ further.  A hand-built circuit gets the same guarantee by passing
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .analyzer import (
     MacroInfo,
@@ -51,8 +51,6 @@ class PrimitiveGate:
     definition: GateDefinition
     qubits: tuple = ()  # absolute register offsets
     float_args: tuple = ()
-    line: int = field(default=0, compare=False)
-    column: int = field(default=0, compare=False)
 
     @property
     def name(self) -> str:
@@ -137,8 +135,7 @@ class _Expander:
                 qubits.append(self.resolve(arg, env, kind))
             else:
                 floats.append(self.resolve(arg, env, kind))
-        return PrimitiveGate(definition, tuple(qubits), tuple(floats),
-                             line=stmt.line, column=stmt.column)
+        return PrimitiveGate(definition, tuple(qubits), tuple(floats))
 
     def resolve(self, arg, env: dict, kind, what=None):
         """The register offset of a QUBIT argument or the value of a FLOAT

@@ -19,6 +19,7 @@ do not simulate start without the simulator's array library.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -145,6 +146,10 @@ def quantize_angle(theta: float) -> float:
 # ---------------------------------------------------------------------------
 
 
+# an ASCII decimal literal: sign, digits with an optional point, exponent
+_DECIMAL = re.compile(r"[+-]?([0-9]+\.?[0-9]*|\.[0-9]+)([eE][+-]?[0-9]+)?")
+
+
 def load_duration_manifest(text: str, gates=None) -> dict:
     """Parse a duration manifest into a name -> duration mapping.
 
@@ -170,11 +175,10 @@ def load_duration_manifest(text: str, gates=None) -> dict:
         name, value = parts
         if name not in gates:
             raise ManifestError(f"manifest line {lineno}: unknown gate {name!r}")
-        try:
-            duration = float(value)
-        except ValueError:
+        if not _DECIMAL.fullmatch(value):  # float() takes 1_0, inf and ١
             raise ManifestError(
-                f"manifest line {lineno}: bad duration {value!r}") from None
+                f"manifest line {lineno}: bad duration {value!r}")
+        duration = float(value) + 0.0  # adding +0.0 reads -0 as 0
         if not math.isfinite(duration) or duration < 0:
             raise ManifestError(
                 f"manifest line {lineno}: duration must be a non-negative "

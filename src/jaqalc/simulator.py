@@ -12,8 +12,8 @@ that forgot to re-prepare.  The outcome distribution of a measurement
 therefore depends only on its segment, the gates since the last
 ``prepare_all`` (or the start).  A segment is simulated from the all-zeros
 state when it is measured, unless it equals the segment measured just
-before: then that segment's Born probabilities, the only ones kept, are
-reused, and the records stay bit-identical.
+before: each distinct segment builds one outcome table, the only one kept,
+and every measurement of it samples the table's nonzero outcomes.
 
 A state holds two 2**n complex vectors, the amplitudes and a scratch
 vector that each gate swaps with them (512 MiB together at the 24-qubit
@@ -31,6 +31,7 @@ with Sxx = MS(0, pi/2).
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -192,13 +193,9 @@ def apply_unitary(state: QuantumState, unitary, qubits) -> QuantumState:
     return state
 
 
-def bitstring_of(index: int, n_qubits: int) -> str:
-    """Little-endian rendering: character t is the state of qubit t."""
-    return "".join("1" if index >> t & 1 else "0" for t in range(n_qubits))
-
-
 def _bitstrings(indices: np.ndarray, n_qubits: int) -> list:
-    """``bitstring_of`` of every index, in one numpy step."""
+    """The little-endian name of every index, in one numpy step:
+    character t is the state of qubit t."""
     if n_qubits == 0:  # a zero-width string dtype does not exist
         return [""] * len(indices)
     digits = (indices[:, None] >> np.arange(n_qubits)) & 1
@@ -224,10 +221,39 @@ def _simulate(n_qubits: int, segment: tuple, gates, quantize: bool):
     return state
 
 
-def _execute(circuit: FlatCircuit, gates, quantize: bool, on_measure):
-    """Call ``on_measure(probs, repeated)`` at each measure_all, in
-    execution order, with the Born probabilities of the outcomes and
-    whether they are the very vector passed at the previous measurement.
+class _Outcomes:
+    """One measured segment's nonzero outcomes, in basis-index order."""
+
+    def __init__(self, probs: np.ndarray, n_qubits: int):
+        self._n_qubits = n_qubits
+        self._indices = np.nonzero(probs)[0]
+        self._probs = probs[self._indices]
+        # zero entries would not change a running sum or win a draw u > 0
+        self._cumulative = np.cumsum(self._probs)
+        # names of drawn outcomes only: all 2**20 cost run 0.6 s and 300 MiB
+        self._drawn = {}
+
+    @functools.cached_property
+    def mapping(self) -> dict:
+        """Bitstring to probability."""
+        names = _bitstrings(self._indices, self._n_qubits)
+        return dict(zip(names, self._probs.tolist()))
+
+    def sample(self, u: float) -> str:
+        """The first outcome whose running sum reaches u in (0, 1]; float
+        sums can land a hair under 1.0, so a u past them takes the last."""
+        at = int(np.searchsorted(self._cumulative, u, side="left"))
+        at = min(at, len(self._indices) - 1)
+        if at not in self._drawn:
+            self._drawn[at] = _bitstrings(self._indices[at:at + 1],
+                                          self._n_qubits)[0]
+        return self._drawn[at]
+
+
+def _measurements(circuit: FlatCircuit, gates, quantize: bool):
+    """Yield the ``_Outcomes`` of each measure_all, in execution order; a
+    segment equal to the one measured just before yields the very same
+    table.
 
     Loop iterations yield the same gate objects, so comparing a segment
     with the previous one is mostly identity checks.  Gates that no
@@ -238,7 +264,7 @@ def _execute(circuit: FlatCircuit, gates, quantize: bool, on_measure):
     _check_qubit_cap(n_qubits)
     segment: list = []
     destroyed = False
-    measured = probs = None  # the last measured segment and its outcome
+    measured = table = None  # the last measured segment and its outcomes
     for gate in iter_gates(circuit):
         definition = gate.definition
         if gates is not None:
@@ -256,13 +282,12 @@ def _execute(circuit: FlatCircuit, gates, quantize: bool, on_measure):
                 code="destroyed-state")
         if definition.kind == MEASUREMENT:
             segment = tuple(segment)
-            repeated = segment == measured
-            if not repeated:
-                measured = probs = None  # free the old vector first
-                probs = born_probabilities(
-                    _simulate(n_qubits, segment, gates, quantize))
+            if segment != measured:
+                measured = table = None  # free the old table first
+                table = _Outcomes(born_probabilities(
+                    _simulate(n_qubits, segment, gates, quantize)), n_qubits)
                 measured = segment
-            on_measure(probs, repeated)
+            yield table
             segment = []
             destroyed = True
         elif definition.kind != IDLE:
@@ -281,28 +306,8 @@ def run(circuit: FlatCircuit, gates: dict = None, seed: int = 0,
     ``quantize`` every angle is first snapped to the hardware grid.
     """
     rng = SplitMix64(seed)
-    record: list = []
-    # inverse-CDF sampling state, rebuilt once per distinct segment
-    cumulative = last = names = None
-
-    def on_measure(probs: np.ndarray, repeated: bool):
-        nonlocal cumulative, last, names
-        if not repeated:
-            cumulative = np.cumsum(probs)
-            nonzero = np.nonzero(probs)[0]
-            last = int(nonzero[-1]) if len(nonzero) else 0
-            names = {}
-        # the first index whose cumulative probability reaches u in (0, 1]
-        index = int(np.searchsorted(cumulative, rng.uniform(), side="left"))
-        if index >= len(cumulative):  # float sums can land a hair under 1.0
-            index = last
-        name = names.get(index)
-        if name is None:
-            name = names[index] = bitstring_of(index, circuit.n_qubits)
-        record.append(name)
-
-    _execute(circuit, gates, quantize, on_measure)
-    return record
+    return [table.sample(rng.uniform())
+            for table in _measurements(circuit, gates, quantize)]
 
 
 def probabilities(circuit: FlatCircuit, gates: dict = None,
@@ -310,16 +315,5 @@ def probabilities(circuit: FlatCircuit, gates: dict = None,
     """Exact Born distributions instead of samples: one mapping of
     bitstring to probability (nonzero outcomes only, in basis-index order)
     per measure_all."""
-    distributions: list = []
-
-    def on_measure(probs: np.ndarray, repeated: bool):
-        if repeated:
-            distributions.append(dict(distributions[-1]))
-            return
-        indices = np.nonzero(probs)[0]
-        distributions.append(dict(zip(
-            _bitstrings(indices, circuit.n_qubits),
-            probs[indices].tolist())))
-
-    _execute(circuit, gates, quantize, on_measure)
-    return distributions
+    return [dict(table.mapping)
+            for table in _measurements(circuit, gates, quantize)]

@@ -77,6 +77,26 @@ def apply_unitary_reference(state, unitary, qubits):
     return state
 
 
+def bitstring_of(index: int, n_qubits: int) -> str:
+    """Little-endian rendering: character t is the state of qubit t.  The
+    reference for ``simulator._bitstrings``."""
+    return "".join("1" if index >> t & 1 else "0" for t in range(n_qubits))
+
+
+def sample_full_vector(probs, u: float, n_qubits: int) -> str:
+    """The simulator's sampler before it kept only nonzero outcomes: the
+    first index whose running sum over the whole Born vector reaches
+    ``u``, else the last nonzero index.  ``simulator._Outcomes.sample``
+    must pick the same bitstring for every ``u`` in (0, 1]."""
+    cumulative = np.cumsum(probs)
+    nonzero = np.nonzero(probs)[0]
+    last = int(nonzero[-1]) if len(nonzero) else 0
+    index = int(np.searchsorted(cumulative, u, side="left"))
+    if index >= len(cumulative):  # float sums can land a hair under 1.0
+        index = last
+    return bitstring_of(index, n_qubits)
+
+
 def unroll(circuit):
     """``circuit`` with every ``FlatLoop`` replaced by ``count`` copies of
     its items, spliced into the enclosing sequence: the flat IR as

@@ -476,6 +476,30 @@ def test_bad_manifest_exits_one(workdir, capsys):
     assert "bad-manifest" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value, duration", [
+    ("-0", "0"), ("+2", "2"), (".5", "0.5"), ("1e1", "10")])
+def test_manifest_durations_are_ascii_decimals(workdir, capsys, value,
+                                               duration):
+    """A sign, a leading point and an exponent are fine; -0 reads as 0."""
+    manifest = write(workdir, "durations.txt", f"Sx {value}\n")
+    path = write(workdir, "ok.jaqal", "register q[1]\nSx q[0]\n")
+    assert main(["schedule", path, "-d", manifest]) == 0
+    assert capsys.readouterr().out == (
+        f"0 {duration} Sx 0\ntotal {duration}\n")
+
+
+@pytest.mark.parametrize("value", ["1_0", "\u0661"])
+def test_manifest_refuses_what_the_lexer_refuses(workdir, capsys, value):
+    """float() reads an underscore-separated or Arabic-Indic numeral; the
+    Jaqal lexer takes ASCII digits only, and so does the manifest."""
+    manifest = write(workdir, "durations.txt", f"Sx {value}\n")
+    path = write(workdir, "ok.jaqal", "register q[1]\nSx q[0]\n")
+    assert main(["schedule", path, "-d", manifest]) == 1
+    assert capsys.readouterr().err == (
+        f"{manifest}: bad-manifest: manifest line 1: bad duration "
+        f"{value!r}\n")
+
+
 def test_only_a_line_feed_ends_a_manifest_line(workdir, capsys):
     """A vertical tab is whitespace inside a line, not a line break."""
     manifest = write(workdir, "durations.txt", "Sx 1\vSy 2\n")
@@ -577,6 +601,36 @@ def test_every_command_is_total(tmp_path, capsys, seed, edited):
     source = random_program(rng, max_qubits=4)
     if edited:
         source = mutant(rng, source)
+    assume(_small_register(source))
+    path = tmp_path / "prog.jaqal"
+    path.write_bytes(source.encode())
+    out = str(tmp_path / "prog.out")
+    for command in EVERY_COMMAND:
+        argv = command + [str(path)]
+        if command[0] != "check":
+            argv += ["-o", out]
+        status = main(argv)
+        captured = capsys.readouterr()
+        assert status in (0, 1, 2), (argv, source)
+        assert "Traceback" not in captured.out + captured.err, (argv, source)
+
+
+LIMIT_PROGRAMS = (*(deep_program(shape, depth) for shape in DEEP_SHAPES
+                    for depth in (MAX_NESTING, MAX_NESTING + 1)),
+                  "register q[1]\nloop 1000000000000 { Sx q[0] }\n")
+
+
+@settings(max_examples=60, deadline=timedelta(seconds=10),
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(source=st.sampled_from(LIMIT_PROGRAMS),
+       seed=st.integers(0, 2 ** 32 - 1), edited=st.booleans())
+def test_every_command_is_total_at_the_limits(tmp_path, capsys, source,
+                                              seed, edited):
+    """Nesting at and one past ``MAX_NESTING`` and a loop far over the gate
+    budget, or a single-character edit of one, get exit code 0, 1 or 2 and
+    no traceback under every command."""
+    if edited:
+        source = mutant(random.Random(seed), source)
     assume(_small_register(source))
     path = tmp_path / "prog.jaqal"
     path.write_bytes(source.encode())

@@ -16,8 +16,8 @@ from jaqalc.simulator import (
     QuantumState,
     SplitMix64,
     _bitstrings,
+    _Outcomes,
     apply_unitary,
-    bitstring_of,
     probabilities,
     run,
     unitary_of,
@@ -25,9 +25,11 @@ from jaqalc.simulator import (
 
 from helpers import (
     apply_unitary_reference,
+    bitstring_of,
     embed_dense,
     random_state,
     random_unitary,
+    sample_full_vector,
 )
 from oracle import interpret_run
 from program_gen import random_program
@@ -389,6 +391,49 @@ def test_draw_past_a_sum_below_one_takes_the_last_nonzero_outcome(
     assert run(circuit, gates) == ["10", "10", "10"]
 
 
+@st.composite
+def _born_vectors(draw):
+    """Probability vectors over 0-8 qubits with at least one nonzero entry:
+    random weights (some tiny) or small integer ones (ties), runs of zeros
+    at the start, in the middle and at the end, and sums scaled a hair
+    under or over 1."""
+    n = draw(st.integers(0, 8))
+    size = 2 ** n
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if draw(st.booleans()):
+        weights = rng.random(size) ** draw(st.sampled_from([1, 8, 64]))
+    else:
+        weights = rng.integers(0, 4, size).astype(float)
+    for _ in range(draw(st.integers(0, 3))):
+        start = draw(st.integers(0, size - 1))
+        weights[start:start + draw(st.integers(1, size))] = 0.0
+    if draw(st.booleans()):
+        weights[:draw(st.integers(0, size - 1))] = 0.0
+    if draw(st.booleans()):
+        weights[draw(st.integers(1, size)):] = 0.0
+    if not weights.any():
+        weights[draw(st.integers(0, size - 1))] = 1.0
+    scale = draw(st.sampled_from(
+        [1.0, 1 - 2 ** -53, 1 - 2 ** -50, 1 + 2 ** -52, 1 + 2 ** -49]))
+    return n, weights / weights.sum() * scale
+
+
+@settings(max_examples=300, deadline=None)
+@given(vector=_born_vectors(), seed=st.integers(0, 2 ** 32 - 1))
+def test_outcome_table_samples_as_the_full_vector_did(vector, seed):
+    """``_Outcomes.sample`` keeps only nonzero outcomes yet picks what
+    inverse-CDF sampling over the whole vector picks, for random draws,
+    every running-sum value, its neighbouring doubles, 1.0 and 2**-53."""
+    n, probs = vector
+    table = _Outcomes(probs, n)
+    sums = np.cumsum(probs)
+    rng = np.random.default_rng(seed)
+    draws = [*(1.0 - rng.random(20)), *sums, *np.nextafter(sums, 0.0),
+             *np.nextafter(sums, 2.0), 1.0, 2.0 ** -53]
+    for u in (float(u) for u in draws if u > 0.0):
+        assert table.sample(u) == sample_full_vector(probs, u, n), u
+
+
 # -- segment memo ---------------------------------------------------------------
 # A measurement whose segment (the gates since the last prepare_all) equals
 # the one measured just before reuses its probabilities.
@@ -448,16 +493,16 @@ def test_alternating_and_repeated_segments_match_oracle(gates, quantize):
 def _bell_shots(gates, shots, share):
     """``shots`` prepare → Sx, Sxx → measure segments, with the gate
     objects shared between shots or built afresh (equal but distinct)."""
-    def segment(line):
-        return (PrimitiveGate(gates["prepare_all"], line=line),
-                PrimitiveGate(gates["Sx"], (0,), line=line),
-                PrimitiveGate(gates["Sxx"], (0, 1), line=line),
-                PrimitiveGate(gates["Rz"], (1,), (0.25,), line=line),
-                PrimitiveGate(gates["measure_all"], line=line))
-    shared = segment(1)
+    def segment():
+        return (PrimitiveGate(gates["prepare_all"]),
+                PrimitiveGate(gates["Sx"], (0,)),
+                PrimitiveGate(gates["Sxx"], (0, 1)),
+                PrimitiveGate(gates["Rz"], (1,), (0.25,)),
+                PrimitiveGate(gates["measure_all"]))
+    shared = segment()
     items = []
     for shot in range(shots):
-        items.extend(shared if share else segment(shot + 1))
+        items.extend(shared if share else segment())
     return FlatCircuit(2, FlatBlock(False, tuple(items)))
 
 
