@@ -2,6 +2,8 @@
 
 Qubit exclusivity is decided once, by analysis (``check``) and by
 ``expand``; ``schedule`` and ``run`` take the expanded circuit as it is.
+Each command imports only the stages it runs: ``check`` never loads the
+expander, scheduler, emitter or simulator, and ``run`` never the scheduler.
 
 Exit codes are stable: 0 success, 1 for any language/semantic/runtime
 problem in the program, 2 for environment problems (unreadable input,
@@ -17,12 +19,9 @@ from pathlib import Path
 
 from .analyzer import analyze
 from .diagnostics import has_errors
-from .emitter import emit
 from .errors import JaqalError, ManifestError
-from .expander import dump_flat, expand
 from .gateset import apply_durations, builtin_gateset, load_duration_manifest
 from .parser import parse
-from .scheduler import dump_timeline, schedule
 
 
 class _Exit(Exception):
@@ -47,15 +46,12 @@ def _read_text(path: str, what: str = "source") -> str:
         _fail(1, f"{path}: {what} is not valid UTF-8 text")
 
 
-def _write(path, data, as_bytes: bool = False):
+def _write(path, text: str):
     if path is None:
-        sys.stdout.write(data.decode("ascii") if as_bytes else data)
+        sys.stdout.write(text)
         return
     try:
-        if as_bytes:
-            Path(path).write_bytes(data)
-        else:
-            Path(path).write_text(data, encoding="ascii")
+        Path(path).write_text(text, encoding="ascii")
     except OSError as exc:
         _fail(2, f"{path}: cannot write: {exc.strerror or exc}")
 
@@ -92,6 +88,8 @@ def _gates_for(args) -> dict:
 
 
 def _expand_checked(path: str, program, symbols, gates: dict):
+    from .expander import expand
+
     try:
         return expand(program, gates, symbols)
     except JaqalError as exc:
@@ -104,6 +102,8 @@ def cmd_check(args) -> int:
 
 
 def cmd_expand(args) -> int:
+    from .expander import dump_flat
+
     gates = _gates_for(args)
     program, symbols = _checked_program(args.file, gates)
     circuit = _expand_checked(args.file, program, symbols, gates)
@@ -112,6 +112,8 @@ def cmd_expand(args) -> int:
 
 
 def cmd_schedule(args) -> int:
+    from .scheduler import dump_timeline, schedule
+
     gates = _gates_for(args)
     program, symbols = _checked_program(args.file, gates)
     circuit = _expand_checked(args.file, program, symbols, gates)
@@ -122,7 +124,7 @@ def cmd_schedule(args) -> int:
 
 
 def cmd_run(args) -> int:
-    # imported here: the simulator's array library would slow every start-up
+    from .emitter import emit
     from .simulator import probabilities, run
 
     gates = _gates_for(args)
@@ -147,7 +149,7 @@ def cmd_run(args) -> int:
         else:
             record = run(circuit, gates, seed=args.seed,
                          quantize=args.quantize)
-            _write(_out_path(args), emit(record), as_bytes=True)
+            _write(_out_path(args), emit(record).decode("ascii"))
     except JaqalError as exc:
         _fail(1, f"{args.file}: {exc.code}: {exc}")
     return 0

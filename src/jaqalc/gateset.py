@@ -179,10 +179,14 @@ def load_duration_manifest(text: str, gates=None) -> dict:
             raise ManifestError(
                 f"manifest line {lineno}: bad duration {value!r}")
         duration = float(value) + 0.0  # adding +0.0 reads -0 as 0
-        if not math.isfinite(duration) or duration < 0:
+        if duration < 0:
             raise ManifestError(
                 f"manifest line {lineno}: duration must be a non-negative "
                 f"number, got {value}")
+        if not math.isfinite(duration):  # a decimal like 1e999 overflows
+            raise ManifestError(
+                f"manifest line {lineno}: duration {value} is too large for "
+                "a finite number")
         overrides[name] = duration
         twin = IDLE_PREFIX + name
         if twin in gates:

@@ -5,7 +5,9 @@ parallel block every child starts at the block's start and the block lasts
 as long as its longest child.  Each qubit that participates in a parallel
 block is padded with synthetic idle entries (one ``I_pad`` per gap, sized
 exactly) so that its busy time plus inserted idle time equals the block
-duration.  Qubits the block never mentions receive no padding.
+duration.  Qubits the block never mentions receive no padding.  One walk,
+``_place``, does the layout: ``schedule`` keeps its entries and idles, and
+``total_duration`` keeps nothing per gate.
 
 Precondition: the circuit comes from ``expand``, or it is a hand-built
 circuit that ``expander.check_flat_conflicts`` accepts.  Qubit exclusivity
@@ -81,43 +83,47 @@ def _coverage(intervals, lo: float, hi: float):
     return gaps
 
 
-class _Layout:
-    def __init__(self, circuit: FlatCircuit, duration_of):
-        self.n_qubits = circuit.n_qubits
-        self.duration_of = duration_of
-        self.entries: list = []
-        self.idles: list = []
+def _place(circuit: FlatCircuit, gates, entries, idles) -> float:
+    """Lay out the circuit from time 0 and return its end.  Each gate run
+    appends a ``TimelineEntry`` to ``entries`` and each padding gap an
+    ``IdleEntry`` to ``idles``, unless the lists are None; no end time
+    depends on what is appended."""
+    duration_of = _duration_lookup(gates)
 
-    def place(self, item, t0: float) -> float:
+    def place(item, t0: float) -> float:
         if isinstance(item, PrimitiveGate):
-            duration = self.duration_of(item)
-            self.entries.append(TimelineEntry(item, t0, duration))
+            duration = duration_of(item)
+            if entries is not None:
+                entries.append(TimelineEntry(item, t0, duration))
             return t0 + duration
         if item.parallel:
-            return self.place_parallel(item, t0)
+            return place_parallel(item, t0)
         t = t0
         for _ in range(item.count):
             for child in item.items:
-                t = self.place(child, t)
+                t = place(child, t)
         return t
 
-    def place_parallel(self, block: FlatBlock, t0: float) -> float:
-        mark_entries = len(self.entries)
-        mark_idles = len(self.idles)
+    def place_parallel(block: FlatBlock, t0: float) -> float:
+        marks = None if entries is None else (len(entries), len(idles))
         end = t0
         for child in block.items:
-            end = max(end, self.place(child, t0))
+            end = max(end, place(child, t0))
+        if marks is None:
+            return end
         # pad every participating qubit out to the block end
         occupancy: dict = {}
-        for entry in self.entries[mark_entries:]:
-            for q in gate_qubits(entry.gate, self.n_qubits):
+        for entry in entries[marks[0]:]:
+            for q in gate_qubits(entry.gate, circuit.n_qubits):
                 occupancy.setdefault(q, []).append((entry.start, entry.end))
-        for idle in self.idles[mark_idles:]:
+        for idle in idles[marks[1]:]:
             occupancy.setdefault(idle.qubit, []).append((idle.start, idle.end))
         for qubit in sorted(occupancy):
             for gap_start, gap_end in _coverage(occupancy[qubit], t0, end):
-                self.idles.append(IdleEntry(qubit, gap_start, gap_end))
+                idles.append(IdleEntry(qubit, gap_start, gap_end))
         return end
+
+    return place(circuit.root, 0.0)
 
 
 def schedule(circuit: FlatCircuit, gates: dict = None) -> Timeline:
@@ -127,32 +133,18 @@ def schedule(circuit: FlatCircuit, gates: dict = None) -> Timeline:
     mapping (for example one with manifest overrides applied) is supplied.
     The circuit must satisfy the module's precondition.
     """
-    layout = _Layout(circuit, _duration_lookup(gates))
-    total = layout.place(circuit.root, 0.0)
-    return Timeline(layout.entries, layout.idles, total)
+    entries: list = []
+    idles: list = []
+    total = _place(circuit, gates, entries, idles)
+    return Timeline(entries, idles, total)
 
 
 def total_duration(circuit: FlatCircuit, gates: dict = None) -> float:
-    """Total runtime of a circuit, computed algebraically: sequential
-    blocks add, parallel blocks take the maximum.  Each item's end is its
-    start plus durations, added in ``schedule``'s order, so the two agree
-    to the last bit (a loop adds its body once per iteration, never times
-    ``count``).  The circuit must come from ``expand`` or pass
-    ``check_flat_conflicts``; nothing is checked here."""
-    duration_of = _duration_lookup(gates)
-
-    def finish(item, t0: float) -> float:
-        if isinstance(item, PrimitiveGate):
-            return t0 + duration_of(item)
-        if item.parallel:
-            return max([t0] + [finish(c, t0) for c in item.items])
-        t = t0
-        for _ in range(item.count):
-            for child in item.items:
-                t = finish(child, t)
-        return t
-
-    return finish(circuit.root, 0.0)
+    """Total runtime of a circuit: sequential blocks add, parallel blocks
+    take the maximum.  It is ``schedule``'s walk keeping nothing per gate,
+    so the two agree to the last bit.  The circuit must come from
+    ``expand`` or pass ``check_flat_conflicts``; nothing is checked here."""
+    return _place(circuit, gates, None, None)
 
 
 def dump_timeline(timeline: Timeline) -> str:

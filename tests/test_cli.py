@@ -500,6 +500,27 @@ def test_manifest_refuses_what_the_lexer_refuses(workdir, capsys, value):
         f"{value!r}\n")
 
 
+@pytest.mark.parametrize("value, message", [
+    ("1e999", "duration 1e999 is too large for a finite number"),
+    ("-1e999", "duration must be a non-negative number, got -1e999")])
+def test_a_manifest_duration_that_overflows_is_too_large(workdir, capsys,
+                                                         value, message):
+    """float() reads 1e999 as inf: the decimal is valid but too large.  A
+    negative one is refused for its sign first."""
+    manifest = write(workdir, "durations.txt", f"Sx {value}\n")
+    path = write(workdir, "ok.jaqal", "register q[1]\nSx q[0]\n")
+    assert main(["schedule", path, "-d", manifest]) == 1
+    assert capsys.readouterr().err == (
+        f"{manifest}: bad-manifest: manifest line 1: {message}\n")
+
+
+def test_the_largest_finite_manifest_durations_pass(workdir, capsys):
+    manifest = write(workdir, "durations.txt", "Sx 1e308\n")
+    path = write(workdir, "ok.jaqal", "register q[1]\nSx q[0]\n")
+    assert main(["schedule", path, "-d", manifest]) == 0
+    assert capsys.readouterr().out == "0 1e+308 Sx 0\ntotal 1e+308\n"
+
+
 def test_only_a_line_feed_ends_a_manifest_line(workdir, capsys):
     """A vertical tab is whitespace inside a line, not a line break."""
     manifest = write(workdir, "durations.txt", "Sx 1\vSy 2\n")
@@ -541,16 +562,24 @@ STARTUP_PROBE = r"""
 import sys
 from jaqalc.cli import main
 source, manifest, out = sys.argv[1:4]
+def report(step, loaded=()):
+    now = {m[7:] for m in sys.modules if m.startswith("jaqalc.")}
+    print(step, "numpy" in sys.modules, *sorted(now - set(loaded)))
+    return now
+loaded = report("import")
 for argv in (["check", source], ["expand", source, "-o", out],
-             ["schedule", source, "-d", manifest, "-o", out]):
+             ["schedule", source, "-d", manifest, "-o", out],
+             ["run", source, "-o", out]):
     assert main(argv) == 0, argv
-print("numpy" in sys.modules)
-assert main(["run", source, "-o", out]) == 0
-print("numpy" in sys.modules)
+    loaded = report(argv[0], loaded)
 """
 
 NAMES_PROBE = r"""
+import sys
 import jaqalc
+for module in ("gateset", "expander", "scheduler"):
+    assert f"jaqalc.{module}" not in sys.modules, module
+    assert getattr(jaqalc, module) is sys.modules[f"jaqalc.{module}"]
 for name in jaqalc.__all__:
     getattr(jaqalc, name)
 print(len(jaqalc.__all__))
@@ -568,12 +597,17 @@ def _python(workdir, code, *args) -> str:
 
 def test_only_run_imports_the_simulator_and_numpy(workdir):
     """check, expand and schedule need names, arities and durations, never a
-    matrix, so they start without numpy."""
+    matrix, so they start without numpy; each command adds only the stages
+    it runs to what the command line loads for all of them."""
     source = SRC / "jaqalc" / "corpus" / "output_example.jaqal"
     manifest = write(workdir, "durations.txt", "Px 2.5\nprepare_all 7\n")
     out = workdir / "out.txt"
     assert _python(workdir, STARTUP_PROBE, source, manifest, out) == (
-        "False\nTrue\n")
+        "import False analyzer ast cli diagnostics errors gateset parser\n"
+        "check False\n"
+        "expand False expander\n"
+        "schedule False scheduler\n"
+        "run True emitter simulator\n")
 
 
 def test_every_public_name_resolves_in_a_fresh_interpreter(workdir):
@@ -640,6 +674,34 @@ def test_every_command_is_total_at_the_limits(tmp_path, capsys, source,
         if command[0] != "check":
             argv += ["-o", out]
         status = main(argv)
+        captured = capsys.readouterr()
+        assert status in (0, 1, 2), (argv, source)
+        assert "Traceback" not in captured.out + captured.err, (argv, source)
+
+
+@settings(max_examples=60, deadline=timedelta(seconds=10),
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(seed=st.integers(0, 2 ** 32 - 1), edited=st.booleans(),
+       qubits=st.integers(13, 24))
+def test_the_front_end_is_total_on_wide_registers(tmp_path, capsys, seed,
+                                                  edited, qubits):
+    """check, expand and schedule allocate no state, so any program or
+    single-character edit of one, on a register of 13 to 24 qubits, gets
+    exit code 0, 1 or 2 and no traceback, with or without a manifest.
+    run is never asked for here: such a state is too large for a test."""
+    rng = random.Random(seed)
+    source = random_program(rng, max_qubits=4)
+    if edited:
+        source = mutant(rng, source)
+    source = re.sub(r"register\s+q\[\d+\]", f"register q[{qubits}]", source)
+    path = tmp_path / "prog.jaqal"
+    path.write_bytes(source.encode())
+    manifest = write(tmp_path, "durations.txt",
+                     "Px 2.5\nSxx 9\nprepare_all 7\n")
+    out = str(tmp_path / "prog.out")
+    for argv in (["check"], ["expand", "-o", out], ["schedule", "-o", out],
+                 ["schedule", "-d", manifest, "-o", out]):
+        status = main(argv + [str(path)])
         captured = capsys.readouterr()
         assert status in (0, 1, 2), (argv, source)
         assert "Traceback" not in captured.out + captured.err, (argv, source)
