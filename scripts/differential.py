@@ -90,6 +90,10 @@ EDGES = {
     "nested_shot_loops": ("register q[1]\nloop 3 { loop 0 { Sx q[0] }\n"
                           "loop 1 { prepare_all }\nloop 4 { Sy q[0] }\n"
                           "< Sz q[0] >\nmeasure_all }\n"),
+    # a register without a valid size is reported at the register only,
+    # not at the qubits that name it; the angle slot's qubit still is
+    "bad_register_with_gates": ("register q[0]\nmacro m a { Sx a }\n"
+                                "m q[0]\nRx q[0] q[1]\n"),
 }
 
 

@@ -4,10 +4,12 @@ Validates a parsed program against a gate set and builds the symbol table
 the expander consumes.  Jaqal has one flat namespace, so the table is one
 dict from each name to what it denotes; the kind of the entry picks the
 diagnostic for a name in the wrong slot.  Two resolvers read it, one for
-qubits and one for numbers, and the expander calls the same two.  Aliases
-resolve to affine views (start, stride, length) over the single qubit
-register, so chained Python-style slices compose without materializing
-index lists.
+qubits (``resolve_qubit``) and one for numbers; each returns a value or
+raises JaqalError with the diagnostic's code.  The expander calls the same
+two, and analysis turns each failure into a diagnostic in one place.
+Aliases resolve to affine views (start, stride, length) over the single
+qubit register, so chained Python-style slices compose without
+materializing index lists.
 
 Checks performed, each with its own diagnostic code:
 
@@ -66,6 +68,7 @@ from .ast import (
     QubitRef,
     RegisterDecl,
     Slice,
+    _arg,
 )
 from .diagnostics import error, warning
 from .errors import JaqalError
@@ -203,15 +206,6 @@ class SymbolTable:
     register: Optional[RegisterInfo] = None
 
 
-@dataclass
-class _Context:
-    in_parallel: bool = False
-    # the enclosing macro's param name -> inferred kind, mutated
-    params: dict = field(default_factory=dict)
-    current_macro: Optional[str] = None
-    depth: int = 0  # blocks open around the statement
-
-
 def _contains_gate(stmt) -> bool:
     if isinstance(stmt, GateStatement):
         return True
@@ -228,12 +222,14 @@ class _Analyzer:
         self.gates = gates
         self.diags: list = []
         self.table = SymbolTable()
-        self.deepest = 0  # deepest nesting in the macro body being checked
-        # declaration index of every macro, for forward-reference messages
-        self.macro_index = {}
-        for idx, stmt in enumerate(program.body):
-            if isinstance(stmt, MacroDef) and stmt.name not in self.macro_index:
-                self.macro_index[stmt.name] = idx
+        # the macro being checked: its name, its param name -> inferred
+        # kind (mutated) and the deepest nesting in its body
+        self.current_macro = None
+        self.params: dict = {}
+        self.deepest = 0
+        # every macro's name, for forward-reference messages
+        self.macro_names = {stmt.name for stmt in program.body
+                            if isinstance(stmt, MacroDef)}
 
     def diag(self, stmt, code, message):
         self.diags.append(error(stmt.line, stmt.column, code, message))
@@ -329,7 +325,7 @@ class _Analyzer:
             index += view.length
         if not 0 <= index < view.length:
             self.diag(stmt, "index-out-of-bounds",
-                      f"index {_expr_text(selector)} is out of range for "
+                      f"index {_arg(selector)} is out of range for "
                       f"{stmt.target!r} of length {view.length}")
             return None
         return SingleView(view.offset(index))
@@ -341,18 +337,19 @@ class _Analyzer:
 
     # -- expressions ----------------------------------------------------------
 
-    def report(self, stmt, resolved):
-        """Report a (code, message) failure of a resolver at ``stmt`` and
-        return None, or pass a resolved value through."""
-        if not isinstance(resolved, tuple):
-            return resolved
-        code, message = resolved
-        if code is not None:
-            self.diag(stmt, code, message)
-        return None
+    def report(self, stmt, resolver, *args):
+        """Call ``resolver(*args)`` and return its value, or report its
+        failure at ``stmt`` and return None.  A register without a valid
+        size is reported at the register already."""
+        try:
+            return resolver(*args)
+        except JaqalError as exc:
+            if exc.code != "bad-register-size":
+                self.diag(stmt, exc.code, str(exc))
+            return None
 
-    def resolve_int(self, expr, stmt, what: str, params=()) -> Optional[int]:
-        return self.report(stmt, _number(expr, self.table, what, params))
+    def resolve_int(self, expr, stmt, what: str) -> Optional[int]:
+        return self.report(stmt, _number, expr, self.table, what, self.params)
 
     # -- body -----------------------------------------------------------------
 
@@ -372,7 +369,7 @@ class _Analyzer:
                 continue
             if first_gate_stmt is None and _contains_gate(stmt):
                 first_gate_stmt = stmt
-            gates = self.check_statement(stmt, _Context()).gates
+            gates = self.check_statement(stmt, False, 0).gates
             total += gates
             if total > MAX_GATES >= total - gates:  # first passed here
                 self.diag(stmt, "too-many-gates",
@@ -394,35 +391,35 @@ class _Analyzer:
                 self.diag(stmt, "duplicate-name",
                           f"macro parameter {p!r} collides with another name")
             param_kinds.setdefault(p, None)
-        ctx = _Context(in_parallel=stmt.body.parallel, params=param_kinds,
-                       current_macro=stmt.name)
+        self.current_macro, self.params = stmt.name, param_kinds
         self.deepest = 0
-        usage = self.check_block_children(stmt.body, ctx)
+        usage = self.check_block(stmt.body, False, 0)
+        self.current_macro, self.params = None, {}
         if not collision:
             self.table.names[stmt.name] = MacroInfo(
                 stmt.name, stmt.params, param_kinds, stmt.body, usage,
                 self.deepest)
 
-    def check_statement(self, stmt, ctx: _Context) -> Usage:
-        """Check one statement and return its Usage."""
+    def check_statement(self, stmt, in_parallel: bool, depth: int) -> Usage:
+        """Check one statement and return its Usage.  ``in_parallel`` says
+        whether a parallel block encloses it, ``depth`` how many blocks."""
         if isinstance(stmt, GateStatement):
-            return self.check_gate(stmt, ctx)
+            return self.check_gate(stmt, in_parallel, depth)
         if isinstance(stmt, GateBlock):
-            return self.check_block_children(stmt, ctx)
+            return self.check_block(stmt, in_parallel, depth)
         if isinstance(stmt, LoopStatement):
-            if ctx.in_parallel:
+            if in_parallel:
                 self.diag(stmt, "loop-in-parallel",
                           "loop statements are not allowed inside parallel "
                           "blocks")
-            count = self.resolve_int(stmt.count, stmt, "loop count",
-                                     params=ctx.params)
+            count = self.resolve_int(stmt.count, stmt, "loop count")
             if count is not None and count < 0:
                 self.diag(stmt, "bad-loop-count",
                           f"loop count must be non-negative, got {count}")
             if stmt.body.parallel:
                 self.diag(stmt, "expected-block",
                           "a loop body must be a sequential block")
-            usage = self.check_statement(stmt.body, ctx)
+            usage = self.check_statement(stmt.body, in_parallel, depth)
             # a count that did not resolve, or is negative, is reported; the
             # cap keeps nested huge counts from multiplying huge integers
             gates = min(usage.gates * max(count or 0, 0), MAX_GATES + 1)
@@ -433,12 +430,11 @@ class _Analyzer:
             return _NO_USAGE
         raise JaqalError(f"unexpected statement {type(stmt).__name__}")
 
-    def check_block_children(self, block: GateBlock, ctx: _Context) -> Usage:
-        inner = _Context(in_parallel=ctx.in_parallel or block.parallel,
-                         params=ctx.params,
-                         current_macro=ctx.current_macro,
-                         depth=ctx.depth + 1)
-        self.deepest = max(self.deepest, inner.depth)
+    def check_block(self, block: GateBlock, in_parallel: bool,
+                    depth: int) -> Usage:
+        in_parallel = in_parallel or block.parallel
+        depth += 1
+        self.deepest = max(self.deepest, depth)
         usages = []
         for child in block.statements:
             if isinstance(child, GateBlock) and child.parallel == block.parallel:
@@ -446,7 +442,7 @@ class _Analyzer:
                 self.diag(child, "same-kind-nesting",
                           f"a {kind} block cannot be nested directly inside "
                           f"another {kind} block")
-            usages.append(self.check_statement(child, inner))
+            usages.append(self.check_statement(child, in_parallel, depth))
         if block.parallel:
             register = self.table.register
             n_qubits = register.size if register and register.size else 0
@@ -454,24 +450,25 @@ class _Analyzer:
                 self.diag(block.statements[idx], code, message)
         return Usage.union(usages)
 
-    def check_gate(self, stmt: GateStatement, ctx: _Context) -> Usage:
+    def check_gate(self, stmt: GateStatement, in_parallel: bool,
+                   depth: int) -> Usage:
         name = stmt.name
         definition = self.gates.get(name)
         if definition is not None:
-            if definition.kind in (PREPARATION, MEASUREMENT) and ctx.in_parallel:
+            if definition.kind in (PREPARATION, MEASUREMENT) and in_parallel:
                 self.diag(stmt, "global-gate-in-parallel",
                           f"{name} acts on every qubit and cannot appear "
                           "inside a parallel block")
-            offsets = self.check_native_args(stmt, definition, ctx)
+            offsets = self.check_native_args(stmt, definition)
             return Usage.of_gate(definition, offsets)
         macro = self.table.names.get(name)
         if isinstance(macro, MacroInfo):
-            if ctx.in_parallel and macro.usage.global_gate:
+            if in_parallel and macro.usage.global_gate:
                 self.diag(stmt, "global-gate-in-parallel",
                           f"macro {name!r} prepares or measures all qubits "
                           "and cannot appear inside a parallel block")
-            self.check_macro_args(stmt, macro, ctx)
-            depth = ctx.depth + macro.depth
+            self.check_macro_args(stmt, macro)
+            depth += macro.depth
             if depth > MAX_NESTING:
                 self.diag(stmt, "nesting-too-deep",
                           f"macro {name!r} nests blocks {depth} deep here, "
@@ -480,11 +477,11 @@ class _Analyzer:
                 self.deepest = max(self.deepest, depth)
             # the body's qubits are checked after expansion
             return macro.usage._replace(offsets=frozenset())
-        if name == ctx.current_macro:
+        if name == self.current_macro:
             self.diag(stmt, "recursive-macro",
                       f"macro {name!r} cannot invoke itself; a macro is "
                       "complete only at the end of its block")
-        elif name in self.macro_index:
+        elif name in self.macro_names:
             self.diag(stmt, "forward-macro-reference",
                       f"macro {name!r} is defined later in the file; macros "
                       "may only reference macros defined earlier")
@@ -493,7 +490,7 @@ class _Analyzer:
                       f"{name!r} is not a known gate or macro")
         return _NO_USAGE
 
-    def check_native_args(self, stmt, definition, ctx: _Context) -> list:
+    def check_native_args(self, stmt, definition) -> list:
         """Check a native gate's arguments; returns the register offsets
         of the qubit arguments that resolved."""
         kinds = definition.param_kinds
@@ -504,7 +501,7 @@ class _Analyzer:
             return []
         offsets = []
         for arg, kind in zip(stmt.args, kinds):
-            resolved = self.check_arg(stmt, arg, kind, ctx)
+            resolved = self.check_arg(stmt, arg, kind)
             if kind == QUBIT:
                 offsets.append(resolved)
         resolved = [o for o in offsets if o is not None]
@@ -513,7 +510,7 @@ class _Analyzer:
                       f"{definition.name} uses the same qubit twice")
         return resolved
 
-    def check_macro_args(self, stmt, macro: MacroInfo, ctx: _Context):
+    def check_macro_args(self, stmt, macro: MacroInfo):
         if len(stmt.args) != len(macro.params):
             self.diag(stmt, "arity-mismatch",
                       f"macro {macro.name} takes {len(macro.params)} "
@@ -524,27 +521,27 @@ class _Analyzer:
             # a parameter the body never uses (kind None) takes any
             # argument that resolves cleanly
             if kind is not None or isinstance(arg, QubitRef):
-                self.check_arg(stmt, arg, kind or QUBIT, ctx)
+                self.check_arg(stmt, arg, kind or QUBIT)
             elif (isinstance(arg, NameRef) and arg.name not in self.table.names
-                  and arg.name not in ctx.params):
+                  and arg.name not in self.params):
                 self.diag(stmt, "undefined-name",
                           f"{arg.name!r} is not declared")
 
-    def check_arg(self, stmt, arg, kind, ctx: _Context):
+    def check_arg(self, stmt, arg, kind):
         """Validate an argument in a QUBIT or FLOAT slot; returns its
         register offset or number when statically resolvable, or None.
         Naming a parameter of the enclosing macro infers its kind."""
-        if isinstance(arg, NameRef) and arg.name in ctx.params:
-            return self.infer_param(stmt, arg.name, kind, ctx.params)
+        if isinstance(arg, NameRef) and arg.name in self.params:
+            return self.infer_param(stmt, arg.name, kind)
         if kind == QUBIT:
-            return self.report(stmt, _qubit_offset(arg, self.table,
-                                                   ctx.params))
-        return self.report(stmt, _number(arg, self.table))
+            return self.report(stmt, resolve_qubit, arg, self.table,
+                               self.params)
+        return self.report(stmt, _number, arg, self.table)
 
-    def infer_param(self, stmt, name, kind, params):
-        current = params.get(name)
+    def infer_param(self, stmt, name, kind):
+        current = self.params.get(name)
         if current is None:
-            params[name] = kind
+            self.params[name] = kind
         elif current != kind:
             role = "a qubit" if kind == QUBIT else "a number"
             self.diag(stmt, "type-mismatch",
@@ -562,14 +559,6 @@ def analyze(program: Program, gates: dict):
     return _Analyzer(program, gates).run()
 
 
-def _expr_text(expr) -> str:
-    if isinstance(expr, IntLiteral):
-        return str(expr.value)
-    if isinstance(expr, FloatLiteral):
-        return repr(expr.value)
-    return expr.name
-
-
 def _register_view(register: RegisterInfo) -> Optional[ArrayView]:
     """The whole register as a view, or None if its size did not resolve."""
     if register.size is None:
@@ -577,108 +566,97 @@ def _register_view(register: RegisterInfo) -> Optional[ArrayView]:
     return ArrayView(0, 1, register.size)
 
 
+def _fail(code: str, message: str):
+    """Fail a resolution with the diagnostic analysis reports for it."""
+    raise JaqalError(message, code=code)
+
+
 def _number(expr, table: SymbolTable, what: Optional[str] = None,
             params=()):
     """The one number resolver.
 
-    Resolves a numeric argument to its value, or returns a (code, message)
-    pair saying why it has none.  ``what`` names an integer slot, which
-    rejects float constants rather than truncating them; without it the
-    slot is an angle, which takes either kind but only integers that
-    convert to a finite float (float literals and constants are finite
-    already: the lexer rejects the rest).  ``params`` are the enclosing
-    macro's parameter names, which no integer slot accepts.
+    Resolves a numeric argument to its value, or raises JaqalError with the
+    code and message of the diagnostic saying why it has none.  ``what``
+    names an integer slot, which rejects float constants rather than
+    truncating them; without it the slot is an angle, which takes either
+    kind but only integers that convert to a finite float (float literals
+    and constants are finite already: the lexer rejects the rest).
+    ``params`` are the enclosing macro's parameter names, which no integer
+    slot accepts.
     """
     if isinstance(expr, QubitRef):
-        return ("type-mismatch", f"expected a number, got qubit "
-                f"{expr.base}[{_expr_text(expr.index)}]")
+        _fail("type-mismatch", f"expected a number, got qubit {_arg(expr)}")
     if isinstance(expr, (IntLiteral, FloatLiteral)):
         name, value = None, expr.value
     else:
         name = expr.name
         if name in params:
-            return ("type-mismatch",
-                    f"macro parameter {name!r} cannot be used as {what}")
+            _fail("type-mismatch",
+                  f"macro parameter {name!r} cannot be used as {what}")
         value = table.names.get(name)
         if value is None:
-            return ("undefined-name", f"{name!r} is not declared")
+            _fail("undefined-name", f"{name!r} is not declared")
         if not isinstance(value, (int, float)):
-            return ("type-mismatch", f"{name!r} is not a numeric constant")
+            _fail("type-mismatch", f"{name!r} is not a numeric constant")
     if what is not None:
         if isinstance(value, float):
-            return ("type-mismatch", f"{what} requires an integer, but "
-                    f"{name!r} is a float constant")
+            _fail("type-mismatch", f"{what} requires an integer, but "
+                  f"{name!r} is a float constant")
         return value
     try:
         float(value)
     except OverflowError:
         source = "integer literal" if name is None else f"constant {name!r}"
-        return ("bad-number", f"{source} is too large for a float angle")
+        _fail("bad-number", f"{source} is too large for a float angle")
     return value
 
 
-def _qubit_offset(arg, table: SymbolTable, params=()):
+def resolve_qubit(ref, table: SymbolTable, params=()) -> int:
     """The one qubit-reference resolver.
 
-    Resolves a qubit-slot argument (a QubitRef, or a NameRef naming a
-    single-qubit alias) to its absolute register offset, or returns a
-    (code, message) pair saying why it names no qubit.  A None code means
-    the cause, a register size that did not resolve, is reported at the
-    register.  ``params`` are the enclosing macro's parameter names, which
-    take no index and cannot be one.
+    Resolves a qubit-slot argument, a QubitRef (indexed array access) or a
+    NameRef naming a single-qubit alias, to its absolute register offset.
+    Aliases of aliases resolve directly because every alias is stored as a
+    view over the register.  Raises JaqalError, with the code analysis
+    reports for the same argument, when the name is unknown, the index is
+    missing/extra/out of range, or the name is not a qubit; a register
+    whose size did not resolve raises ``bad-register-size``.  ``params``
+    are the enclosing macro's parameter names, which take no index and
+    cannot be one.
     """
-    if isinstance(arg, (IntLiteral, FloatLiteral)):
-        return ("type-mismatch",
-                f"expected a qubit, got the number {_expr_text(arg)}")
-    if isinstance(arg, NameRef) or arg.index is None:
-        name = arg.name if isinstance(arg, NameRef) else arg.base
+    if isinstance(ref, (IntLiteral, FloatLiteral)):
+        _fail("type-mismatch",
+              f"expected a qubit, got the number {_arg(ref)}")
+    if isinstance(ref, NameRef) or ref.index is None:
+        name = ref.name if isinstance(ref, NameRef) else ref.base
         entry = table.names.get(name)
         if isinstance(entry, SingleView):
             return entry.offset
         if isinstance(entry, (ArrayView, RegisterInfo)):
-            return ("bad-index", f"{name!r} is an array and needs an index")
+            _fail("bad-index", f"{name!r} is an array and needs an index")
         if isinstance(entry, MacroInfo):
-            return ("type-mismatch", f"{name!r} is a macro, not a qubit")
+            _fail("type-mismatch", f"{name!r} is a macro, not a qubit")
         if entry is None:
-            return ("undefined-name", f"{name!r} is not declared")
-        return ("type-mismatch", f"{name!r} is a constant and cannot be "
-                "a qubit argument")
-    base = arg.base
+            _fail("undefined-name", f"{name!r} is not declared")
+        _fail("type-mismatch", f"{name!r} is a constant and cannot be "
+              "a qubit argument")
+    base = ref.base
     if base in params:
-        return ("bad-index", f"macro parameter {base!r} is a single qubit "
-                "and takes no index")
+        _fail("bad-index", f"macro parameter {base!r} is a single qubit "
+              "and takes no index")
     view = table.names.get(base)
     if isinstance(view, RegisterInfo):
         view = _register_view(view)
         if view is None:
-            return (None, f"register {base!r} has no valid size")
+            _fail("bad-register-size", f"register {base!r} has no valid size")
     if isinstance(view, SingleView):
-        return ("bad-index", f"{base!r} is a single qubit and takes no index")
+        _fail("bad-index", f"{base!r} is a single qubit and takes no index")
     if view is None:
-        return ("undefined-name", f"{base!r} is not declared")
+        _fail("undefined-name", f"{base!r} is not declared")
     if not isinstance(view, ArrayView):
-        return ("type-mismatch", f"{base!r} is not a qubit array")
-    index = _number(arg.index, table, "qubit index", params)
-    if isinstance(index, tuple):
-        return index
+        _fail("type-mismatch", f"{base!r} is not a qubit array")
+    index = _number(ref.index, table, "qubit index", params)
     if not 0 <= index < view.length:
-        return ("index-out-of-bounds", f"index {index} is out of range for "
-                f"{base!r} of length {view.length}")
+        _fail("index-out-of-bounds", f"index {index} is out of range for "
+              f"{base!r} of length {view.length}")
     return view.offset(index)
-
-
-def resolve_qubit(ref, table: SymbolTable) -> int:
-    """Resolve a qubit reference to an absolute register offset.
-
-    ``ref`` is a QubitRef (indexed array access) or NameRef (single-qubit
-    alias).  Aliases of aliases resolve transitively because every alias is
-    already stored as a view over the register.  Raises JaqalError, with
-    the code the analyzer reports for the same argument, when the name is
-    unknown, the index is missing/extra/out of range, or the name is not a
-    qubit.
-    """
-    resolved = _qubit_offset(ref, table)
-    if isinstance(resolved, tuple):
-        code, message = resolved
-        raise JaqalError(message, code=code or "bad-register-size")
-    return resolved

@@ -8,7 +8,8 @@ expander, scheduler, emitter or simulator, and ``run`` never the scheduler.
 Exit codes are stable: 0 success, 1 for any language/semantic/runtime
 problem in the program, 2 for environment problems (unreadable input,
 unwritable output).  Diagnostics go to standard error as
-``file:line:col: code: message``; data goes to files or standard output.
+``file:line:col: code: message``, and an error a stage after analysis
+raises as ``file: code: message``; data goes to files or standard output.
 """
 
 from __future__ import annotations
@@ -87,36 +88,28 @@ def _gates_for(args) -> dict:
         _fail(1, f"{manifest}: {exc.code}: {exc}")
 
 
-def _expand_checked(path: str, program, symbols, gates: dict):
-    from .expander import expand
-
-    try:
-        return expand(program, gates, symbols)
-    except JaqalError as exc:
-        _fail(1, f"{path}: {exc.code}: {exc}")
-
-
 def cmd_check(args) -> int:
     _checked_program(args.file, _gates_for(args))
     return 0
 
 
 def cmd_expand(args) -> int:
-    from .expander import dump_flat
+    from .expander import dump_flat, expand
 
     gates = _gates_for(args)
     program, symbols = _checked_program(args.file, gates)
-    circuit = _expand_checked(args.file, program, symbols, gates)
+    circuit = expand(program, gates, symbols)
     _write(args.output, dump_flat(circuit))
     return 0
 
 
 def cmd_schedule(args) -> int:
+    from .expander import expand
     from .scheduler import dump_timeline, schedule
 
     gates = _gates_for(args)
     program, symbols = _checked_program(args.file, gates)
-    circuit = _expand_checked(args.file, program, symbols, gates)
+    circuit = expand(program, gates, symbols)
     timeline = schedule(circuit, gates)
     _write(args.output, dump_timeline(timeline)
            + f"total {timeline.total_duration:g}\n")
@@ -125,6 +118,7 @@ def cmd_schedule(args) -> int:
 
 def cmd_run(args) -> int:
     from .emitter import emit
+    from .expander import expand
     from .simulator import probabilities, run
 
     gates = _gates_for(args)
@@ -132,26 +126,22 @@ def cmd_run(args) -> int:
     if not program.body:
         print(f"{args.file}: warning: the program has no body; the output "
               "will be empty", file=sys.stderr)
-    circuit = _expand_checked(args.file, program, symbols, gates)
-    try:
-        if args.probabilities:
-            lines = []
-            previous = None
-            for distribution in probabilities(circuit, gates,
-                                              quantize=args.quantize):
-                if distribution != previous:  # repeated shots share a line
-                    pairs = sorted(distribution.items())
-                    line = " ".join(f"{bits} {p!r}" for bits, p in pairs)
-                    previous = distribution
-                lines.append(line)
-            data = "".join(line + "\n" for line in lines)
-            _write(_out_path(args), data)
-        else:
-            record = run(circuit, gates, seed=args.seed,
-                         quantize=args.quantize)
-            _write(_out_path(args), emit(record).decode("ascii"))
-    except JaqalError as exc:
-        _fail(1, f"{args.file}: {exc.code}: {exc}")
+    circuit = expand(program, gates, symbols)
+    if args.probabilities:
+        lines = []
+        previous = None
+        for distribution in probabilities(circuit, gates,
+                                          quantize=args.quantize):
+            if distribution != previous:  # repeated shots share a line
+                pairs = sorted(distribution.items())
+                line = " ".join(f"{bits} {p!r}" for bits, p in pairs)
+                previous = distribution
+            lines.append(line)
+        data = "".join(line + "\n" for line in lines)
+        _write(_out_path(args), data)
+    else:
+        record = run(circuit, gates, seed=args.seed, quantize=args.quantize)
+        _write(_out_path(args), emit(record).decode("ascii"))
     return 0
 
 
@@ -220,6 +210,9 @@ def main(argv=None) -> int:
         return args.handler(args)
     except _Exit as exc:
         return exc.status
+    except JaqalError as exc:  # a stage after analysis rejected the program
+        print(f"{args.file}: {exc.code}: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -29,9 +29,9 @@ from .analyzer import (
     SymbolTable,
     Usage,
     _number,
-    _qubit_offset,
     analyze,
     parallel_conflicts,
+    resolve_qubit,
 )
 from .ast import (
     GateBlock,
@@ -55,6 +55,11 @@ class PrimitiveGate:
     @property
     def name(self) -> str:
         return self.definition.name
+
+    def __str__(self) -> str:
+        """``name offsets... floats...``, as the dumps print a gate."""
+        return " ".join([self.name, *map(str, self.qubits),
+                         *map(repr, self.float_args)])
 
 
 @dataclass(frozen=True)
@@ -139,16 +144,13 @@ class _Expander:
 
     def resolve(self, arg, env: dict, kind, what=None):
         """The register offset of a QUBIT argument or the value of a FLOAT
-        one: a macro parameter's binding, else what the analyzer's resolver
-        gives; ``what`` names an integer slot, as there."""
+        one: a macro parameter's binding, else the analyzer's resolver's
+        value, or its JaqalError; ``what`` names an integer slot."""
         if isinstance(arg, NameRef) and arg.name in env:
             return env[arg.name]
-        resolved = (_qubit_offset(arg, self.table) if kind == QUBIT
-                    else _number(arg, self.table, what))
-        if isinstance(resolved, tuple):
-            code, message = resolved
-            raise JaqalError(message, code=code or "bad-register-size")
-        return resolved
+        if kind == QUBIT:
+            return resolve_qubit(arg, self.table)
+        return _number(arg, self.table, what)
 
 
 def expand(program: Program, gates: dict,
@@ -251,10 +253,7 @@ def dump_flat(circuit: FlatCircuit) -> str:
         lines: list = []
         for item in items:
             if isinstance(item, PrimitiveGate):
-                parts = [item.name]
-                parts += [str(q) for q in item.qubits]
-                parts += [repr(f) for f in item.float_args]
-                lines.append(pad + " ".join(parts))
+                lines.append(f"{pad}{item}")
             elif isinstance(item, FlatLoop):  # no brackets: the body repeats
                 lines += render(item.items, indent) * item.count
             else:

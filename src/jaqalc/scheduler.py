@@ -153,10 +153,8 @@ def dump_timeline(timeline: Timeline) -> str:
     rows = []
     for entry in timeline.entries:
         first = min(entry.gate.qubits) if entry.gate.qubits else -1
-        parts = [f"{entry.start:g}", f"{entry.duration:g}", entry.gate.name]
-        parts += [str(q) for q in entry.gate.qubits]
-        parts += [repr(f) for f in entry.gate.float_args]
-        rows.append(((entry.start, first, entry.gate.name), " ".join(parts)))
+        rows.append(((entry.start, first, entry.gate.name),
+                     f"{entry.start:g} {entry.duration:g} {entry.gate}"))
     for idle in timeline.inserted_idles:
         parts = [f"{idle.start:g}", f"{idle.duration:g}", idle.name,
                  str(idle.qubit)]

@@ -6,7 +6,17 @@ from hypothesis import strategies as st
 
 from jaqalc import analyzer
 from jaqalc.analyzer import ArrayView, SingleView, analyze, resolve_qubit
-from jaqalc.ast import MAX_NESTING, IntLiteral, NameRef, QubitRef
+from jaqalc.ast import (
+    MAX_NESTING,
+    GateBlock,
+    GateStatement,
+    IntLiteral,
+    MacroDef,
+    NameRef,
+    Program,
+    QubitRef,
+    RegisterDecl,
+)
 from jaqalc.diagnostics import has_errors
 from jaqalc.errors import JaqalError
 from jaqalc.expander import count_primitive_gates, expand
@@ -122,6 +132,37 @@ def test_resolve_qubit_error_codes(gates):
     with pytest.raises(JaqalError) as err:
         resolve_qubit(NameRef("n"), table)
     assert err.value.code == "type-mismatch"
+    # a macro parameter takes no index and cannot be one
+    with pytest.raises(JaqalError) as err:
+        resolve_qubit(QubitRef("a", IntLiteral(0)), table, params=("a",))
+    assert err.value.code == "bad-index"
+    with pytest.raises(JaqalError) as err:
+        resolve_qubit(QubitRef("q", NameRef("a")), table, params=("a",))
+    assert err.value.code == "type-mismatch"
+
+
+# -- hand-built trees ------------------------------------------------------------
+# The parser rejects these shapes itself; analysis must still report them,
+# and never raise.
+
+SX = GateStatement("Sx", (QubitRef("q", IntLiteral(0)),))
+
+
+@pytest.mark.parametrize("body, expected", [
+    ((GateBlock(False, (MacroDef("m", ("a",), GateBlock(False, (
+        GateStatement("Sx", (NameRef("a"),)),))),)),),
+     "macro-in-block: macro definitions are not allowed inside gate "
+     "blocks"),
+    ((GateBlock(False, (GateBlock(False, (SX,)),)),),
+     "same-kind-nesting: a sequential block cannot be nested directly "
+     "inside another sequential block"),
+    ((GateStatement("Rx", (QubitRef("q", IntLiteral(0)), QubitRef("q"))),),
+     "type-mismatch: expected a number, got qubit q"),
+], ids=["macro-in-block", "same-kind-nesting", "bare-qubit-angle"])
+def test_hand_built_trees_get_diagnostics(gates, body, expected):
+    program = Program((RegisterDecl("q", IntLiteral(2)),), body)
+    _, diags = analyze(program, gates)
+    assert [str(d) for d in diags] == [f"0:0: {expected}"]
 
 
 # -- per-rule diagnostics ----------------------------------------------------------

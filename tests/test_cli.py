@@ -440,6 +440,20 @@ def test_schedule_conflict_exits_one(workdir, capsys):
     assert "parallel-conflict" in err and "0" in err
 
 
+@pytest.mark.parametrize("command", ["expand", "schedule", "run"])
+def test_an_error_after_analysis_is_one_line_and_writes_nothing(
+        workdir, capsys, command):
+    path = write(workdir, "dup.jaqal",
+                 "register q[2]\nmacro d a b { I_Sxx a b }\nd q[0] q[0]\n")
+    out = workdir / "dup.txt"
+    assert main([command, path, "-o", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"{path}: duplicate-qubit: I_Sxx uses the same "
+                            "qubit twice\n")
+    assert not out.exists()
+
+
 def test_schedule_with_duration_manifest(workdir, capsys):
     manifest = write(workdir, "durations.txt", "Rx 10\nSx 2\n")
     path = write(workdir, "par.jaqal",
