@@ -94,6 +94,11 @@ EDGES = {
     # not at the qubits that name it; the angle slot's qubit still is
     "bad_register_with_gates": ("register q[0]\nmacro m a { Sx a }\n"
                                 "m q[0]\nRx q[0] q[1]\n"),
+    # a loop body's dump repeats indented brackets; under the scan
+    # manifest Rz takes no time, so timeline rows tie across iterations
+    "loop_dump": ("register q[2]\nloop 3 { < Sx q[0] | { Sy q[1]; "
+                  "Rz q[1] 0.5 } >\nloop 2 { Sxx q[0] q[1] }\n"
+                  "Rz q[0] 0.25 }\n"),
 }
 
 

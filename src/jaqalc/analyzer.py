@@ -600,8 +600,9 @@ def _number(expr, table: SymbolTable, what: Optional[str] = None,
             _fail("type-mismatch", f"{name!r} is not a numeric constant")
     if what is not None:
         if isinstance(value, float):
-            _fail("type-mismatch", f"{what} requires an integer, but "
-                  f"{name!r} is a float constant")
+            source = (f"{_arg(expr)} is a float literal" if name is None
+                      else f"{name!r} is a float constant")
+            _fail("type-mismatch", f"{what} requires an integer, but {source}")
         return value
     try:
         float(value)

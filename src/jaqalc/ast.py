@@ -10,6 +10,10 @@ A program has a header section (register, map, let) followed by a body
 section (gates, blocks, loops, macro definitions).  Gate arguments and the
 integer expressions inside declarations are one of a small closed set of
 node types; there is deliberately no arithmetic expression grammar.
+
+``pretty_print`` renders a tree as canonical source.  Every statement's
+printer returns its newline-terminated text; a gate block, a loop and a
+macro definition share one block path (head, bracket, children, bracket).
 """
 
 from __future__ import annotations
@@ -204,51 +208,33 @@ def _selector(selector) -> str:
     return f"[{_int_expr(selector)}]"
 
 
-def _emit(stmt, indent: int, lines: list):
+def _emit(stmt, indent: int) -> str:
+    """A statement's text, ``indent`` levels deep, ending in a newline."""
     pad = _INDENT * indent
     if isinstance(stmt, RegisterDecl):
-        lines.append(f"{pad}register {stmt.name}[{_int_expr(stmt.size)}]")
-    elif isinstance(stmt, MapAlias):
-        lines.append(f"{pad}map {stmt.name} {stmt.target}{_selector(stmt.selector)}")
-    elif isinstance(stmt, LetConstant):
-        lines.append(f"{pad}let {stmt.name} {_num(stmt.value)}")
-    elif isinstance(stmt, GateStatement):
-        parts = [stmt.name] + [_arg(a) for a in stmt.args]
-        lines.append(pad + " ".join(parts))
-    elif isinstance(stmt, GateBlock):
-        open_ch, close_ch = ("<", ">") if stmt.parallel else ("{", "}")
-        lines.append(pad + open_ch)
-        for child in stmt.statements:
-            _emit(child, indent + 1, lines)
-        lines.append(pad + close_ch)
+        return f"{pad}register {stmt.name}[{_int_expr(stmt.size)}]\n"
+    if isinstance(stmt, MapAlias):
+        return f"{pad}map {stmt.name} {stmt.target}{_selector(stmt.selector)}\n"
+    if isinstance(stmt, LetConstant):
+        return f"{pad}let {stmt.name} {_num(stmt.value)}\n"
+    if isinstance(stmt, GateStatement):
+        return pad + " ".join([stmt.name, *map(_arg, stmt.args)]) + "\n"
+    # a block's opening bracket shares a line with its loop or macro head
+    if isinstance(stmt, GateBlock):
+        head, block = [], stmt
     elif isinstance(stmt, LoopStatement):
-        _emit_headed_block(f"loop {_int_expr(stmt.count)}", stmt.body, indent, lines)
+        head, block = ["loop", _int_expr(stmt.count)], stmt.body
     elif isinstance(stmt, MacroDef):
-        head = " ".join(["macro", stmt.name, *stmt.params])
-        _emit_headed_block(head, stmt.body, indent, lines)
+        head, block = ["macro", stmt.name, *stmt.params], stmt.body
     else:
         raise TypeError(f"cannot print {type(stmt).__name__}")
-
-
-def _emit_headed_block(head: str, body: GateBlock, indent: int, lines: list):
-    # the opening bracket must share a line with the loop/macro head
-    pad = _INDENT * indent
-    open_ch, close_ch = ("<", ">") if body.parallel else ("{", "}")
-    lines.append(f"{pad}{head} {open_ch}")
-    for child in body.statements:
-        _emit(child, indent + 1, lines)
-    lines.append(pad + close_ch)
+    open_ch, close_ch = ("<", ">") if block.parallel else ("{", "}")
+    children = "".join(_emit(child, indent + 1) for child in block.statements)
+    return f"{pad}{' '.join([*head, open_ch])}\n{children}{pad}{close_ch}\n"
 
 
 def pretty_print(program: Program) -> str:
     """Render a program as canonical source: one statement per line,
-    newline separators, 4-space indentation.  Reparsing the result yields a
-    structurally equal tree."""
-    lines: list = []
-    for stmt in program.headers:
-        _emit(stmt, 0, lines)
-    for stmt in program.body:
-        _emit(stmt, 0, lines)
-    if not lines:
-        return ""
-    return "\n".join(lines) + "\n"
+    each ending in a newline, 4-space indentation.  Reparsing the result
+    yields a structurally equal tree."""
+    return "".join(_emit(stmt, 0) for stmt in program.headers + program.body)

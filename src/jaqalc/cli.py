@@ -7,7 +7,7 @@ expander, scheduler, emitter or simulator, and ``run`` never the scheduler.
 
 Exit codes are stable: 0 success, 1 for any language/semantic/runtime
 problem in the program, 2 for environment problems (unreadable input,
-unwritable output).  Diagnostics go to standard error as
+unwritable output file or stdout).  Diagnostics go to standard error as
 ``file:line:col: code: message``, and an error a stage after analysis
 raises as ``file: code: message``; data goes to files or standard output.
 """
@@ -15,6 +15,7 @@ raises as ``file: code: message``; data goes to files or standard output.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 
@@ -48,13 +49,17 @@ def _read_text(path: str, what: str = "source") -> str:
 
 
 def _write(path, text: str):
-    if path is None:
-        sys.stdout.write(text)
-        return
+    name = "<stdout>" if path is None else path
     try:
-        Path(path).write_text(text, encoding="ascii")
+        if path is None:
+            sys.stdout.write(text)
+            sys.stdout.flush()  # a full device fails here, not at exit
+        else:
+            Path(path).write_text(text, encoding="ascii")
     except OSError as exc:
-        _fail(2, f"{path}: cannot write: {exc.strerror or exc}")
+        if path is None:  # drop the unwritten buffer, or exit flushes it again
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        _fail(2, f"{name}: cannot write: {exc.strerror or exc}")
 
 
 def _print_diagnostics(path: str, diagnostics):
@@ -134,11 +139,10 @@ def cmd_run(args) -> int:
                                           quantize=args.quantize):
             if distribution != previous:  # repeated shots share a line
                 pairs = sorted(distribution.items())
-                line = " ".join(f"{bits} {p!r}" for bits, p in pairs)
+                line = " ".join(f"{bits} {p!r}" for bits, p in pairs) + "\n"
                 previous = distribution
             lines.append(line)
-        data = "".join(line + "\n" for line in lines)
-        _write(_out_path(args), data)
+        _write(_out_path(args), "".join(lines))
     else:
         record = run(circuit, gates, seed=args.seed, quantize=args.quantize)
         _write(_out_path(args), emit(record).decode("ascii"))

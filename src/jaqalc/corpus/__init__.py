@@ -68,11 +68,10 @@ def _parse_expect(path: Path) -> Expectation:
     return Expectation(accept=accept, **fields)
 
 
-def corpus_manifest(directory: Path = None) -> list:
+def corpus_manifest() -> list:
     """Enumerate all corpus cases as (source file, expectation) records."""
-    directory = Path(directory) if directory else CORPUS_DIR
     cases = []
-    for source in sorted(directory.glob("*.jaqal")):
+    for source in sorted(CORPUS_DIR.glob("*.jaqal")):
         expect = source.with_suffix(".expect")
         if not expect.exists():
             raise ValueError(f"{source.name} has no .expect sidecar")

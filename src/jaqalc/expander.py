@@ -245,25 +245,21 @@ def check_flat_conflicts(circuit: FlatCircuit):
 def dump_flat(circuit: FlatCircuit) -> str:
     """Readable text form: one primitive per line as ``name offsets...
     floats...``, nested blocks bracketed by indented markers.  Top-level
-    items print at indent zero (the implicit sequential root shows no
-    brackets)."""
+    items print at indent zero with no brackets; a loop has none either:
+    its body is rendered once and its text repeated ``count`` times."""
 
-    def render(items, indent: int) -> list:
+    def render(items, indent: int) -> str:
         pad = "    " * indent
-        lines: list = []
+        parts = []
         for item in items:
             if isinstance(item, PrimitiveGate):
-                lines.append(f"{pad}{item}")
-            elif isinstance(item, FlatLoop):  # no brackets: the body repeats
-                lines += render(item.items, indent) * item.count
+                parts.append(f"{pad}{item}\n")
+            elif isinstance(item, FlatLoop):
+                parts.append(render(item.items, indent) * item.count)
             else:
                 open_ch, close_ch = ("<", ">") if item.parallel else ("{", "}")
-                lines.append(pad + open_ch)
-                lines += render(item.items, indent + 1)
-                lines.append(pad + close_ch)
-        return lines
+                inner = render(item.items, indent + 1)
+                parts.append(f"{pad}{open_ch}\n{inner}{pad}{close_ch}\n")
+        return "".join(parts)
 
-    lines = render(circuit.root.items, 0)
-    if not lines:
-        return ""
-    return "\n".join(lines) + "\n"
+    return render(circuit.root.items, 0)

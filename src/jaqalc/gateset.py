@@ -150,16 +150,14 @@ def quantize_angle(theta: float) -> float:
 _DECIMAL = re.compile(r"[+-]?([0-9]+\.?[0-9]*|\.[0-9]+)([eE][+-]?[0-9]+)?")
 
 
-def load_duration_manifest(text: str, gates=None) -> dict:
+def load_duration_manifest(text: str, gates: dict) -> dict:
     """Parse a duration manifest into a name -> duration mapping.
 
-    One ``<gate-name> <non-negative-number>`` per line; '#' starts a line
-    comment and blank lines are ignored.  Overriding a gate also overrides
-    its idle twin; naming an ``I_`` twin directly overrides just the twin,
-    with later lines winning.
+    One ``<gate-name> <non-negative-number>`` per line, each name a gate
+    of ``gates``; '#' starts a line comment and blank lines are ignored.
+    Overriding a gate also overrides its idle twin; naming an ``I_`` twin
+    directly overrides just the twin, with later lines winning.
     """
-    if gates is None:
-        gates = builtin_gateset()
     overrides: dict = {}
     # only LF ends a line (strip() drops the CR of a CRLF): str.splitlines
     # would also break at a vertical tab, form feed or U+2028

@@ -62,12 +62,6 @@ class Timeline:
     total_duration: float
 
 
-def _duration_lookup(gates):
-    if gates is None:
-        return lambda g: g.definition.duration
-    return lambda g: gates[g.definition.name].duration
-
-
 def _coverage(intervals, lo: float, hi: float):
     """Gaps of [lo, hi) not covered by the given (start, end) intervals.
     Overlapping intervals, possible only in a circuit that breaks the
@@ -88,11 +82,10 @@ def _place(circuit: FlatCircuit, gates, entries, idles) -> float:
     appends a ``TimelineEntry`` to ``entries`` and each padding gap an
     ``IdleEntry`` to ``idles``, unless the lists are None; no end time
     depends on what is appended."""
-    duration_of = _duration_lookup(gates)
 
     def place(item, t0: float) -> float:
         if isinstance(item, PrimitiveGate):
-            duration = duration_of(item)
+            duration = gates[item.definition.name].duration
             if entries is not None:
                 entries.append(TimelineEntry(item, t0, duration))
             return t0 + duration
@@ -126,11 +119,11 @@ def _place(circuit: FlatCircuit, gates, entries, idles) -> float:
     return place(circuit.root, 0.0)
 
 
-def schedule(circuit: FlatCircuit, gates: dict = None) -> Timeline:
+def schedule(circuit: FlatCircuit, gates: dict) -> Timeline:
     """Assign start times and durations to every gate of a flat circuit.
 
-    Durations come from each gate's definition, or from ``gates`` when a
-    mapping (for example one with manifest overrides applied) is supplied.
+    Durations come from ``gates``, the gate set by name (for example one
+    with manifest overrides applied), not from each gate's own definition.
     The circuit must satisfy the module's precondition.
     """
     entries: list = []
@@ -139,7 +132,7 @@ def schedule(circuit: FlatCircuit, gates: dict = None) -> Timeline:
     return Timeline(entries, idles, total)
 
 
-def total_duration(circuit: FlatCircuit, gates: dict = None) -> float:
+def total_duration(circuit: FlatCircuit, gates: dict) -> float:
     """Total runtime of a circuit: sequential blocks add, parallel blocks
     take the maximum.  It is ``schedule``'s walk keeping nothing per gate,
     so the two agree to the last bit.  The circuit must come from
@@ -154,13 +147,9 @@ def dump_timeline(timeline: Timeline) -> str:
     for entry in timeline.entries:
         first = min(entry.gate.qubits) if entry.gate.qubits else -1
         rows.append(((entry.start, first, entry.gate.name),
-                     f"{entry.start:g} {entry.duration:g} {entry.gate}"))
+                     f"{entry.start:g} {entry.duration:g} {entry.gate}\n"))
     for idle in timeline.inserted_idles:
-        parts = [f"{idle.start:g}", f"{idle.duration:g}", idle.name,
-                 str(idle.qubit)]
-        rows.append(((idle.start, idle.qubit, idle.name), " ".join(parts)))
+        rows.append(((idle.start, idle.qubit, idle.name), f"{idle.start:g} "
+                     f"{idle.duration:g} {idle.name} {idle.qubit}\n"))
     rows.sort(key=lambda r: r[0])
-    lines = [text for _, text in rows]
-    if not lines:
-        return ""
-    return "\n".join(lines) + "\n"
+    return "".join(text for _, text in rows)

@@ -8,9 +8,11 @@ from jaqalc import analyzer
 from jaqalc.analyzer import ArrayView, SingleView, analyze, resolve_qubit
 from jaqalc.ast import (
     MAX_NESTING,
+    FloatLiteral,
     GateBlock,
     GateStatement,
     IntLiteral,
+    LoopStatement,
     MacroDef,
     NameRef,
     Program,
@@ -158,7 +160,11 @@ SX = GateStatement("Sx", (QubitRef("q", IntLiteral(0)),))
      "inside another sequential block"),
     ((GateStatement("Rx", (QubitRef("q", IntLiteral(0)), QubitRef("q"))),),
      "type-mismatch: expected a number, got qubit q"),
-], ids=["macro-in-block", "same-kind-nesting", "bare-qubit-angle"])
+    ((LoopStatement(FloatLiteral(1.5), GateBlock(False, (SX,))),),
+     "type-mismatch: loop count requires an integer, but 1.5 is a float "
+     "literal"),
+], ids=["macro-in-block", "same-kind-nesting", "bare-qubit-angle",
+        "float-literal-loop-count"])
 def test_hand_built_trees_get_diagnostics(gates, body, expected):
     program = Program((RegisterDecl("q", IntLiteral(2)),), body)
     _, diags = analyze(program, gates)

@@ -454,6 +454,28 @@ def test_an_error_after_analysis_is_one_line_and_writes_nothing(
     assert not out.exists()
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"),
+                    reason="needs a /dev/full device")
+@pytest.mark.parametrize("command", ["expand", "schedule"])
+def test_a_full_standard_output_exits_two_with_one_line(workdir, command):
+    """Standard output is output too: a dump to a full device is an
+    environment error, reported on one line, not a traceback.  Standard
+    output stays buffered, so the unwritten text is still held at exit."""
+    path = write(workdir, "bell.jaqal", BELL)
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    with open("/dev/full", "w") as full:
+        done = subprocess.run(
+            [sys.executable, "-c",
+             "import sys; from jaqalc.cli import main; sys.exit(main())",
+             command, path],
+            env={**env, "PYTHONPATH": str(SRC)}, stdout=full,
+            stderr=subprocess.PIPE, text=True, timeout=120)
+    assert done.returncode == 2, done.stderr
+    assert "Traceback" not in done.stderr
+    assert done.stderr.count("\n") == 1
+    assert done.stderr.startswith("<stdout>: cannot write: ")
+
+
 def test_schedule_with_duration_manifest(workdir, capsys):
     manifest = write(workdir, "durations.txt", "Rx 10\nSx 2\n")
     path = write(workdir, "par.jaqal",
@@ -568,6 +590,29 @@ def test_run_equals_library_pipeline(workdir):
     symbols, _ = analyze(program, gates)
     circuit = expand(program, gates, symbols)
     assert emit(lib_run(circuit, gates, seed=3)) == cli_bytes
+
+
+ALTERNATING = ("register q[2]\nloop 4 { prepare_all; Px q[0]; measure_all\n"
+               "prepare_all; Sxx q[0] q[1]; measure_all }\n")
+
+
+@settings(max_examples=50, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(source=st.just(ALTERNATING) | st.integers(0, 2 ** 32 - 1).map(
+    lambda seed: random_program(random.Random(seed), max_qubits=4)))
+def test_run_p_prints_one_line_per_distribution(tmp_path, source):
+    """The -p file is each measurement's sorted distribution on its own
+    line, whether or not the shot before it printed the same line."""
+    from jaqalc import builtin_gateset, expand, parse, probabilities
+
+    path = write(tmp_path, "prog.jaqal", source)
+    out = tmp_path / "prog.out"
+    assert main(["run", path, "-p", "-o", str(out)]) == 0
+    gates = builtin_gateset()
+    circuit = expand(parse(source)[0], gates)
+    assert out.read_text() == "".join(
+        " ".join(f"{b} {p!r}" for b, p in sorted(d.items())) + "\n"
+        for d in probabilities(circuit, gates))
 
 
 # -- start-up --------------------------------------------------------------------

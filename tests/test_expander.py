@@ -331,6 +331,15 @@ def test_flat_dump_repeats_a_loop_body_inside_a_parallel_block(gates):
         "<\n    {\n" + body * 2 + "    }\n    Sz 1\n>\n")
 
 
+def test_flat_dump_repeats_indented_brackets_inside_a_loop(gates):
+    source = ("register q[2]\n"
+              "loop 2 { < Sx q[0] | { Sy q[1]; Sz q[1] } >; "
+              "loop 3 { Sxx q[0] q[1] } }\n")
+    body = ("<\n    Sx 0\n    {\n        Sy 1\n        Sz 1\n    }\n>\n"
+            + "Sxx 0 1\n" * 3)
+    assert dump_flat(flat(source, gates)) == body * 2
+
+
 # -- cross-module equivalence ---------------------------------------------------
 
 def test_simulation_matches_ast_oracle_on_random_programs(gates):

@@ -51,6 +51,33 @@ def test_parallel_block_prints_multiline():
     assert reparsed == program
 
 
+@pytest.mark.parametrize("source, expected", [
+    ("register q[2]\n{ Sx q[0]; Sy q[1] }\n",
+     "register q[2]\n{\n    Sx q[0]\n    Sy q[1]\n}\n"),
+    ("register q[1]\nloop 3 { Sx q[0] }\n",
+     "register q[1]\nloop 3 {\n    Sx q[0]\n}\n"),
+    ("register q[1]\nlet n 2\nloop n { Sx q[0]; Sy q[0] }\n",
+     "register q[1]\nlet n 2\nloop n {\n    Sx q[0]\n    Sy q[0]\n}\n"),
+    ("register q[2]\nmacro m a b { Sxx a b }\nm q[0] q[1]\n",
+     "register q[2]\nmacro m a b {\n    Sxx a b\n}\nm q[0] q[1]\n"),
+    ("register q[1]\nmacro z { Sx q[0] }\nz\n",
+     "register q[1]\nmacro z {\n    Sx q[0]\n}\nz\n"),
+    ("register q[2]\nmacro p a b < Sx a | Sy b >\np q[0] q[1]\n",
+     "register q[2]\nmacro p a b <\n    Sx a\n    Sy b\n>\np q[0] q[1]\n"),
+    ("register q[2]\nloop 2 { < Sx q[0] | Sy q[1] > }\n",
+     "register q[2]\nloop 2 {\n    <\n        Sx q[0]\n        Sy q[1]\n"
+     "    >\n}\n"),
+], ids=["sequential", "loop-literal", "loop-named",
+        "macro-params", "macro-no-params", "macro-parallel",
+        "loop-of-parallel"])
+def test_block_like_nodes_print_head_bracket_children_bracket(source,
+                                                              expected):
+    """Blocks, loops and macros print through one path: the head and the
+    opening bracket on one line, each child indented one level deeper,
+    then the closing bracket at the head's indent."""
+    assert roundtrip(source) == expected
+
+
 def test_float_literals_survive_the_roundtrip():
     program = Program(body=(
         GateStatement("Rz", (QubitRef("q", IntLiteral(1)),
