@@ -50,7 +50,6 @@ bodies are checked precisely after expansion, by the same
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
 from .ast import (
@@ -73,6 +72,7 @@ from .ast import (
 from .diagnostics import error, warning
 from .errors import JaqalError
 from .gateset import MEASUREMENT, PREPARATION, QUBIT
+from .record import Record
 
 # The most primitive gates a program may run.  Expansion keeps loops whole,
 # but the dumps, scheduling and simulation take time in proportion to the
@@ -155,20 +155,20 @@ def parallel_conflicts(usages, n_qubits: int):
                 break
 
 
-@dataclass(frozen=True)
-class SingleView:
+class SingleView(Record):
     """An alias naming exactly one register offset."""
 
-    offset: int
+    __slots__ = ("offset",)
+    def __init__(self, offset: int):
+        self.offset = offset
 
 
-@dataclass(frozen=True)
-class ArrayView:
+class ArrayView(Record):
     """An affine view over the register: offsets start + step*i."""
 
-    start: int
-    step: int
-    length: int
+    __slots__ = ("start", "step", "length")
+    def __init__(self, start: int, step: int, length: int):
+        self.start, self.step, self.length = start, step, length
 
     def offset(self, index: int) -> int:
         return self.start + self.step * index
@@ -177,23 +177,21 @@ class ArrayView:
         return [self.offset(i) for i in range(self.length)]
 
 
-@dataclass(frozen=True)
-class RegisterInfo:
-    name: str
-    size: Optional[int]  # None when the declared size did not resolve
+class RegisterInfo(Record):
+    __slots__ = ("name", "size")
+    def __init__(self, name: str, size: Optional[int]):
+        self.name, self.size = name, size  # None if the size did not resolve
 
 
-@dataclass(frozen=True)
-class MacroInfo:
-    name: str
-    params: tuple
-    param_kinds: dict  # param name -> QUBIT | FLOAT | None (unused)
-    body: GateBlock
-    usage: Usage  # the body's
-    depth: int  # how deep the expanded body nests blocks, itself included
+class MacroInfo(Record):
+    __slots__ = ("name", "params", "param_kinds", "body", "usage", "depth")
+    def __init__(self, name, params, param_kinds, body, usage, depth):
+        # param_kinds: param name -> QUBIT | FLOAT | None (unused); usage:
+        # the body's; depth: how deep the expanded body nests blocks
+        self.name, self.params, self.param_kinds = name, params, param_kinds
+        self.body, self.usage, self.depth = body, usage, depth
 
 
-@dataclass
 class SymbolTable:
     """The one namespace of a program.
 
@@ -202,8 +200,9 @@ class SymbolTable:
     let constant to its int or float value and a macro to its MacroInfo.
     """
 
-    names: dict = field(default_factory=dict)
-    register: Optional[RegisterInfo] = None
+    __slots__ = ("names", "register")
+    def __init__(self):
+        self.names, self.register = {}, None
 
 
 def _contains_gate(stmt) -> bool:

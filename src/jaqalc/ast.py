@@ -1,10 +1,10 @@
 """Syntax tree for Jaqal programs.
 
-All nodes are immutable dataclasses, so trees can be shared freely across
-threads and compared structurally with ``==``.  Source positions are carried
-on statement nodes for diagnostics only and are excluded from comparison,
-which is what makes the pretty-print round trip (parse, print, reparse,
-compare) a meaningful equality check.
+All nodes are plain slotted records that nothing mutates once built, so
+trees can be shared freely and compared structurally with ``==``.  Source
+positions are carried on statement nodes for diagnostics only and are
+excluded from comparison, which is what makes the pretty-print round trip
+(parse, print, reparse, compare) a meaningful equality check.
 
 A program has a header section (register, map, let) followed by a body
 section (gates, blocks, loops, macro definitions).  Gate arguments and the
@@ -19,8 +19,9 @@ macro definition share one block path (head, bracket, children, bracket).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from typing import Optional, Union
+
+from .record import Record
 
 KEYWORDS = frozenset({"register", "map", "let", "macro", "loop"})
 
@@ -41,129 +42,118 @@ def is_valid_identifier(text: str) -> bool:
     return re.fullmatch(IDENTIFIER, text) is not None and text not in KEYWORDS
 
 
-@dataclass(frozen=True)
-class IntLiteral:
-    value: int
+class _Statement(Record):  # its position is not part of its value
+    __slots__ = ("line", "column")
 
 
-@dataclass(frozen=True)
-class FloatLiteral:
-    value: float
+class IntLiteral(Record):
+    __slots__ = ("value",)
+    def __init__(self, value: int):
+        self.value = value
 
 
-@dataclass(frozen=True)
-class NameRef:
+class FloatLiteral(Record):
+    __slots__ = ("value",)
+    def __init__(self, value: float):
+        self.value = value
+
+
+class NameRef(Record):
     """A bare name in an argument or size position.
 
     Which namespace it refers to (let constant, single-qubit alias, macro
     parameter) is resolved semantically, not syntactically.
     """
 
-    name: str
+    __slots__ = ("name",)
+    def __init__(self, name: str):
+        self.name = name
 
 
 IntExpr = Union[IntLiteral, NameRef]
 
 
-@dataclass(frozen=True)
-class QubitRef:
+class QubitRef(Record):
     """``base[index]`` as a gate argument; index may be absent when the
     reference is to a single-qubit alias or macro parameter."""
 
-    base: str
-    index: Optional[IntExpr] = None
+    __slots__ = ("base", "index")
+    def __init__(self, base: str, index: Optional[IntExpr] = None):
+        self.base, self.index = base, index
 
 
-GateArg = Union[QubitRef, IntLiteral, FloatLiteral, NameRef]
-
-
-@dataclass(frozen=True)
-class Slice:
+class Slice(Record):
     """Python-style slice selector in a map statement; None marks an
     omitted component."""
 
-    start: Optional[IntExpr] = None
-    stop: Optional[IntExpr] = None
-    step: Optional[IntExpr] = None
+    __slots__ = ("start", "stop", "step")
+    def __init__(self, start=None, stop=None, step=None):
+        self.start, self.stop, self.step = start, stop, step
 
 
-@dataclass(frozen=True)
-class RegisterDecl:
-    name: str
-    size: IntExpr
-    line: int = field(default=0, compare=False)
-    column: int = field(default=0, compare=False)
+class RegisterDecl(_Statement):
+    __slots__ = ("name", "size")
+    def __init__(self, name: str, size: IntExpr, line=0, column=0):
+        self.name, self.size, self.line, self.column = name, size, line, column
 
 
-@dataclass(frozen=True)
-class MapAlias:
+class MapAlias(_Statement):
     """``map name target[selector]``; selector None aliases the whole
     target, an IntExpr selects one qubit, a Slice selects an array view."""
 
-    name: str
-    target: str
-    selector: Union[None, IntLiteral, NameRef, Slice] = None
-    line: int = field(default=0, compare=False)
-    column: int = field(default=0, compare=False)
+    __slots__ = ("name", "target", "selector")
+    def __init__(self, name, target, selector=None, line=0, column=0):
+        self.name, self.target, self.selector = name, target, selector
+        self.line, self.column = line, column
 
 
-@dataclass(frozen=True)
-class LetConstant:
+class LetConstant(_Statement):
     """An immutable named number; int/float is distinguished by the Python
     type of ``value`` and decides which argument positions accept it."""
 
-    name: str
-    value: Union[int, float]
-    line: int = field(default=0, compare=False)
-    column: int = field(default=0, compare=False)
+    __slots__ = ("name", "value")
+    def __init__(self, name: str, value, line=0, column=0):
+        self.name, self.value = name, value
+        self.line, self.column = line, column
 
 
-@dataclass(frozen=True)
-class GateStatement:
-    name: str
-    args: tuple = ()
-    line: int = field(default=0, compare=False)
-    column: int = field(default=0, compare=False)
+class GateStatement(_Statement):
+    __slots__ = ("name", "args")
+    def __init__(self, name: str, args: tuple = (), line=0, column=0):
+        self.name, self.args, self.line, self.column = name, args, line, column
 
 
-@dataclass(frozen=True)
-class GateBlock:
+class GateBlock(_Statement):
     """Sequential (``{}``) or parallel (``<>``) group of body statements."""
 
-    parallel: bool
-    statements: tuple = ()
-    line: int = field(default=0, compare=False)
-    column: int = field(default=0, compare=False)
+    __slots__ = ("parallel", "statements")
+    def __init__(self, parallel, statements=(), line=0, column=0):
+        self.parallel, self.statements = parallel, statements
+        self.line, self.column = line, column
 
 
-@dataclass(frozen=True)
-class LoopStatement:
-    count: IntExpr
-    body: GateBlock  # always a sequential block in a valid program
-    line: int = field(default=0, compare=False)
-    column: int = field(default=0, compare=False)
+class LoopStatement(_Statement):
+    __slots__ = ("count", "body")
+    def __init__(self, count: IntExpr, body: GateBlock, line=0, column=0):
+        self.count, self.body = count, body  # a sequential block if valid
+        self.line, self.column = line, column
 
 
-@dataclass(frozen=True)
-class MacroDef:
+class MacroDef(_Statement):
     """A named composite gate; the body block may be sequential or parallel
     and may only invoke macros defined earlier in the file."""
 
-    name: str
-    params: tuple = ()
-    body: GateBlock = GateBlock(False)
-    line: int = field(default=0, compare=False)
-    column: int = field(default=0, compare=False)
+    __slots__ = ("name", "params", "body")
+    def __init__(self, name, params=(), body=GateBlock(False), line=0,
+                 column=0):
+        self.name, self.params, self.body = name, params, body
+        self.line, self.column = line, column
 
 
-HeaderStatement = Union[RegisterDecl, MapAlias, LetConstant]
-BodyStatement = Union[GateStatement, GateBlock, LoopStatement, MacroDef]
-
-
-@dataclass(frozen=True)
-class Program:
-    headers: tuple = ()
-    body: tuple = ()
+class Program(Record):
+    __slots__ = ("headers", "body")
+    def __init__(self, headers: tuple = (), body: tuple = ()):
+        self.headers, self.body = headers, body
 
 
 # ---------------------------------------------------------------------------

@@ -126,6 +126,7 @@ def cmd_run(args) -> int:
     from .expander import expand
     from .simulator import probabilities, run
 
+    out = _out_path(args)
     gates = _gates_for(args)
     program, symbols = _checked_program(args.file, gates)
     if not program.body:
@@ -142,10 +143,10 @@ def cmd_run(args) -> int:
                 line = " ".join(f"{bits} {p!r}" for bits, p in pairs) + "\n"
                 previous = distribution
             lines.append(line)
-        _write(_out_path(args), "".join(lines))
+        _write(out, "".join(lines))
     else:
         record = run(circuit, gates, seed=args.seed, quantize=args.quantize)
-        _write(_out_path(args), emit(record).decode("ascii"))
+        _write(out, emit(record).decode("ascii"))
     return 0
 
 
@@ -164,7 +165,12 @@ def _seed(text: str) -> int:
 def _out_path(args):
     if args.output is not None:
         return args.output
-    return str(Path(args.file).with_suffix(".out"))
+    source = Path(args.file)  # with_suffix raises on a nameless path: "/"
+    path = str(source.parent / (source.stem + ".out"))
+    if os.path.realpath(path) == os.path.realpath(source):
+        _fail(2, f"{path}: the default output path is the source file; "
+              "name another with -o")
+    return path
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -14,27 +14,29 @@ The sidecars are data, not Python, so other tools can reuse the corpus.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
 CORPUS_DIR = Path(__file__).resolve().parent
 
 
-@dataclass(frozen=True)
 class Expectation:
-    accept: bool
-    reject_code: Optional[str] = None
-    gate_count: Optional[int] = None
-    total_duration: Optional[float] = None
-    output_file: Optional[Path] = None
+    __slots__ = ("accept", "reject_code", "gate_count", "total_duration",
+                 "output_file")
+    def __init__(self, accept: bool, reject_code: Optional[str] = None,
+                 gate_count: Optional[int] = None,
+                 total_duration: Optional[float] = None,
+                 output_file: Optional[Path] = None):
+        self.accept, self.reject_code = accept, reject_code
+        self.gate_count, self.total_duration = gate_count, total_duration
+        self.output_file = output_file
 
 
-@dataclass(frozen=True)
 class CorpusCase:
-    name: str
-    source_file: Path
-    expectation: Expectation
+    __slots__ = ("name", "source_file", "expectation")
+    def __init__(self, name: str, source_file: Path, expectation: Expectation):
+        self.name, self.source_file = name, source_file
+        self.expectation = expectation
 
     @property
     def source(self) -> str:

@@ -8,19 +8,18 @@ human-readable message.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from .record import Record
 
 ERROR = "error"
 WARNING = "warning"
 
 
-@dataclass(frozen=True)
-class Diagnostic:
-    severity: str  # ERROR or WARNING
-    line: int  # 1-based
-    column: int  # 1-based
-    code: str
-    message: str
+class Diagnostic(Record):
+    __slots__ = ("severity", "line", "column", "code", "message")
+    def __init__(self, severity, line, column, code, message):
+        # severity: ERROR or WARNING; line and column are 1-based
+        self.severity, self.line, self.column = severity, line, column
+        self.code, self.message = code, message
 
     def __str__(self):
         return f"{self.line}:{self.column}: {self.code}: {self.message}"

@@ -22,8 +22,6 @@ further.  A hand-built circuit gets the same guarantee by passing
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .analyzer import (
     MacroInfo,
     SymbolTable,
@@ -43,14 +41,15 @@ from .ast import (
 )
 from .diagnostics import has_errors
 from .errors import ConflictError, JaqalError
-from .gateset import FLOAT, GateDefinition, MEASUREMENT, PREPARATION, QUBIT
+from .gateset import FLOAT, MEASUREMENT, PREPARATION, QUBIT
+from .record import Record
 
 
-@dataclass(frozen=True)
-class PrimitiveGate:
-    definition: GateDefinition
-    qubits: tuple = ()  # absolute register offsets
-    float_args: tuple = ()
+class PrimitiveGate(Record):
+    __slots__ = ("definition", "qubits", "float_args")
+    def __init__(self, definition, qubits=(), float_args=()):
+        self.definition, self.qubits = definition, qubits  # absolute offsets
+        self.float_args = float_args
 
     @property
     def name(self) -> str:
@@ -62,24 +61,26 @@ class PrimitiveGate:
                          *map(repr, self.float_args)])
 
 
-@dataclass(frozen=True)
-class FlatBlock:
-    parallel: bool
-    items: tuple = ()  # PrimitiveGate | FlatBlock | FlatLoop; no same kind
+class FlatBlock(Record):
+    __slots__ = ("parallel", "items")
     count = 1  # walkers repeat a node's items ``count`` times
+    def __init__(self, parallel: bool, items: tuple = ()):
+        # items: PrimitiveGate | FlatBlock | FlatLoop; no block of one kind
+        self.parallel, self.items = parallel, items
 
 
-@dataclass(frozen=True)
-class FlatLoop:
-    count: int  # at least 2
-    items: tuple  # the body, run ``count`` times in sequence; never empty
+class FlatLoop(Record):
+    __slots__ = ("count", "items")
     parallel = False
+    def __init__(self, count: int, items: tuple):
+        # the body, never empty, runs count (at least 2) times in sequence
+        self.count, self.items = count, items
 
 
-@dataclass(frozen=True)
-class FlatCircuit:
-    n_qubits: int
-    root: FlatBlock  # always sequential
+class FlatCircuit(Record):
+    __slots__ = ("n_qubits", "root")
+    def __init__(self, n_qubits: int, root: FlatBlock):
+        self.n_qubits, self.root = n_qubits, root  # root is sequential
 
 
 class _Expander:

@@ -20,10 +20,9 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, replace
-from typing import Optional
 
 from .errors import ManifestError
+from .record import Record
 
 QUBIT = "qubit"
 FLOAT = "float"
@@ -36,8 +35,7 @@ IDLE = "idle"
 IDLE_PREFIX = "I_"
 
 
-@dataclass(frozen=True)
-class RotationSpec:
+class RotationSpec(Record):
     """Which rotation a gate performs (``simulator.unitary_of`` builds its
     unitary).
 
@@ -46,19 +44,19 @@ class RotationSpec:
     from the gate's float arguments, in declaration order.
     """
 
-    family: str  # 'axis' or 'ms'
-    axis: Optional[str] = None
-    phi: Optional[float] = None
-    theta: Optional[float] = None
+    __slots__ = ("family", "axis", "phi", "theta")
+    def __init__(self, family, axis=None, phi=None, theta=None):
+        self.family, self.axis = family, axis  # family 'axis' or 'ms'
+        self.phi, self.theta = phi, theta
 
 
-@dataclass(frozen=True)
-class GateDefinition:
-    name: str
-    param_kinds: tuple  # each QUBIT or FLOAT, in argument order
-    duration: float
-    kind: str  # PREPARATION, MEASUREMENT, ROTATION, or IDLE
-    rotation: Optional[RotationSpec] = None
+class GateDefinition(Record):
+    __slots__ = ("name", "param_kinds", "duration", "kind", "rotation")
+    def __init__(self, name, param_kinds, duration, kind, rotation=None):
+        # param_kinds: each QUBIT or FLOAT, in argument order; kind:
+        # PREPARATION, MEASUREMENT, ROTATION, or IDLE
+        self.name, self.param_kinds = name, param_kinds
+        self.duration, self.kind, self.rotation = duration, kind, rotation
 
     @property
     def qubit_arity(self) -> int:
@@ -198,5 +196,7 @@ def apply_durations(gates: dict, durations: dict) -> dict:
     for name, duration in durations.items():
         if name not in out:
             raise ManifestError(f"unknown gate {name!r}")
-        out[name] = replace(out[name], duration=float(duration))
+        old = out[name]
+        out[name] = GateDefinition(old.name, old.param_kinds, float(duration),
+                                   old.kind, old.rotation)
     return out

@@ -39,8 +39,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional
 
 from .ast import (
     IDENTIFIER,
@@ -81,12 +80,12 @@ _STRAY = {"\r": "stray carriage return",
           "/": "'/' is only valid inside comments"}
 
 
-@dataclass(frozen=True)
 class Token:
-    kind: str  # IDENT, KEYWORD, INT, FLOAT, NEWLINE, EOF, or the punctuation char
-    value: Union[str, int, float, None]
-    line: int
-    column: int
+    __slots__ = ("kind", "value", "line", "column")
+    def __init__(self, kind: str, value, line: int, column: int):
+        # IDENT, KEYWORD, INT, FLOAT, NEWLINE, EOF, or the punctuation char
+        self.kind, self.value = kind, value
+        self.line, self.column = line, column
 
 
 def lex(source: str):

@@ -18,48 +18,45 @@ padding), but its timeline is meaningless.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .expander import FlatBlock, FlatCircuit, PrimitiveGate, gate_qubits
+from .record import Record
 
 PAD_IDLE_NAME = "I_pad"
 
 
-@dataclass(frozen=True)
-class TimelineEntry:
-    gate: PrimitiveGate
-    start: float
-    duration: float
+class TimelineEntry(Record):
+    __slots__ = ("gate", "start", "duration")
+    def __init__(self, gate: PrimitiveGate, start: float, duration: float):
+        self.gate, self.start, self.duration = gate, start, duration
 
     @property
     def end(self) -> float:
         return self.start + self.duration
 
 
-@dataclass(frozen=True)
-class IdleEntry:
+class IdleEntry(Record):
     """A synthetic variable-length idle inserted to pad a parallel block.
 
     It keeps the exact end of the gap it fills: ``start + duration`` can
     round past the start of the gate that follows.
     """
 
-    qubit: int
-    start: float
-    end: float
-
+    __slots__ = ("qubit", "start", "end")
     name = PAD_IDLE_NAME
+    def __init__(self, qubit: int, start: float, end: float):
+        self.qubit, self.start, self.end = qubit, start, end
 
     @property
     def duration(self) -> float:
         return self.end - self.start
 
 
-@dataclass
-class Timeline:
-    entries: list  # TimelineEntry, in execution order
-    inserted_idles: list  # IdleEntry
-    total_duration: float
+class Timeline(Record):
+    __slots__ = ("entries", "inserted_idles", "total_duration")
+    def __init__(self, entries, inserted_idles, total_duration):
+        # TimelineEntries in execution order, IdleEntries, the end time
+        self.entries, self.inserted_idles = entries, inserted_idles
+        self.total_duration = total_duration
 
 
 def _coverage(intervals, lo: float, hi: float):
@@ -143,11 +140,16 @@ def total_duration(circuit: FlatCircuit, gates: dict) -> float:
 def dump_timeline(timeline: Timeline) -> str:
     """One line per entry, ``start duration name qubits... floats...``,
     sorted by (start, first qubit); inserted idles appear as I_pad lines."""
-    rows = []
+    rows, known = [], {}  # known: id(gate) -> (first qubit, name, tail)
     for entry in timeline.entries:
-        first = min(entry.gate.qubits) if entry.gate.qubits else -1
-        rows.append(((entry.start, first, entry.gate.name),
-                     f"{entry.start:g} {entry.duration:g} {entry.gate}\n"))
+        row = known.get(id(entry.gate))
+        if row is None:  # a loop runs the same gate objects again
+            gate = entry.gate
+            first = min(gate.qubits) if gate.qubits else -1
+            row = known[id(gate)] = (first, gate.name,
+                                     f" {entry.duration:g} {gate}\n")
+        first, name, tail = row
+        rows.append(((entry.start, first, name), f"{entry.start:g}{tail}"))
     for idle in timeline.inserted_idles:
         rows.append(((idle.start, idle.qubit, idle.name), f"{idle.start:g} "
                      f"{idle.duration:g} {idle.name} {idle.qubit}\n"))

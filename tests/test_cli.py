@@ -133,6 +133,24 @@ def test_run_respects_output_flag(workdir):
     assert target.read_bytes() == b"10\n10\n01\n01\n"
 
 
+def test_run_never_writes_its_default_output_over_the_source(workdir, capsys):
+    """``run prog.out`` wrote its record over prog.out, the program; a
+    default output path that links to the source is refused too."""
+    source = "register q[1]\nprepare_all\nSx q[0]\nmeasure_all\n"
+    named = write(workdir, "prog.out", source)
+    linked = write(workdir, "linked.jaqal", source)
+    (workdir / "linked.out").symlink_to("linked.jaqal")
+    for path, out in ((named, named), (linked, str(workdir / "linked.out"))):
+        for flags in ([], ["-p"]):
+            assert main(["run", *flags, path]) == 2
+            assert capsys.readouterr().err == (
+                f"{out}: the default output path is the source file; name "
+                "another with -o\n")
+    assert Path(named).read_text() == Path(linked).read_text() == source
+    assert main(["run", named, "-o", str(workdir / "bits")]) == 0
+    assert (workdir / "bits").read_text() == "1\n"
+
+
 def test_run_seed_changes_sampled_records(workdir):
     path = write(workdir, "bell.jaqal",
                  "register q[2]\nloop 40 { prepare_all\nSxx q[0] q[1]\n"
@@ -624,6 +642,9 @@ source, manifest, out = sys.argv[1:4]
 def report(step, loaded=()):
     now = {m[7:] for m in sys.modules if m.startswith("jaqalc.")}
     print(step, "numpy" in sys.modules, *sorted(now - set(loaded)))
+    if step != "run":  # numpy imports inspect
+        slow = {"dataclasses", "inspect"} & set(sys.modules)
+        assert not slow, (step, slow)
     return now
 loaded = report("import")
 for argv in (["check", source], ["expand", source, "-o", out],
@@ -656,13 +677,15 @@ def _python(workdir, code, *args) -> str:
 
 def test_only_run_imports_the_simulator_and_numpy(workdir):
     """check, expand and schedule need names, arities and durations, never a
-    matrix, so they start without numpy; each command adds only the stages
-    it runs to what the command line loads for all of them."""
+    matrix, so they start without numpy, and without dataclasses and
+    inspect; each command adds only the stages it runs to what the command
+    line loads for all of them."""
     source = SRC / "jaqalc" / "corpus" / "output_example.jaqal"
     manifest = write(workdir, "durations.txt", "Px 2.5\nprepare_all 7\n")
     out = workdir / "out.txt"
     assert _python(workdir, STARTUP_PROBE, source, manifest, out) == (
-        "import False analyzer ast cli diagnostics errors gateset parser\n"
+        "import False analyzer ast cli diagnostics errors gateset parser "
+        "record\n"
         "check False\n"
         "expand False expander\n"
         "schedule False scheduler\n"

@@ -6,6 +6,7 @@ import pytest
 from scipy.linalg import expm
 
 from jaqalc.errors import ManifestError
+from jaqalc.expander import PrimitiveGate
 from jaqalc.gateset import (
     ANGLE_STEP,
     FLOAT,
@@ -205,6 +206,24 @@ def test_manifest_overrides_gate_and_twin(gates):
     assert updated["Rx"].duration == 10.0
     assert updated["I_Rx"].duration == 10.0
     assert gates["Rx"].duration == 1.0  # original mapping untouched
+    assert gates == builtin_gateset()
+    assert updated["Rx"].rotation == gates["Rx"].rotation
+    assert updated["Rx"] != gates["Rx"] and updated["Sx"] == gates["Sx"]
+
+
+def test_equal_definitions_and_gates_hash_equal():
+    """Gate sets built apart hold equal definitions that hash equal, so
+    primitive gates built from either compare and hash as one."""
+    first, second = builtin_gateset(), builtin_gateset()
+    assert first == second
+    for name in first:
+        assert first[name] is not second[name]
+        assert hash(first[name]) == hash(second[name])
+    a = PrimitiveGate(first["Rx"], (0,), (0.25,))
+    b = PrimitiveGate(second["Rx"], (0,), (0.25,))
+    assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+    assert a != PrimitiveGate(first["Rx"], (1,), (0.25,))
+    assert a != PrimitiveGate(first["Ry"], (0,), (0.25,))
 
 
 def test_empty_manifest_means_no_overrides(gates):

@@ -3,6 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jaqalc.ast import (
+    FloatLiteral,
     GateBlock,
     GateStatement,
     IntLiteral,
@@ -123,6 +124,21 @@ def test_pipes_equal_newlines_in_parallel():
 def test_crlf_lf_same_ast():
     source = "register q[2]\nloop 2 {\n    Sx q[0]\n}\n"
     assert parse_ok(source) == parse_ok(source.replace("\n", "\r\n"))
+
+
+def test_nodes_compare_by_class_and_fields_never_by_position():
+    """A statement equals, and hashes as, its twin at another position; a
+    node never equals a node of another class with the same fields, nor a
+    plain tuple or value."""
+    args = (QubitRef("q", IntLiteral(0)),)
+    here = GateStatement("Sx", args, line=1, column=1)
+    there = GateStatement("Sx", args, line=7, column=3)
+    assert here == there and hash(here) == hash(there)
+    assert GateBlock(False, (here,)) == GateBlock(False, (there,), 4, 2)
+    assert here != GateStatement("Sy", args, line=1, column=1)
+    assert IntLiteral(2) == IntLiteral(2) and IntLiteral(2) != FloatLiteral(2)
+    assert here != ("Sx", args) and NameRef("a") != ("a",)
+    assert IntLiteral(2) != 2 and NameRef("a") != "a"
 
 
 def test_trailing_separator_makes_no_empty_statement():
