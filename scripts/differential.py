@@ -12,11 +12,14 @@ single-character mutants of them (each inserts, deletes or replaces one
 character, so most exercise lexer and parser diagnostics), macro chains
 (plain and alternating), nested loops and nested blocks at ``MAX_NESTING``
 and one past it (the chains pass macro arguments through every level), the
-benchmark's ``shots`` and ``scan`` programs at the default seed, a few loop
-edge cases (``EDGES``) and N seeded ``tests/program_gen.py`` programs
-(default 150).  Each tree gets one child interpreter that calls
-``jaqalc.cli.main`` in-process for every invocation, with standard output
-and error captured.
+benchmark's ``shots``, ``scan`` and ``wide`` programs at the default seed
+(``wide`` runs 16 to 20 qubits, where the simulator kernel dominates), a
+few loop edge cases (``EDGES``), N seeded ``tests/program_gen.py``
+programs of up to 4 qubits (default 150) and ``WIDE_PROGRAMS`` seeded ones
+of up to 12 qubits, so a kernel change is compared byte for byte on
+registers where every gate sweeps a sizeable vector.  Each tree gets one
+child interpreter that calls ``jaqalc.cli.main`` in-process for every
+invocation, with standard output and error captured.
 
 Exit codes, standard output, standard error and the bytes of each output
 file must be identical.  Every difference is printed, then a summary; the
@@ -74,6 +77,8 @@ with open(results_path, "w") as f:
 FIELDS = ("status", "stdout", "stderr", "output")
 
 MUTANTS_PER_SOURCE = 10
+
+WIDE_PROGRAMS = 10
 
 # Loops kept whole in the flat IR meet blocks, macros and conflicts here.
 EDGES = {
@@ -146,7 +151,7 @@ def _inputs(work: Path, programs: int) -> list:
     edges = work / "edges"
     edges.mkdir()
     texts = dict(EDGES)
-    for name in ("shots", "scan"):
+    for name in ("shots", "scan", "wide"):
         for program in generate(name, DEFAULT_SEED).programs:
             texts[program.name] = program.source
     for stem, text in texts.items():
@@ -158,6 +163,11 @@ def _inputs(work: Path, programs: int) -> list:
     for index in range(programs):
         path = generated / f"gen{index:04d}.jaqal"
         path.write_text(random_program(random.Random(index), max_qubits=4))
+        inputs.append(path)
+    for index in range(WIDE_PROGRAMS):
+        path = generated / f"wide{index:02d}.jaqal"
+        path.write_text(random_program(random.Random(f"wide{index}"),
+                                       max_qubits=12))
         inputs.append(path)
     return [str(path) for path in inputs]
 

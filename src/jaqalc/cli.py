@@ -101,10 +101,11 @@ def cmd_check(args) -> int:
 def cmd_expand(args) -> int:
     from .expander import dump_flat, expand
 
+    out = _out_path(args)
     gates = _gates_for(args)
     program, symbols = _checked_program(args.file, gates)
     circuit = expand(program, gates, symbols)
-    _write(args.output, dump_flat(circuit))
+    _write(out, dump_flat(circuit))
     return 0
 
 
@@ -112,11 +113,12 @@ def cmd_schedule(args) -> int:
     from .expander import expand
     from .scheduler import dump_timeline, schedule
 
+    out = _out_path(args)
     gates = _gates_for(args)
     program, symbols = _checked_program(args.file, gates)
     circuit = expand(program, gates, symbols)
     timeline = schedule(circuit, gates)
-    _write(args.output, dump_timeline(timeline)
+    _write(out, dump_timeline(timeline)
            + f"total {timeline.total_duration:g}\n")
     return 0
 
@@ -163,12 +165,15 @@ def _seed(text: str) -> int:
 
 
 def _out_path(args):
-    if args.output is not None:
-        return args.output
-    source = Path(args.file)  # with_suffix raises on a nameless path: "/"
-    path = str(source.parent / (source.stem + ".out"))
-    if os.path.realpath(path) == os.path.realpath(source):
-        _fail(2, f"{path}: the default output path is the source file; "
+    """The output file, None for standard output; never the source."""
+    path, which = args.output, "output"
+    if path is None and args.command == "run":
+        source = Path(args.file)  # with_suffix raises on a nameless path: "/"
+        path = str(source.parent / (source.stem + ".out"))
+        which = "default output"
+    if path is not None and (os.path.realpath(path)
+                             == os.path.realpath(args.file)):
+        _fail(2, f"{path}: the {which} path is the source file; "
               "name another with -o")
     return path
 

@@ -15,9 +15,10 @@ state when it is measured, unless it equals the segment measured just
 before: each distinct segment builds one outcome table, the only one kept,
 and every measurement of it samples the table's nonzero outcomes.
 
-A state holds two 2**n complex vectors, the amplitudes and a scratch
-vector that each gate swaps with them (512 MiB together at the 24-qubit
-cap), so applying a gate allocates nothing the size of the state.
+A state holds two 2**n complex vectors (512 MiB together at the 24-qubit
+cap).  Each gate gathers the amplitudes into the other with its qubits'
+axes first, unless the last gate left them so, and multiplies them back;
+they return to basis order only when read.  No gate allocates a vector.
 
 This is the only module that builds unitaries, and the only one that
 imports numpy.  Unitaries follow the half-angle convention: a rotation by
@@ -131,23 +132,34 @@ def _check_qubit_cap(n_qubits: int):
 class QuantumState:
     """A normalized complex amplitude vector over 2**n_qubits basis states,
     starting in the all-zeros state.  Assigning ``amplitudes`` copies the
-    values, because ``apply_unitary`` writes into the state's own vectors.
+    values, because ``apply_unitary`` writes into the state's own vectors;
+    reading them first undoes the axis order (``_layout``) gates left.
     """
 
     def __init__(self, n_qubits: int):
         _check_qubit_cap(n_qubits)
         self.n_qubits = n_qubits
-        self.amplitudes = np.zeros(2 ** n_qubits, dtype=complex)
-        self.amplitudes[0] = 1.0
+        self._amplitudes = np.zeros(2 ** n_qubits, dtype=complex)
+        self._amplitudes[0] = 1.0
+        self._scratch = None
+        self._layout = tuple(range(n_qubits))
 
     @property
     def amplitudes(self) -> np.ndarray:
+        basis = tuple(range(self.n_qubits))
+        if self._layout != basis:  # scatter in basis order, then swap
+            tensor = (2,) * self.n_qubits
+            self._scratch.reshape(tensor).transpose(self._layout)[...] = (
+                self._amplitudes.reshape(tensor))
+            self._amplitudes, self._scratch = self._scratch, self._amplitudes
+            self._layout = basis
         return self._amplitudes
 
     @amplitudes.setter
     def amplitudes(self, values):
         self._amplitudes = np.array(values, dtype=complex)
         self._scratch = None
+        self._layout = tuple(range(self.n_qubits))
 
 
 def apply_unitary(state: QuantumState, unitary, qubits) -> QuantumState:
@@ -156,9 +168,11 @@ def apply_unitary(state: QuantumState, unitary, qubits) -> QuantumState:
     The matrix is indexed with ``qubits[0]`` as the most significant bit of
     its row/column index.  Works in place and returns the state.
 
-    ``np.matmul`` sees the shapes, operand order and C-contiguous values
-    of the ``np.moveaxis`` formulation kept in tests/helpers.py, so the
-    amplitudes are bit-identical to it.
+    Unless the state is already in the gate's axis order (its axes, then
+    the rest ascending), it is gathered into it; the product goes to the
+    other vector in that order.  ``np.matmul`` sees the shapes, operand
+    order and C-contiguous values of the ``np.moveaxis`` formulation kept
+    in tests/helpers.py, so the amplitudes are bit-identical to it.
     """
     qubits = tuple(qubits)
     k = len(qubits)
@@ -178,18 +192,18 @@ def apply_unitary(state: QuantumState, unitary, qubits) -> QuantumState:
         return state
     # row-major reshape puts qubit q on axis n-1-q
     axes = [n - 1 - q for q in qubits]
-    order = axes + [a for a in range(n) if a not in axes]
+    order = tuple(axes + [a for a in range(n) if a not in axes])
     psi, scratch = state._amplitudes, state._scratch
     if scratch is None:
         scratch = np.empty_like(psi)
-    tensor = (2,) * n
-    # gather with the gate's axes first, multiply into the state's vector,
-    # scatter back in basis order, then swap the two vectors
-    scratch.reshape(tensor)[...] = psi.reshape(tensor).transpose(order)
-    np.matmul(unitary, scratch.reshape(2 ** k, -1),
-              out=psi.reshape(2 ** k, -1))
-    scratch.reshape(tensor).transpose(order)[...] = psi.reshape(tensor)
-    state._amplitudes, state._scratch = scratch, psi
+    if state._layout != order:
+        tensor = (2,) * n
+        scratch.reshape(tensor)[...] = psi.reshape(tensor).transpose(
+            [state._layout.index(a) for a in order])
+        psi, scratch = scratch, psi
+    np.matmul(unitary, psi.reshape(2 ** k, -1),
+              out=scratch.reshape(2 ** k, -1))
+    state._amplitudes, state._scratch, state._layout = scratch, psi, order
     return state
 
 

@@ -151,6 +151,28 @@ def test_run_never_writes_its_default_output_over_the_source(workdir, capsys):
     assert (workdir / "bits").read_text() == "1\n"
 
 
+@pytest.mark.parametrize("command", [
+    ["expand"], ["schedule"], ["run"], ["run", "-p"]],
+    ids=["expand", "schedule", "run", "run-p"])
+def test_no_command_writes_its_output_over_the_source(workdir, monkeypatch,
+                                                      capsys, command):
+    """``-o`` naming the program, by any spelling or through a link, wrote
+    the output over it and exited 0."""
+    monkeypatch.chdir(workdir)
+    source = "register q[1]\nprepare_all\nSx q[0]\nmeasure_all\n"
+    write(workdir, "p.jaqal", source)
+    (workdir / "link.jaqal").symlink_to("p.jaqal")
+    for out in ("p.jaqal", "./p.jaqal", str(workdir / "p.jaqal"),
+                "link.jaqal"):
+        assert main([*command, "p.jaqal", "-o", out]) == 2
+        assert capsys.readouterr().err == (
+            f"{out}: the output path is the source file; name another "
+            "with -o\n")
+    assert (workdir / "p.jaqal").read_text() == source
+    assert main([*command, "p.jaqal", "-o", "p.txt"]) == 0
+    assert (workdir / "p.txt").stat().st_size > 0
+
+
 def test_run_seed_changes_sampled_records(workdir):
     path = write(workdir, "bell.jaqal",
                  "register q[2]\nloop 40 { prepare_all\nSxx q[0] q[1]\n"

@@ -125,13 +125,20 @@ def test_norm_preserved_over_long_random_circuit(gates):
     assert abs(norm - 1.0) <= 1e-9
 
 
+def assert_same_bits(state, reference):
+    assert np.array_equal(state.amplitudes.view(np.uint64),
+                          reference.amplitudes.view(np.uint64))
+
+
 @settings(max_examples=80, deadline=None)
 @given(data=st.data())
 def test_apply_unitary_is_bit_identical_to_the_reference(data):
-    """The scratch-vector kernel computes exactly what the moveaxis
-    formulation in tests/helpers.py computes, gate after gate, also when
-    the state was assigned a strided view."""
-    n = data.draw(st.integers(1, 10), label="n")
+    """The layout-keeping kernel computes exactly what the moveaxis
+    formulation in tests/helpers.py computes, at every read: on runs of
+    gates on one qubit tuple (which skip the gather), on descending tuples,
+    with reads between gates, and when the state was assigned a strided
+    view or new amplitudes mid-sequence."""
+    n = data.draw(st.integers(1, 12), label="n")
     rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
     vec = random_state(rng, n)
     if data.draw(st.booleans(), label="strided"):
@@ -142,15 +149,36 @@ def test_apply_unitary_is_bit_identical_to_the_reference(data):
     state, reference = QuantumState(n), QuantumState(n)
     state.amplitudes = vec
     reference.amplitudes = vec
-    for _ in range(data.draw(st.integers(1, 6), label="gates")):
+    for _ in range(data.draw(st.integers(1, 5), label="runs")):
         k = data.draw(st.integers(1, min(2, n)), label="k")
-        qubits = data.draw(st.permutations(range(n)))[:k]
-        unitary = random_unitary(rng, 2 ** k)
-        apply_unitary(state, unitary, qubits)
-        apply_unitary_reference(reference, unitary, qubits)
-    assert np.array_equal(state.amplitudes.view(np.uint64),
-                          reference.amplitudes.view(np.uint64))
+        qubits = data.draw(st.one_of(
+            st.permutations(range(n)).map(lambda p: tuple(p[:k])),
+            st.just((n - 1, 0)[:k])), label="qubits")
+        for _ in range(data.draw(st.integers(1, 3), label="repeats")):
+            unitary = random_unitary(rng, 2 ** k)
+            apply_unitary(state, unitary, qubits)
+            apply_unitary_reference(reference, unitary, qubits)
+        if data.draw(st.booleans(), label="read"):
+            assert_same_bits(state, reference)
+        if data.draw(st.booleans(), label="assign"):
+            fresh = random_state(rng, n)
+            state.amplitudes = fresh
+            reference.amplitudes = fresh
+    assert_same_bits(state, reference)
     assert np.array_equal(vec, given_values)  # the caller's array is kept
+
+
+def test_a_new_state_allocates_one_vector():
+    """Construction copied its zero vector through the ``amplitudes``
+    setter, peaking at two state vectors."""
+    tracemalloc.start()
+    try:
+        state = QuantumState(14)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * 2 ** 14 * np.dtype(complex).itemsize
+    assert state.amplitudes[0] == 1 and not state.amplitudes[1:].any()
 
 
 def test_gates_allocate_no_state_sized_vectors():
