@@ -14,12 +14,13 @@ character, so most exercise lexer and parser diagnostics), macro chains
 and one past it (the chains pass macro arguments through every level), the
 benchmark's ``shots``, ``scan`` and ``wide`` programs at the default seed
 (``wide`` runs 16 to 20 qubits, where the simulator kernel dominates), a
-few loop edge cases (``EDGES``), N seeded ``tests/program_gen.py``
-programs of up to 4 qubits (default 150) and ``WIDE_PROGRAMS`` seeded ones
-of up to 12 qubits, so a kernel change is compared byte for byte on
-registers where every gate sweeps a sizeable vector.  Each tree gets one
-child interpreter that calls ``jaqalc.cli.main`` in-process for every
-invocation, with standard output and error captured.
+few loop and macro-substitution edge cases (``EDGES``), N seeded
+``tests/program_gen.py`` programs of up to 4 qubits (default 150) and
+``WIDE_PROGRAMS`` seeded ones of up to 12 qubits, so a kernel change is
+compared byte for byte on registers where every gate sweeps a sizeable
+vector.  Each tree gets one child interpreter that calls
+``jaqalc.cli.main`` in-process for every invocation, with standard output
+and error captured.
 
 Exit codes, standard output, standard error and the bytes of each output
 file must be identical.  Every difference is printed, then a summary; the
@@ -82,10 +83,24 @@ WIDE_PROGRAMS = 10
 
 # Loops kept whole in the flat IR meet blocks, macros and conflicts here.
 EDGES = {
-    # the parallel block's conflict is reported before the duplicate
-    # qubit inside the macro body
+    # the duplicate qubit is reported at the invocation, the parallel
+    # block's conflict at the sibling
     "conflict_order": ("register q[2]\nmacro d a b { I_Sxx a b }\n"
                        "< d q[0] q[0] | Sz q[0] >\n"),
+    # substitution conflicts, which analysis finds by checking a macro
+    # body again with its qubits bound, and reports at the invocation
+    "macro_parallel_conflict": ("register q[2]\nmacro m a { Sx a }\n"
+                                "< m q[0] | Sy q[0] >\n"),
+    "conflict_two_macros_deep": ("register q[2]\nmacro d a b { Sxx a b }\n"
+                                 "macro m a { d a a }\nprepare_all\n"
+                                 "m q[1]\nmeasure_all\n"),
+    "conflict_in_a_macro_loop": ("register q[3]\nmacro m a b { loop 3 { "
+                                 "< Sx a | Sy b > } }\nprepare_all\n"
+                                 "m q[0] q[1]\nm q[2] q[2]\nmeasure_all\n"),
+    # a conflict in a definition is reported there once, not per invocation
+    "conflict_in_a_definition": ("register q[2]\nmacro d a b { I_Sxx a b }\n"
+                                 "macro m a { d q[0] q[0]; Sx a }\n"
+                                 "m q[0]\nm q[1]\n"),
     "loop_in_parallel_macro": ("register q[2]\n"
                                "macro m a { loop 2 { Sx a\nRz a 0.5 } }\n"
                                "prepare_all\n< m q[0] | Sz q[1] >\n"

@@ -21,8 +21,8 @@ _EXPORTS = {
     "ast": ("Program", "pretty_print"),
     "diagnostics": ("Diagnostic", "has_errors"),
     "emitter": ("emit", "parse_output"),
-    "errors": ("ConflictError", "JaqalError", "ManifestError",
-               "OutputFormatError", "SimulationError"),
+    "errors": ("JaqalError", "ManifestError", "OutputFormatError",
+               "SimulationError"),
     "expander": ("FlatBlock", "FlatCircuit", "FlatLoop", "PrimitiveGate",
                  "count_primitive_gates", "expand"),
     "gateset": ("GateDefinition", "apply_durations", "builtin_gateset",

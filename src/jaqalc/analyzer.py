@@ -42,10 +42,11 @@ Checks performed, each with its own diagnostic code:
   is reported (``too-many-gates``).
 
 Each statement is summarised once, as a ``Usage``, while it is checked; the
-parallel-sibling rules read only those summaries.  The rules are
-structural: macro invocations contribute no qubits here because their
-bodies are checked precisely after expansion, by the same
-``parallel_conflicts`` rule.
+parallel-sibling rules read only those summaries.  Analysis alone decides
+exclusivity: an invocation whose qubit arguments resolve has the macro's
+body checked again with them bound, once per distinct tuple of offsets,
+and reports that check's first error; a definition's own errors are
+reported once, at the definition.
 """
 
 from __future__ import annotations
@@ -88,13 +89,15 @@ class Usage(NamedTuple):
     ``global_gate`` and ``entangler`` say whether it holds an all-qubit
     preparation/measurement or the two-qubit entangler, also through
     macro invocations.  ``gates`` counts the primitive gates it expands
-    to.
+    to.  ``parts``: in a check with bound qubits, a parallel block's child
+    usages, which expansion splices into a parallel block around it.
     """
 
     offsets: Optional[frozenset] = frozenset()
     global_gate: bool = False
     entangler: bool = False
     gates: int = 0
+    parts: tuple = ()
 
     @classmethod
     def of_gate(cls, definition, offsets) -> "Usage":
@@ -184,12 +187,15 @@ class RegisterInfo(Record):
 
 
 class MacroInfo(Record):
-    __slots__ = ("name", "params", "param_kinds", "body", "usage", "depth")
-    def __init__(self, name, params, param_kinds, body, usage, depth):
+    __slots__ = ("name", "params", "param_kinds", "body", "usage", "depth",
+                 "clean")
+    def __init__(self, name, params, param_kinds, body, usage, depth, clean):
         # param_kinds: param name -> QUBIT | FLOAT | None (unused); usage:
-        # the body's; depth: how deep the expanded body nests blocks
+        # the body's; depth: how deep the expanded body nests blocks;
+        # clean: the definition drew no diagnostic
         self.name, self.params, self.param_kinds = name, params, param_kinds
         self.body, self.usage, self.depth = body, usage, depth
+        self.clean = clean
 
 
 class SymbolTable:
@@ -226,6 +232,10 @@ class _Analyzer:
         self.current_macro = None
         self.params: dict = {}
         self.deepest = 0
+        # in a check with bound qubits: qubit parameter name -> offset
+        self.env: Optional[dict] = None
+        # (macro name, *qubit offsets) -> the body's Usage and first error
+        self.bound: dict = {}
         # every macro's name, for forward-reference messages
         self.macro_names = {stmt.name for stmt in program.body
                             if isinstance(stmt, MacroDef)}
@@ -380,6 +390,7 @@ class _Analyzer:
         return self.table, self.diags
 
     def do_macro(self, stmt: MacroDef):
+        mark = len(self.diags)
         collision = stmt.name in self.table.names or stmt.name in self.gates
         if collision:
             self.diag(stmt, "duplicate-name",
@@ -397,7 +408,7 @@ class _Analyzer:
         if not collision:
             self.table.names[stmt.name] = MacroInfo(
                 stmt.name, stmt.params, param_kinds, stmt.body, usage,
-                self.deepest)
+                self.deepest, len(self.diags) == mark)
 
     def check_statement(self, stmt, in_parallel: bool, depth: int) -> Usage:
         """Check one statement and return its Usage.  ``in_parallel`` says
@@ -434,6 +445,7 @@ class _Analyzer:
         in_parallel = in_parallel or block.parallel
         depth += 1
         self.deepest = max(self.deepest, depth)
+        mark = len(self.diags)
         usages = []
         for child in block.statements:
             if isinstance(child, GateBlock) and child.parallel == block.parallel:
@@ -442,12 +454,22 @@ class _Analyzer:
                           f"a {kind} block cannot be nested directly inside "
                           f"another {kind} block")
             usages.append(self.check_statement(child, in_parallel, depth))
-        if block.parallel:
-            register = self.table.register
-            n_qubits = register.size if register and register.size else 0
+        usage = Usage.union(usages)
+        if not block.parallel:
+            return usage
+        register = self.table.register
+        n_qubits = register.size if register and register.size else 0
+        if self.env is None:
             for idx, code, message in parallel_conflicts(usages, n_qubits):
                 self.diag(block.statements[idx], code, message)
-        return Usage.union(usages)
+            return usage
+        # a bound check reports its first error only, so it sees the block
+        # as expanded: parallel macro bodies spliced in, its own errors first
+        parts = [part for child in usages for part in child.parts or (child,)]
+        self.diags[mark:mark] = [
+            error(block.line, block.column, code, message)
+            for _, code, message in parallel_conflicts(parts, n_qubits)]
+        return usage._replace(parts=tuple(parts))
 
     def check_gate(self, stmt: GateStatement, in_parallel: bool,
                    depth: int) -> Usage:
@@ -466,7 +488,7 @@ class _Analyzer:
                 self.diag(stmt, "global-gate-in-parallel",
                           f"macro {name!r} prepares or measures all qubits "
                           "and cannot appear inside a parallel block")
-            self.check_macro_args(stmt, macro)
+            env = self.check_macro_args(stmt, macro)
             depth += macro.depth
             if depth > MAX_NESTING:
                 self.diag(stmt, "nesting-too-deep",
@@ -474,7 +496,9 @@ class _Analyzer:
                           f"more than {MAX_NESTING}")
             else:
                 self.deepest = max(self.deepest, depth)
-            # the body's qubits are checked after expansion
+                if macro.clean and env is not None:
+                    return self.check_bound(stmt, macro, env)
+            # unbound parameters, errors in the definition, or too deep
             return macro.usage._replace(offsets=frozenset())
         if name == self.current_macro:
             self.diag(stmt, "recursive-macro",
@@ -509,27 +533,54 @@ class _Analyzer:
                       f"{definition.name} uses the same qubit twice")
         return resolved
 
-    def check_macro_args(self, stmt, macro: MacroInfo):
+    def check_macro_args(self, stmt, macro: MacroInfo) -> Optional[dict]:
+        """Check an invocation's arguments; returns the offset bound to each
+        qubit parameter, or None if one did not resolve."""
         if len(stmt.args) != len(macro.params):
             self.diag(stmt, "arity-mismatch",
                       f"macro {macro.name} takes {len(macro.params)} "
                       f"argument(s), got {len(stmt.args)}")
-            return
+            return None
+        env = {}
         for arg, param in zip(stmt.args, macro.params):
             kind = macro.param_kinds.get(param)
             # a parameter the body never uses (kind None) takes any
             # argument that resolves cleanly
             if kind is not None or isinstance(arg, QubitRef):
-                self.check_arg(stmt, arg, kind or QUBIT)
+                value = self.check_arg(stmt, arg, kind or QUBIT)
+                if kind == QUBIT:
+                    env[param] = value
             elif (isinstance(arg, NameRef) and arg.name not in self.table.names
                   and arg.name not in self.params):
                 self.diag(stmt, "undefined-name",
                           f"{arg.name!r} is not declared")
+        return None if None in env.values() else env
+
+    def check_bound(self, stmt, macro: MacroInfo, env: dict) -> Usage:
+        """Check a clean macro's body again with its qubit parameters bound
+        as in ``env``, report the first error at the invocation ``stmt`` and
+        return the body's Usage with real offsets.  Numbers cannot
+        conflict, so one check serves every invocation on the same qubits."""
+        key = (macro.name, *env.values())
+        if key not in self.bound:
+            saved = self.diags, self.params, self.env, self.deepest
+            self.diags, self.env = [], env
+            self.params = dict(macro.param_kinds)
+            usage = self.check_block(macro.body, False, 0)
+            self.bound[key] = usage, self.diags[:1]
+            self.diags, self.params, self.env, self.deepest = saved
+        usage, first = self.bound[key]
+        for diagnostic in first:
+            self.diag(stmt, diagnostic.code, diagnostic.message)
+        return usage
 
     def check_arg(self, stmt, arg, kind):
         """Validate an argument in a QUBIT or FLOAT slot; returns its
         register offset or number when statically resolvable, or None.
-        Naming a parameter of the enclosing macro infers its kind."""
+        Naming a parameter of the enclosing macro infers its kind, or in a
+        check with bound qubits gives its offset."""
+        if isinstance(arg, NameRef) and arg.name in (self.env or ()):
+            return self.env[arg.name]
         if isinstance(arg, NameRef) and arg.name in self.params:
             return self.infer_param(stmt, arg.name, kind)
         if kind == QUBIT:

@@ -1,7 +1,8 @@
 """Command-line front end: check, expand, schedule, and run subcommands.
 
-Qubit exclusivity is decided once, by analysis (``check``) and by
-``expand``; ``schedule`` and ``run`` take the expanded circuit as it is.
+Qubit exclusivity is decided once, by analysis, so ``check`` rejects every
+program a later command would reject for it; ``expand``, ``schedule`` and
+``run`` take the program analysis accepted as it is.
 Each command imports only the stages it runs: ``check`` never loads the
 expander, scheduler, emitter or simulator, and ``run`` never the scheduler.
 
@@ -165,16 +166,17 @@ def _seed(text: str) -> int:
 
 
 def _out_path(args):
-    """The output file, None for standard output; never the source."""
+    """The output file, None for standard output; never an input."""
     path, which = args.output, "output"
     if path is None and args.command == "run":
         source = Path(args.file)  # with_suffix raises on a nameless path: "/"
         path = str(source.parent / (source.stem + ".out"))
         which = "default output"
-    if path is not None and (os.path.realpath(path)
-                             == os.path.realpath(args.file)):
-        _fail(2, f"{path}: the {which} path is the source file; "
-              "name another with -o")
+    for name, what in ((args.file, "source file"), (getattr(
+            args, "durations", None), "duration manifest")):
+        if path and name and os.path.realpath(path) == os.path.realpath(name):
+            _fail(2, f"{path}: the {which} path is the {what}; "
+                  "name another with -o")
     return path
 
 

@@ -1,9 +1,9 @@
 """Exception types raised by the later pipeline stages.
 
 Parsing and semantic analysis report problems as diagnostic lists so that
-many errors can be shown at once; the stages after analysis (expansion,
-scheduling, simulation, output handling) operate on inputs that already
-passed those checks, so they raise instead.  Every exception carries a
+many errors can be shown at once, and analysis decides every rule the
+source fixes, qubit exclusivity included.  What only a later stage meets
+(a duration manifest, a simulation, output bytes) raises instead, with a
 short stable ``code`` matching the diagnostic-code namespace.
 """
 
@@ -17,17 +17,6 @@ class JaqalError(Exception):
         super().__init__(message)
         if code is not None:
             self.code = code
-
-
-class ConflictError(JaqalError):
-    """A gate placement violates qubit-exclusivity rules.
-
-    Raised by the post-expansion structural check (a macro substitution can
-    create conflicts invisible in the unexpanded source), which is also the
-    check for hand-built flat circuits.
-    """
-
-    code = "parallel-conflict"
 
 
 class ManifestError(JaqalError):

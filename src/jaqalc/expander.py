@@ -10,27 +10,17 @@ expansion costs time in proportion to the source, not to the gates run.  A
 one-iteration loop splices its body; a zero-iteration or empty one leaves
 nothing.
 
-Substitution can create qubit conflicts that are invisible in the source
-(for example a macro invoked with the same qubit for two parameters), so
-the analyzer's exclusivity rules run again on the flat structure and raise
-ConflictError on violation.  Together with analysis this is where
-exclusivity is decided: a circuit ``expand`` returns never has two gates
-on one qubit at once, and the scheduler and simulator check nothing
-further.  A hand-built circuit gets the same guarantee by passing
-``check_flat_conflicts``.
+Expansion checks nothing.  Analysis decides qubit exclusivity, including
+the conflicts substitution creates (a macro invoked with the same qubit for
+two parameters), by checking each macro body again with its qubits bound.
+So a circuit ``expand`` returns from a program that analysis accepted never
+has two gates on one qubit at once, and the scheduler and simulator do not
+check it again.
 """
 
 from __future__ import annotations
 
-from .analyzer import (
-    MacroInfo,
-    SymbolTable,
-    Usage,
-    _number,
-    analyze,
-    parallel_conflicts,
-    resolve_qubit,
-)
+from .analyzer import MacroInfo, SymbolTable, _number, analyze, resolve_qubit
 from .ast import (
     GateBlock,
     GateStatement,
@@ -40,7 +30,7 @@ from .ast import (
     Program,
 )
 from .diagnostics import has_errors
-from .errors import ConflictError, JaqalError
+from .errors import JaqalError
 from .gateset import FLOAT, MEASUREMENT, PREPARATION, QUBIT
 from .record import Record
 
@@ -103,6 +93,8 @@ class _Expander:
                 items.extend(self.expand_block(stmt, parallel, env))
             elif isinstance(stmt, LoopStatement):
                 count = self.resolve(stmt.count, env, FLOAT, "loop count")
+                if count == 0:
+                    continue  # runs nothing; no gate budget bounds its body
                 body = self.expand_body(stmt.body.statements, False, env)
                 if count >= 2 and body:
                     items.append(FlatLoop(count, tuple(body)))
@@ -125,6 +117,8 @@ class _Expander:
         macro = self.table.names.get(stmt.name)
         if not isinstance(macro, MacroInfo):
             return [self.primitive(stmt, env)]
+        if not macro.usage.gates:
+            return []  # runs nothing, but may nest 2**40 invocations
         binding = {}
         for param, arg in zip(macro.params, stmt.args):
             kind = macro.param_kinds[param]
@@ -158,9 +152,8 @@ def expand(program: Program, gates: dict,
            symbols: SymbolTable = None) -> FlatCircuit:
     """Lower an analyzed program to a FlatCircuit.
 
-    The program must have passed analysis with no errors; pass the symbol
-    table in to avoid re-analyzing.  Raises ConflictError when substitution
-    produced a qubit-exclusivity violation.
+    The program must have passed analysis with no errors, which decided
+    qubit exclusivity; pass the symbol table in to avoid re-analyzing.
     """
     if symbols is None:
         symbols, diags = analyze(program, gates)
@@ -171,9 +164,7 @@ def expand(program: Program, gates: dict,
     n_qubits = register.size if register is not None else 0
     expander = _Expander(symbols, gates)
     items = expander.expand_body(program.body, False, {})
-    circuit = FlatCircuit(n_qubits, FlatBlock(False, tuple(items)))
-    check_flat_conflicts(circuit)
-    return circuit
+    return FlatCircuit(n_qubits, FlatBlock(False, tuple(items)))
 
 
 def count_primitive_gates(circuit: FlatCircuit) -> int:
@@ -207,40 +198,6 @@ def gate_qubits(gate: PrimitiveGate, n_qubits: int) -> set:
     if gate.definition.kind in (PREPARATION, MEASUREMENT):
         return set(range(n_qubits))
     return set(gate.qubits)
-
-
-def check_flat_conflicts(circuit: FlatCircuit):
-    """Check the qubit-exclusivity rules on the expanded structure and
-    raise ConflictError at the first violation.
-
-    One post-order walk returns each node's Usage and first violation, so
-    a loop body is checked once.  A parallel block's own violation comes
-    before any inside it, as in execution order.
-    """
-
-    def walk(item) -> tuple:  # (Usage, ConflictError or None)
-        if isinstance(item, PrimitiveGate):
-            error = None
-            if len(set(item.qubits)) != len(item.qubits):
-                error = ConflictError(f"{item.name} uses the same qubit "
-                                      "twice", code="duplicate-qubit")
-            return Usage.of_gate(item.definition, item.qubits), error
-        children = [walk(child) for child in item.items]
-        usages = [usage for usage, _ in children]
-        own = None
-        if item.parallel and any(usage.global_gate for usage in usages):
-            own = ConflictError("an all-qubit preparation or measurement "
-                                "cannot appear inside a parallel block",
-                                code="global-gate-in-parallel")
-        elif item.parallel:
-            own = next((ConflictError(message, code=code) for _, code, message
-                        in parallel_conflicts(usages, circuit.n_qubits)), None)
-        return Usage.union(usages), own or next(
-            (error for _, error in children if error), None)
-
-    violation = walk(circuit.root)[1]
-    if violation is not None:
-        raise violation
 
 
 def dump_flat(circuit: FlatCircuit) -> str:

@@ -9,11 +9,11 @@ duration.  Qubits the block never mentions receive no padding.  One walk,
 ``_place``, does the layout: ``schedule`` keeps its entries and idles, and
 ``total_duration`` keeps nothing per gate.
 
-Precondition: the circuit comes from ``expand``, or it is a hand-built
-circuit that ``expander.check_flat_conflicts`` accepts.  Qubit exclusivity
-is decided structurally there and by analysis, never here; a circuit that
-breaks it still lays out (overlapping spans on one qubit merge when
-padding), but its timeline is meaningless.
+Precondition: the circuit is the expansion of a program that analysis
+accepted, or a hand-built circuit that keeps the same rules.  Qubit
+exclusivity is decided by analysis, never here; a circuit that breaks it
+still lays out (overlapping spans on one qubit merge when padding), but its
+timeline is meaningless.
 """
 
 from __future__ import annotations
@@ -132,8 +132,8 @@ def schedule(circuit: FlatCircuit, gates: dict) -> Timeline:
 def total_duration(circuit: FlatCircuit, gates: dict) -> float:
     """Total runtime of a circuit: sequential blocks add, parallel blocks
     take the maximum.  It is ``schedule``'s walk keeping nothing per gate,
-    so the two agree to the last bit.  The circuit must come from
-    ``expand`` or pass ``check_flat_conflicts``; nothing is checked here."""
+    so the two agree to the last bit.  The circuit must meet ``schedule``'s
+    precondition; nothing is checked here."""
     return _place(circuit, gates, None, None)
 
 

@@ -1,6 +1,10 @@
-"""Shared test utilities: phase alignment and dense-matrix references."""
+"""Shared test utilities: phase alignment, dense-matrix references and
+the flat-circuit exclusivity reference."""
 
 import numpy as np
+
+from jaqalc.analyzer import Usage, parallel_conflicts
+from jaqalc.errors import JaqalError
 
 
 def align_phase(u, reference):
@@ -118,3 +122,40 @@ def unroll(circuit):
 
     return FlatCircuit(circuit.n_qubits,
                        FlatBlock(False, tuple(spliced(circuit.root.items))))
+
+
+def check_flat_conflicts(circuit):
+    """Check the qubit-exclusivity rules on a flat circuit and raise
+    JaqalError, with the diagnostic's code, at the first violation.
+
+    The reference that analysis, which alone decides exclusivity, is
+    compared against, and the check for hand-built circuits.  One
+    post-order walk returns each node's Usage and first violation, so a
+    loop body is checked once.  A parallel block's own violation comes
+    before any inside it, as in execution order.
+    """
+    from jaqalc.expander import PrimitiveGate
+
+    def walk(item) -> tuple:  # (Usage, JaqalError or None)
+        if isinstance(item, PrimitiveGate):
+            error = None
+            if len(set(item.qubits)) != len(item.qubits):
+                error = JaqalError(f"{item.name} uses the same qubit twice",
+                                   code="duplicate-qubit")
+            return Usage.of_gate(item.definition, item.qubits), error
+        children = [walk(child) for child in item.items]
+        usages = [usage for usage, _ in children]
+        own = None
+        if item.parallel and any(usage.global_gate for usage in usages):
+            own = JaqalError("an all-qubit preparation or measurement "
+                             "cannot appear inside a parallel block",
+                             code="global-gate-in-parallel")
+        elif item.parallel:
+            own = next((JaqalError(message, code=code) for _, code, message
+                        in parallel_conflicts(usages, circuit.n_qubits)), None)
+        return Usage.union(usages), own or next(
+            (error for _, error in children if error), None)
+
+    violation = walk(circuit.root)[1]
+    if violation is not None:
+        raise violation

@@ -1,9 +1,11 @@
 """Deterministic random-program generator for cross-checking the pipeline.
 
 Produces source text (so the whole pipeline from the lexer onward is
-exercised) for programs that are valid by construction: parallel siblings
-touch disjoint qubits, the entangler never has parallel company, loop
-counts are small, and the primitive-gate budget bounds the unrolled size.
+exercised).  ``random_program`` gives programs that are valid by
+construction: parallel siblings touch disjoint qubits, the entangler never
+has parallel company, loop counts are small, and the primitive-gate budget
+bounds the unrolled size.  ``bound_macro_program`` gives programs whose
+only errors are qubit conflicts, most of them created by macro arguments.
 """
 
 import random
@@ -127,6 +129,87 @@ def macro_chain(length: int, alternate: bool = False) -> str:
     for k in range(1, length):
         opening, closing = "<>" if alternate and k % 2 else "{}"
         lines.append(f"macro m{k} a {opening} m{k - 1} a {closing}")
+    return "\n".join(lines) + "\n"
+
+
+# -- macros on bound qubits ----------------------------------------------------
+
+def _pick(rng, qubits, count):
+    """``count`` qubit names, distinct more often than not, else drawn with
+    repeats, in either case in random order."""
+    if count <= len(qubits) and rng.random() < 0.6:
+        return rng.sample(qubits, count)
+    return [rng.choice(qubits) for _ in range(count)]
+
+
+def _bound_statement(rng, qubits, macros, parallel, in_parallel, depth,
+                     top, used):
+    """One statement inside a block of kind ``parallel``.  ``macros`` holds
+    ``(name, arity, runs an entangler)`` for the macros defined so far;
+    ``used`` collects whether this statement runs an entangler.  Outside
+    the top level no entangler runs inside a parallel block, so no macro
+    definition is rejected for one."""
+    roll = rng.random()
+    if roll < 0.25 and depth > 0:
+        if not in_parallel and rng.random() < 0.5:
+            return (f"loop {rng.randint(1, 3)} "
+                    + _bound_block(rng, qubits, macros, False, False,
+                                   depth - 1, top, used))
+        return _bound_block(rng, qubits, macros, not parallel, in_parallel,
+                            depth - 1, top, used)
+    allowed = top or not in_parallel
+    usable = [m for m in macros if allowed or not m[2]]
+    if roll < 0.6 and usable:
+        name, arity, entangler = rng.choice(usable)
+        used[0] = used[0] or entangler
+        return " ".join([name, *_pick(rng, qubits, arity)])
+    if rng.random() < 0.4:
+        name = rng.choice(["Sxx", "MS", "I_Sxx"] if allowed else ["I_Sxx"])
+        used[0] = used[0] or name != "I_Sxx"
+        angles = ["0.5", "0.25"] if name == "MS" else []
+        return " ".join([name, *_pick(rng, qubits, 2), *angles])
+    return f"{rng.choice(['Sx', 'Sy', 'Pz'])} {rng.choice(qubits)}"
+
+
+def _bound_block(rng, qubits, macros, parallel, in_parallel, depth, top,
+                 used):
+    in_parallel = in_parallel or parallel
+    parts = [_bound_statement(rng, qubits, macros, parallel, in_parallel,
+                              depth, top, used)
+             for _ in range(rng.randint(1, 3))]
+    if parallel:
+        return "< " + " | ".join(parts) + " >"
+    return "{ " + "; ".join(parts) + " }"
+
+
+def bound_macro_program(rng: random.Random, max_qubits=3) -> str:
+    """A program of macros taking 1 to 3 qubits, each body in a sequential
+    or parallel block with nested blocks and loops and invocations of
+    earlier macros, and top-level invocations with repeated or permuted
+    qubit arguments, alone and inside parallel blocks.
+
+    The only errors it can have are qubit-exclusivity ones, and every
+    macro definition is clean: a body names qubits through its parameters
+    only, and no entangler runs inside a body's parallel block.  Loops run
+    1 to 3 times and no block is empty, so every statement expands to
+    gates."""
+    n = rng.randint(1, max_qubits)
+    lines = [f"register q[{n}]"]
+    macros: list = []
+    for index in range(rng.randint(1, 3)):
+        arity = rng.randint(1, 3)
+        params = list("abc"[:arity])
+        used = [False]
+        body = _bound_block(rng, params, macros, rng.random() < 0.4, False,
+                            2, False, used)
+        lines.append(f"macro m{index} {' '.join(params)} {body}")
+        macros.append((f"m{index}", arity, used[0]))
+    qubits = [f"q[{i}]" for i in range(n)]
+    lines.append("prepare_all")
+    for _ in range(rng.randint(1, 4)):
+        lines.append(_bound_statement(rng, qubits, macros, False, False, 2,
+                                      True, [False]))
+    lines.append("measure_all")
     return "\n".join(lines) + "\n"
 
 

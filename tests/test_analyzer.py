@@ -1,11 +1,18 @@
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jaqalc import analyzer
-from jaqalc.analyzer import ArrayView, SingleView, analyze, resolve_qubit
+from jaqalc.analyzer import (
+    ArrayView,
+    SingleView,
+    _Analyzer,
+    analyze,
+    resolve_qubit,
+)
 from jaqalc.ast import (
     MAX_NESTING,
     FloatLiteral,
@@ -23,7 +30,8 @@ from jaqalc.diagnostics import has_errors
 from jaqalc.errors import JaqalError
 from jaqalc.expander import count_primitive_gates, expand
 from jaqalc.parser import parse
-from program_gen import macro_chain, random_program
+from helpers import check_flat_conflicts
+from program_gen import bound_macro_program, macro_chain, random_program
 
 
 def analyzed(source, gates):
@@ -546,3 +554,112 @@ def test_paper_style_listings_pass(gates):
     accept("register q[2]\n< Sx q[0] | Sy q[1] >\n", gates)
     accept("register q[2]\nloop 7 { Sx q[0]\nSz q[1]\nSxx q[0] q[1] }\n",
            gates)
+
+
+# -- exclusivity through macro arguments ---------------------------------------
+
+EXCLUSIVITY = {"duplicate-qubit", "parallel-conflict", "ms-in-parallel"}
+
+
+def verdicts(source, gates):
+    """Analysis's error codes and the flat reference's first violation
+    (None if it accepts) on the expansion of the same program."""
+    program, diags = parse(source)
+    assert not has_errors(diags), diags
+    symbols, sem = analyze(program, gates)
+    try:
+        check_flat_conflicts(expand(program, gates, symbols))
+    except JaqalError as exc:
+        return {d.code for d in sem if d.severity == "error"}, exc
+    return {d.code for d in sem if d.severity == "error"}, None
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1))
+def test_analysis_rejects_exactly_what_the_flat_reference_rejects(gates,
+                                                                  seed):
+    """Analysis decides exclusivity alone: it reports an exclusivity error
+    exactly when the expanded circuit breaks the rules, and its codes
+    include the one the flat reference reports first."""
+    source = bound_macro_program(random.Random(seed))
+    found, reference = verdicts(source, gates)
+    assert found <= EXCLUSIVITY, source
+    assert bool(found) == (reference is not None), (source, found)
+    if reference is not None:
+        assert reference.code in found, (source, found, reference.code)
+
+
+def test_bound_macro_programs_reach_every_verdict(gates):
+    """The generated programs exercise acceptance and each exclusivity
+    code, through macro arguments and not only in top-level code."""
+    accepted, at_invocations = 0, set()
+    for seed in range(300):
+        source = bound_macro_program(random.Random(seed))
+        accepted += verdicts(source, gates)[1] is None
+        lines = source.splitlines()
+        _, diags = analyzed(source, gates)
+        at_invocations |= {d.code for d in diags
+                           if re.search(r"\bm\d ", lines[d.line - 1])}
+    assert accepted >= 30
+    assert at_invocations == EXCLUSIVITY
+
+
+@pytest.mark.parametrize("source", [
+    # a repeated argument, a permuted one, a conflict with a literal qubit
+    "register q[2]\nmacro m a b { Sxx a b }\nm q[1] q[1]\n",
+    "register q[2]\nmacro m a b < Sx a | Sy b >\nm q[0] q[0]\n",
+    "register q[3]\nmacro m a b < Sx a | Sy q[2] >\nm q[2] q[0]\n",
+    # the block's own violation comes before the duplicate inside it
+    "register q[2]\nmacro m a b c < I_Sxx a b | Sx c | Sy c >\n"
+    "m q[0] q[0] q[1]\n",
+    # a parallel body splices into a parallel block around its invocation
+    "register q[2]\nmacro p c d < Sx c | Sy d >\n"
+    "macro m a b c d < I_Sxx a b | p c d >\nm q[0] q[0] q[1] q[1]\n",
+    # two macros deep, and in a loop
+    "register q[2]\nmacro d a b { Sxx a b }\nmacro m a { d a a }\nm q[1]\n",
+    "register q[2]\nmacro m a b { loop 3 { < Sx a | Sy b > } }\n"
+    "m q[1] q[1]\n",
+], ids=["duplicate", "parallel", "literal", "own-first", "spliced",
+        "two-deep", "loop"])
+def test_a_substitution_conflict_is_reported_at_the_invocation(gates,
+                                                               source):
+    """With the code and message the flat reference gives, at the one
+    top-level invocation on the program's last line."""
+    _, diags = analyzed(source, gates)
+    _, reference = verdicts(source, gates)
+    line = source.count("\n")
+    assert [str(d) for d in diags] == [
+        f"{line}:1: {reference.code}: {reference}"]
+
+
+def test_a_conflict_in_a_definition_is_reported_once(gates):
+    """Literal arguments are bound where the macro is defined, so the
+    conflict is reported there, and not again where it is invoked."""
+    _, diags = analyzed("register q[2]\nmacro d a b { I_Sxx a b }\n"
+                        "macro m a { d q[0] q[0]; Sx a }\nm q[0]\nm q[1]\n",
+                        gates)
+    assert [str(d) for d in diags] == [
+        "3:13: duplicate-qubit: I_Sxx uses the same qubit twice"]
+
+
+def test_each_macro_body_is_checked_once_per_qubit_tuple(gates,
+                                                         monkeypatch):
+    """A chain whose every macro invokes the one before twice, with its
+    arguments swapped the second time, checks each body once per distinct
+    tuple of bound offsets: 2 per level, not 2**level."""
+    levels = 12
+    lines = ["register q[2]", "macro m0 a b { Sxx a b }"]
+    lines += [f"macro m{k} a b {{ m{k - 1} a b; m{k - 1} b a }}"
+              for k in range(1, levels)]
+    lines += [f"m{levels - 1} q[0] q[1]", f"m{levels - 1} q[0] q[1]"]
+    checked = []
+    check_block = _Analyzer.check_block
+
+    def counting(self, block, in_parallel, depth):
+        if self.env is not None and depth == 0:
+            checked.append((id(block), tuple(self.env.values())))
+        return check_block(self, block, in_parallel, depth)
+
+    monkeypatch.setattr(_Analyzer, "check_block", counting)
+    accept("\n".join(lines) + "\n", gates)
+    assert len(checked) == len(set(checked)) == 2 * levels - 1

@@ -173,6 +173,33 @@ def test_no_command_writes_its_output_over_the_source(workdir, monkeypatch,
     assert (workdir / "p.txt").stat().st_size > 0
 
 
+@pytest.mark.parametrize("command", ["schedule", "run"])
+def test_no_command_writes_its_output_over_the_duration_manifest(
+        workdir, monkeypatch, capsys, command):
+    """``-o`` naming the manifest wrote the output over it and exited 0, so
+    the next ``-d`` of it exited 1 with bad-manifest.  A default output
+    path that is the manifest is refused too."""
+    monkeypatch.chdir(workdir)
+    write(workdir, "p.jaqal", "register q[1]\nprepare_all\nSx q[0]\n"
+          "measure_all\n")
+    write(workdir, "m.txt", "Sx 2\n")
+    for out in ("m.txt", "./m.txt", str(workdir / "m.txt")):
+        assert main([command, "p.jaqal", "-d", "m.txt", "-o", out]) == 2
+        assert capsys.readouterr().err == (
+            f"{out}: the output path is the duration manifest; name another "
+            "with -o\n")
+    assert (workdir / "m.txt").read_text() == "Sx 2\n"
+    if command == "run":
+        write(workdir, "p.out", "Sx 2\n")
+        assert main([command, "p.jaqal", "-d", "p.out"]) == 2
+        assert capsys.readouterr().err == (
+            "p.out: the default output path is the duration manifest; name "
+            "another with -o\n")
+        assert (workdir / "p.out").read_text() == "Sx 2\n"
+    assert main([command, "p.jaqal", "-d", "m.txt", "-o", "p.txt"]) == 0
+    assert (workdir / "p.txt").stat().st_size > 0
+
+
 def test_run_seed_changes_sampled_records(workdir):
     path = write(workdir, "bell.jaqal",
                  "register q[2]\nloop 40 { prepare_all\nSxx q[0] q[1]\n"
@@ -310,6 +337,23 @@ def test_nesting_past_the_limit_exits_one_under_every_command(
         assert time.perf_counter() - started < 5.0
 
 
+def test_a_too_deep_invocation_is_not_checked_again(workdir, capsys):
+    """A chain at the nesting limit invoked inside 199 nested blocks is
+    reported too deep, and its body is not walked again with its qubit
+    bound: that walk would pass Python's recursion limit."""
+    depth = MAX_NESTING - 1
+    opens = "".join("{<"[i % 2] for i in range(depth))
+    closes = "".join("}>"[i % 2] for i in reversed(range(depth)))
+    path = write(workdir, "deep.jaqal", macro_chain(MAX_NESTING)
+                 + f"{opens}m{MAX_NESTING - 1} q[0]{closes}\n")
+    for command in EVERY_COMMAND:
+        assert main(command + [path]) == 1
+        assert capsys.readouterr().err == (
+            f"{path}:{MAX_NESTING + 2}:{depth + 1}: nesting-too-deep: "
+            f"macro 'm{MAX_NESTING - 1}' nests blocks {2 * MAX_NESTING - 1} "
+            f"deep here, more than {MAX_NESTING}\n")
+
+
 @pytest.mark.parametrize("source", [
     f"register q[{'1' * 5000}]\nprepare_all\nmeasure_all\n",
     f"register q[1]\nprepare_all\nloop {'1' * 5000} {{ Sx q[0] }}\n"
@@ -355,6 +399,46 @@ def test_too_many_gates_exits_one_at_once_under_every_command(
                        "expands to more than 4194304 primitive gates by the "
                        "end of this statement\n"), command
         assert elapsed < 1.0, command
+
+
+@pytest.mark.parametrize("m0, invocation", [
+    ("{ loop 0 { Sxx a b } }", "m39 q[0] q[1]"),
+    ("{ Sxx a b }", "loop 0 { m39 q[0] q[1] }"),
+], ids=["empty-body", "empty-loop"])
+def test_a_chain_on_swapped_qubits_is_checked_once_per_qubit_tuple(
+        workdir, capsys, m0, invocation):
+    """m<k> invokes m<k-1> twice, with its qubits swapped the second time,
+    so m39 expands to 2**40 invocations that run no gates.  Analysis
+    checks each body once per tuple of bound qubits, 79 checks, and
+    expansion does not enter what runs no gates."""
+    lines = ["register q[2]", f"macro m0 a b {m0}"]
+    lines += [f"macro m{k} a b {{ m{k - 1} a b; m{k - 1} b a }}"
+              for k in range(1, 40)]
+    path = write(workdir, "chain.jaqal", "\n".join([*lines, invocation, ""]))
+    for command in EVERY_COMMAND:
+        started = time.perf_counter()
+        assert main(command + [path, "-o", str(workdir / "chain.out")]
+                    if command[0] == "run" else command + [path]) == 0
+        assert time.perf_counter() - started < 5.0, command
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("source, diagnostic", [
+    ("register q[2]\nmacro d a b { I_Sxx a b }\nd q[0] q[0]\n",
+     "3:1: duplicate-qubit: I_Sxx uses the same qubit twice"),
+    ("register q[2]\nmacro m a { Sx a }\n< m q[0] | Sy q[0] >\n",
+     "3:12: parallel-conflict: qubit offset 0 is used by two statements in "
+     "the same parallel block"),
+], ids=["duplicate", "parallel"])
+def test_check_rejects_what_substitution_breaks(workdir, capsys, source,
+                                                 diagnostic):
+    """``check`` exited 0 on these, and later commands rejected them with
+    no position; now every command gives the positioned diagnostic."""
+    path = write(workdir, "sub.jaqal", source)
+    for command in EVERY_COMMAND:
+        assert main(command + [path, "-o", str(workdir / "sub.out")]
+                    if command[0] == "run" else command + [path]) == 1
+        assert capsys.readouterr().err == f"{path}:{diagnostic}\n", command
 
 
 def test_three_million_gates_pass_check(workdir, capsys):
@@ -483,14 +567,17 @@ def test_schedule_conflict_exits_one(workdir, capsys):
 @pytest.mark.parametrize("command", ["expand", "schedule", "run"])
 def test_an_error_after_analysis_is_one_line_and_writes_nothing(
         workdir, capsys, command):
+    """A duplicate qubit that only substitution creates is found by
+    analysis, at the invocation, and every command stops there with one
+    positioned line."""
     path = write(workdir, "dup.jaqal",
                  "register q[2]\nmacro d a b { I_Sxx a b }\nd q[0] q[0]\n")
     out = workdir / "dup.txt"
     assert main([command, path, "-o", str(out)]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == (f"{path}: duplicate-qubit: I_Sxx uses the same "
-                            "qubit twice\n")
+    assert captured.err == (f"{path}:3:1: duplicate-qubit: I_Sxx uses the "
+                            "same qubit twice\n")
     assert not out.exists()
 
 

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from jaqalc.analyzer import analyze
 from jaqalc.diagnostics import has_errors
-from jaqalc.errors import ConflictError, JaqalError
+from jaqalc.errors import JaqalError
 from jaqalc.expander import (
     FlatBlock,
     FlatLoop,
@@ -22,7 +22,7 @@ from jaqalc.parser import parse
 from jaqalc.scheduler import dump_timeline, schedule, total_duration
 from jaqalc.simulator import probabilities, run
 
-from helpers import unroll
+from helpers import check_flat_conflicts, unroll
 from oracle import interpret_probabilities
 from program_gen import random_program
 
@@ -246,40 +246,44 @@ def test_expand_requires_clean_analysis(gates):
 
 # -- post-substitution conflicts ----------------------------------------------------
 
+def analysis_of(source, gates):
+    program, diags = parse(source)
+    assert not has_errors(diags)
+    symbols, sem = analyze(program, gates)
+    return program, symbols, [str(d) for d in sem]
+
+
 def test_macro_substitution_can_create_duplicate_qubit(gates):
     source = ("register q[2]\n"
               "macro m a b { Sxx a b }\n"
               "m q[0] q[0]\n")
-    program, diags = parse(source)
-    assert not has_errors(diags)
-    with pytest.raises(ConflictError) as err:
-        expand(program, gates)
-    assert err.value.code == "duplicate-qubit"
+    _, _, sem = analysis_of(source, gates)
+    assert sem == ["3:1: duplicate-qubit: Sxx uses the same qubit twice"]
 
 
 def test_macro_substitution_can_create_parallel_conflict(gates):
     source = ("register q[2]\n"
               "macro m a { Sx a }\n"
               "< m q[0] | Sy q[0] >\n")
-    program, diags = parse(source)
-    assert not has_errors(diags)
-    with pytest.raises(ConflictError) as err:
-        expand(program, gates)
-    assert err.value.code == "parallel-conflict"
+    _, _, sem = analysis_of(source, gates)
+    assert sem == ["3:12: parallel-conflict: qubit offset 0 is used by two "
+                   "statements in the same parallel block"]
 
 
 def test_parallel_conflict_comes_before_a_duplicate_inside_it(gates):
-    """The parallel block's own violation is reported, not the duplicate
-    qubit inside the macro body that comes later in a pre-order walk."""
+    """Analysis reports both violations where they are, the duplicate at
+    the invocation first; the flat reference reports the parallel block's
+    own violation, not the duplicate inside the macro body that comes later
+    in a pre-order walk."""
     source = ("register q[2]\n"
               "macro d a b { I_Sxx a b }\n"
               "< d q[0] q[0] | Sz q[0] >\n")
-    program, diags = parse(source)
-    assert not has_errors(diags)
-    _, sem = analyze(program, gates)
-    assert not has_errors(sem), sem
-    with pytest.raises(ConflictError) as err:
-        expand(program, gates)
+    program, symbols, sem = analysis_of(source, gates)
+    assert sem == ["3:3: duplicate-qubit: I_Sxx uses the same qubit twice",
+                   "3:17: parallel-conflict: qubit offset 0 is used by two "
+                   "statements in the same parallel block"]
+    with pytest.raises(JaqalError) as err:
+        check_flat_conflicts(expand(program, gates, symbols))
     assert err.value.code == "parallel-conflict"
 
 
@@ -294,14 +298,14 @@ def test_entangler_hidden_in_macro_caught_at_analysis(gates):
 
 
 def test_flat_recheck_catches_entangler_with_company(gates):
-    from jaqalc.expander import FlatCircuit, check_flat_conflicts
+    from jaqalc.expander import FlatCircuit
 
     sxx = PrimitiveGate(gates["Sxx"], (0, 1))
     sz = PrimitiveGate(gates["Sz"], (2,))
     circuit = FlatCircuit(3, FlatBlock(False, (
         FlatBlock(True, (sxx, sz)),
     )))
-    with pytest.raises(ConflictError) as err:
+    with pytest.raises(JaqalError) as err:
         check_flat_conflicts(circuit)
     assert err.value.code == "ms-in-parallel"
 

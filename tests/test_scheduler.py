@@ -6,12 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jaqalc.diagnostics import has_errors
-from jaqalc.errors import ConflictError
+from jaqalc.errors import JaqalError
 from jaqalc.expander import (
     FlatBlock,
     FlatCircuit,
     PrimitiveGate,
-    check_flat_conflicts,
     expand,
     gate_qubits,
 )
@@ -19,6 +18,7 @@ from jaqalc.gateset import apply_durations, load_duration_manifest
 from jaqalc.parser import parse
 from jaqalc.scheduler import dump_timeline, schedule, total_duration
 
+from helpers import check_flat_conflicts
 from program_gen import random_program
 
 
@@ -286,7 +286,7 @@ def random_maybe_conflicting_circuit(rng, gates):
 def rejected(circuit) -> bool:
     try:
         check_flat_conflicts(circuit)
-    except ConflictError:
+    except JaqalError:
         return True
     return False
 
@@ -323,7 +323,7 @@ def test_conflict_error_names_qubit_and_gates(gates):
         PrimitiveGate(gates["Sx"], (0,)),
         PrimitiveGate(gates["Sy"], (0,)),
     )),)))
-    with pytest.raises(ConflictError) as err:
+    with pytest.raises(JaqalError) as err:
         check_flat_conflicts(circuit)
     assert err.value.code == "parallel-conflict"
     assert "qubit offset 0 " in str(err.value)
