@@ -45,8 +45,9 @@ Each statement is summarised once, as a ``Usage``, while it is checked; the
 parallel-sibling rules read only those summaries.  Analysis alone decides
 exclusivity: an invocation whose qubit arguments resolve has the macro's
 body checked again with them bound, once per distinct tuple of offsets,
-and reports that check's first error; a definition's own errors are
-reported once, at the definition.
+and reports each distinct error of that check; a definition's own errors
+are reported once, at the definition.  Only gates that run within the gate
+budget are checked so, which costs no more than expanding them.
 """
 
 from __future__ import annotations
@@ -89,15 +90,13 @@ class Usage(NamedTuple):
     ``global_gate`` and ``entangler`` say whether it holds an all-qubit
     preparation/measurement or the two-qubit entangler, also through
     macro invocations.  ``gates`` counts the primitive gates it expands
-    to.  ``parts``: in a check with bound qubits, a parallel block's child
-    usages, which expansion splices into a parallel block around it.
+    to.
     """
 
     offsets: Optional[frozenset] = frozenset()
     global_gate: bool = False
     entangler: bool = False
     gates: int = 0
-    parts: tuple = ()
 
     @classmethod
     def of_gate(cls, definition, offsets) -> "Usage":
@@ -234,8 +233,10 @@ class _Analyzer:
         self.deepest = 0
         # in a check with bound qubits: qubit parameter name -> offset
         self.env: Optional[dict] = None
-        # (macro name, *qubit offsets) -> the body's Usage and first error
+        # (macro name, *qubit offsets) -> the body's Usage and its errors
         self.bound: dict = {}
+        self.live = True  # False in a loop body that runs no times
+        self.budget = MAX_GATES  # gates bound checks may still cover
         # every macro's name, for forward-reference messages
         self.macro_names = {stmt.name for stmt in program.body
                             if isinstance(stmt, MacroDef)}
@@ -372,12 +373,19 @@ class _Analyzer:
                 self.do_let(stmt)
         first_gate_stmt = None
         total = 0  # primitive gates up to here
+        # Bound checks in definitions share one budget; one skipped there
+        # is made at the invocation.  At top level, a check past what the
+        # gates so far leave would be in a program too-many-gates rejects.
+        defined = MAX_GATES
         for stmt in self.program.body:
             if isinstance(stmt, MacroDef):
+                self.budget = defined
                 self.do_macro(stmt)
+                defined = self.budget
                 continue
             if first_gate_stmt is None and _contains_gate(stmt):
                 first_gate_stmt = stmt
+            self.budget = MAX_GATES - total
             gates = self.check_statement(stmt, False, 0).gates
             total += gates
             if total > MAX_GATES >= total - gates:  # first passed here
@@ -390,7 +398,7 @@ class _Analyzer:
         return self.table, self.diags
 
     def do_macro(self, stmt: MacroDef):
-        mark = len(self.diags)
+        mark, self.deepest = len(self.diags), 0
         collision = stmt.name in self.table.names or stmt.name in self.gates
         if collision:
             self.diag(stmt, "duplicate-name",
@@ -402,7 +410,6 @@ class _Analyzer:
                           f"macro parameter {p!r} collides with another name")
             param_kinds.setdefault(p, None)
         self.current_macro, self.params = stmt.name, param_kinds
-        self.deepest = 0
         usage = self.check_block(stmt.body, False, 0)
         self.current_macro, self.params = None, {}
         if not collision:
@@ -429,7 +436,9 @@ class _Analyzer:
             if stmt.body.parallel:
                 self.diag(stmt, "expected-block",
                           "a loop body must be a sequential block")
+            live, self.live = self.live, self.live and (count or 0) > 0
             usage = self.check_statement(stmt.body, in_parallel, depth)
+            self.live = live
             # a count that did not resolve, or is negative, is reported; the
             # cap keeps nested huge counts from multiplying huge integers
             gates = min(usage.gates * max(count or 0, 0), MAX_GATES + 1)
@@ -445,7 +454,6 @@ class _Analyzer:
         in_parallel = in_parallel or block.parallel
         depth += 1
         self.deepest = max(self.deepest, depth)
-        mark = len(self.diags)
         usages = []
         for child in block.statements:
             if isinstance(child, GateBlock) and child.parallel == block.parallel:
@@ -459,17 +467,9 @@ class _Analyzer:
             return usage
         register = self.table.register
         n_qubits = register.size if register and register.size else 0
-        if self.env is None:
-            for idx, code, message in parallel_conflicts(usages, n_qubits):
-                self.diag(block.statements[idx], code, message)
-            return usage
-        # a bound check reports its first error only, so it sees the block
-        # as expanded: parallel macro bodies spliced in, its own errors first
-        parts = [part for child in usages for part in child.parts or (child,)]
-        self.diags[mark:mark] = [
-            error(block.line, block.column, code, message)
-            for _, code, message in parallel_conflicts(parts, n_qubits)]
-        return usage._replace(parts=tuple(parts))
+        for idx, code, message in parallel_conflicts(usages, n_qubits):
+            self.diag(block.statements[idx], code, message)
+        return usage
 
     def check_gate(self, stmt: GateStatement, in_parallel: bool,
                    depth: int) -> Usage:
@@ -496,10 +496,28 @@ class _Analyzer:
                           f"more than {MAX_NESTING}")
             else:
                 self.deepest = max(self.deepest, depth)
-                if macro.clean and env is not None:
-                    return self.check_bound(stmt, macro, env)
-            # unbound parameters, errors in the definition, or too deep
-            return macro.usage._replace(offsets=frozenset())
+            if not (depth <= MAX_NESTING and macro.clean and env is not None
+                    and self.live and 0 < macro.usage.gates <= self.budget):
+                # too deep, errors in the definition, unbound parameters, or
+                # no gate to run within the budget
+                return macro.usage._replace(offsets=frozenset())
+            # Check the body with its qubit parameters bound, once per tuple
+            # of offsets, in this frame: a macro level costs three frames, as
+            # in expansion.  The checks inside fit the budget this one fits.
+            key = (name, *env.values())
+            if key not in self.bound:
+                saved = self.diags, self.params, self.env, self.budget
+                self.diags, self.env = [], env
+                self.params = dict(macro.param_kinds)
+                usage = self.check_block(macro.body, False, 0)
+                self.bound[key] = usage, dict.fromkeys(
+                    (d.code, d.message) for d in self.diags)
+                self.diags, self.params, self.env, self.budget = saved
+                self.budget -= macro.usage.gates
+            usage, errors = self.bound[key]
+            for code, message in errors:
+                self.diag(stmt, code, message)
+            return usage
         if name == self.current_macro:
             self.diag(stmt, "recursive-macro",
                       f"macro {name!r} cannot invoke itself; a macro is "
@@ -555,24 +573,6 @@ class _Analyzer:
                 self.diag(stmt, "undefined-name",
                           f"{arg.name!r} is not declared")
         return None if None in env.values() else env
-
-    def check_bound(self, stmt, macro: MacroInfo, env: dict) -> Usage:
-        """Check a clean macro's body again with its qubit parameters bound
-        as in ``env``, report the first error at the invocation ``stmt`` and
-        return the body's Usage with real offsets.  Numbers cannot
-        conflict, so one check serves every invocation on the same qubits."""
-        key = (macro.name, *env.values())
-        if key not in self.bound:
-            saved = self.diags, self.params, self.env, self.deepest
-            self.diags, self.env = [], env
-            self.params = dict(macro.param_kinds)
-            usage = self.check_block(macro.body, False, 0)
-            self.bound[key] = usage, self.diags[:1]
-            self.diags, self.params, self.env, self.deepest = saved
-        usage, first = self.bound[key]
-        for diagnostic in first:
-            self.diag(stmt, diagnostic.code, diagnostic.message)
-        return usage
 
     def check_arg(self, stmt, arg, kind):
         """Validate an argument in a QUBIT or FLOAT slot; returns its

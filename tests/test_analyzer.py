@@ -1,5 +1,6 @@
 import random
 import re
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -609,10 +610,10 @@ def test_bound_macro_programs_reach_every_verdict(gates):
     "register q[2]\nmacro m a b { Sxx a b }\nm q[1] q[1]\n",
     "register q[2]\nmacro m a b < Sx a | Sy b >\nm q[0] q[0]\n",
     "register q[3]\nmacro m a b < Sx a | Sy q[2] >\nm q[2] q[0]\n",
-    # the block's own violation comes before the duplicate inside it
+    # a duplicate inside a parallel block and the block's own violation
     "register q[2]\nmacro m a b c < I_Sxx a b | Sx c | Sy c >\n"
     "m q[0] q[0] q[1]\n",
-    # a parallel body splices into a parallel block around its invocation
+    # a parallel body inside a parallel block, where expansion splices it
     "register q[2]\nmacro p c d < Sx c | Sy d >\n"
     "macro m a b c d < I_Sxx a b | p c d >\nm q[0] q[0] q[1] q[1]\n",
     # two macros deep, and in a loop
@@ -623,13 +624,16 @@ def test_bound_macro_programs_reach_every_verdict(gates):
         "two-deep", "loop"])
 def test_a_substitution_conflict_is_reported_at_the_invocation(gates,
                                                                source):
-    """With the code and message the flat reference gives, at the one
-    top-level invocation on the program's last line."""
+    """Each distinct error once, at the one top-level invocation on the
+    program's last line, among them the code and message the flat
+    reference gives."""
     _, diags = analyzed(source, gates)
     _, reference = verdicts(source, gates)
     line = source.count("\n")
-    assert [str(d) for d in diags] == [
-        f"{line}:1: {reference.code}: {reference}"]
+    found = [str(d) for d in diags]
+    assert len(set(found)) == len(found)
+    assert all(text.startswith(f"{line}:1: ") for text in found), found
+    assert f"{line}:1: {reference.code}: {reference}" in found
 
 
 def test_a_conflict_in_a_definition_is_reported_once(gates):
@@ -663,3 +667,43 @@ def test_each_macro_body_is_checked_once_per_qubit_tuple(gates,
     monkeypatch.setattr(_Analyzer, "check_block", counting)
     accept("\n".join(lines) + "\n", gates)
     assert len(checked) == len(set(checked)) == 2 * levels - 1
+
+
+def test_checks_with_bound_qubits_keep_within_the_gate_budget(gates,
+                                                              monkeypatch):
+    """Checks in definitions share one budget; once it is spent, a
+    conflict in a definition is found where the macro is invoked.  At top
+    level a check past what the gates so far leave is not made: the
+    program is rejected for its size."""
+    monkeypatch.setattr(analyzer, "MAX_GATES", 4)
+    _, diags = analyzed(
+        "register q[2]\nmacro m a b { Sxx a b; Sxx a b }\n"
+        "macro d1 { m q[0] q[1]; m q[1] q[0] }\nmacro d2 { m q[0] q[0] }\n"
+        "d2\nd2\nm q[1] q[1]\n", gates)
+    duplicate = "duplicate-qubit: Sxx uses the same qubit twice"
+    assert [str(d) for d in diags] == [
+        f"5:1: {duplicate}", f"6:1: {duplicate}",
+        "7:1: too-many-gates: the program expands to more than 4 primitive "
+        "gates by the end of this statement"]
+
+
+@pytest.mark.parametrize("alternate", [False, True])
+def test_a_chain_at_the_nesting_limit_is_analyzed_on_a_deep_stack(
+        gates, alternate):
+    """Checking a macro body with its qubits bound costs a macro level
+    three frames, as in expansion, so analysis of an invocation at the
+    nesting limit leaves room for a caller already deep in the stack."""
+    program, diags = parse(macro_chain(MAX_NESTING, alternate)
+                           + f"m{MAX_NESTING - 1} q[0]\n")
+    assert not has_errors(diags)
+    frames = 0
+    frame = sys._getframe()
+    while frame is not None:
+        frames, frame = frames + 1, frame.f_back
+
+    def at_depth(n):
+        return analyze(program, gates) if n == 0 else at_depth(n - 1)
+
+    # 700 frames stay free; a level of four frames needs 800
+    _, sem = at_depth(sys.getrecursionlimit() - frames - 700)
+    assert not has_errors(sem), sem

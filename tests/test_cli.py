@@ -379,13 +379,32 @@ def doubling_chain(levels):
     return "\n".join(lines) + "\n"
 
 
+SX_ALL = "; ".join(f"Sx p{i}" for i in range(20))
+
+
+def shift_register(m0_body, body="{{ {0}; {1} }}"):
+    """Macros m0..m39 of 20 qubit parameters on ``register q[20]``.  m<k>
+    invokes m<k-1> on its last 19 parameters and q[0], then on them and
+    q[1], inside ``body``, so m<39-d> is reached with 2**min(d, 20)
+    distinct tuples of qubits.  The last line invokes m39."""
+    params = [f"p{i}" for i in range(20)]
+    lines = ["register q[20]", f"macro m0 {' '.join(params)} {m0_body}"]
+    for k in range(1, 40):
+        calls = (f"m{k - 1} {' '.join(params[1:])} q[{i}]" for i in (0, 1))
+        lines.append(f"macro m{k} {' '.join(params)} " + body.format(*calls))
+    lines.append("m39 " + " ".join(f"q[{i}]" for i in range(20)))
+    return "\n".join(lines) + "\n"
+
+
 @pytest.mark.parametrize("source, position", [
     ("register q[1]\nprepare_all\nloop 1000000000000 { Sx q[0] }\n"
      "measure_all\n", "3:1"),
     (f"register q[1]\nprepare_all\nloop 1{'0' * 400} {{ Sx q[0] }}\n"
      "measure_all\n", "3:1"),
     (doubling_chain(22), "25:1"),
-], ids=["loop-10^12", "loop-401-digits", "doubling-chain-22"])
+    (shift_register(f"{{ {SX_ALL} }}"), "42:1"),
+], ids=["loop-10^12", "loop-401-digits", "doubling-chain-22",
+        "shift-register"])
 def test_too_many_gates_exits_one_at_once_under_every_command(
         workdir, capsys, source, position):
     path = write(workdir, "big.jaqal", source)
@@ -401,20 +420,27 @@ def test_too_many_gates_exits_one_at_once_under_every_command(
         assert elapsed < 1.0, command
 
 
-@pytest.mark.parametrize("m0, invocation", [
-    ("{ loop 0 { Sxx a b } }", "m39 q[0] q[1]"),
-    ("{ Sxx a b }", "loop 0 { m39 q[0] q[1] }"),
-], ids=["empty-body", "empty-loop"])
-def test_a_chain_on_swapped_qubits_is_checked_once_per_qubit_tuple(
-        workdir, capsys, m0, invocation):
-    """m<k> invokes m<k-1> twice, with its qubits swapped the second time,
-    so m39 expands to 2**40 invocations that run no gates.  Analysis
-    checks each body once per tuple of bound qubits, 79 checks, and
-    expansion does not enter what runs no gates."""
-    lines = ["register q[2]", f"macro m0 a b {m0}"]
+def swapped_chain(m0_body, invocation):
+    """Macros m0..m39 on ``register q[2]``: m<k> invokes m<k-1> twice, with
+    its two qubits swapped the second time."""
+    lines = ["register q[2]", f"macro m0 a b {m0_body}"]
     lines += [f"macro m{k} a b {{ m{k - 1} a b; m{k - 1} b a }}"
               for k in range(1, 40)]
-    path = write(workdir, "chain.jaqal", "\n".join([*lines, invocation, ""]))
+    return "\n".join([*lines, invocation, ""])
+
+
+@pytest.mark.parametrize("source", [
+    swapped_chain("{ loop 0 { Sxx a b } }", "m39 q[0] q[1]"),
+    swapped_chain("{ Sxx a b }", "loop 0 { m39 q[0] q[1] }"),
+    shift_register(f"{{ loop 0 {{ {SX_ALL} }} }}"),
+    shift_register(f"{{ {SX_ALL} }}", "{{ Sx p0; loop 0 {{ {0}; {1} }} }}"),
+], ids=["empty-body", "empty-loop", "shift-empty-body", "shift-empty-loop"])
+def test_what_runs_no_gates_is_neither_checked_nor_expanded(
+        workdir, capsys, source):
+    """Each program nests 2**40 invocations that run no gates, and the
+    shift registers reach 20 * 2**20 distinct tuples of qubits, too many to
+    cache.  Neither analysis nor expansion enters what runs no gates."""
+    path = write(workdir, "chain.jaqal", source)
     for command in EVERY_COMMAND:
         started = time.perf_counter()
         assert main(command + [path, "-o", str(workdir / "chain.out")]
