@@ -14,7 +14,8 @@ character, so most exercise lexer and parser diagnostics), macro chains
 and one past it (the chains pass macro arguments through every level), the
 benchmark's ``shots``, ``scan`` and ``wide`` programs at the default seed
 (``wide`` runs 16 to 20 qubits, where the simulator kernel dominates), a
-few loop and macro-substitution edge cases (``EDGES``), N seeded
+few loop, macro-substitution and angle-parameter edge cases (``EDGES``,
+and an angle passed down a chain of macros), N seeded
 ``tests/program_gen.py`` programs of up to 4 qubits (default 150) and
 ``WIDE_PROGRAMS`` seeded ones of up to 12 qubits, so a kernel change is
 compared byte for byte on registers where every gate sweeps a sizeable
@@ -119,6 +120,16 @@ EDGES = {
     "loop_dump": ("register q[2]\nloop 3 { < Sx q[0] | { Sy q[1]; "
                   "Rz q[1] 0.5 } >\nloop 2 { Sxx q[0] q[1] }\n"
                   "Rz q[0] 0.25 }\n"),
+    # equal under == but printed apart; bound checks are keyed on qubits
+    "number_forms": ("register q[1]\nmacro m a { Rz q[0] a }\nprepare_all\n"
+                     "m 1\nm 1.0\nm -0.0\nm 0.0\nm 1\nmeasure_all\n"),
+    # one check's items spliced at top level, into a parallel block and
+    # into a loop; a parallel body splices into a parallel block
+    "one_binding_three_contexts": (
+        "register q[3]\nmacro m a b { Sx a; Sy b }\n"
+        "macro p a b < Rz a 0.5 | Sx b >\nprepare_all\nm q[0] q[1]\n"
+        "< m q[0] q[1] | Sz q[2] >\nloop 2 { m q[0] q[1] }\np q[0] q[1]\n"
+        "< p q[0] q[1] | Sz q[2] >\nmeasure_all\n"),
 }
 
 
@@ -138,7 +149,7 @@ def _deep(depth: int) -> dict:
 def _inputs(work: Path, programs: int) -> list:
     sys.path[:0] = [str(ROOT / d) for d in ("tests", "src", "bench")]
     from jaqalc.ast import MAX_NESTING
-    from program_gen import mutant, random_program
+    from program_gen import fan_chain, mutant, random_program
     from workloads import DEFAULT_SEED, generate
 
     inputs = []
@@ -165,7 +176,8 @@ def _inputs(work: Path, programs: int) -> list:
             inputs.append(path)
     edges = work / "edges"
     edges.mkdir()
-    texts = dict(EDGES)
+    # an angle passed down 27 macro levels to 64 gates
+    texts = dict(EDGES, number_parameter_chain=fan_chain(6, 20, "0.5"))
     for name in ("shots", "scan", "wide"):
         for program in generate(name, DEFAULT_SEED).programs:
             texts[program.name] = program.source

@@ -17,14 +17,14 @@ from importlib import import_module
 __version__ = "0.1.0"
 
 _EXPORTS = {
-    "analyzer": ("SymbolTable", "analyze", "resolve_qubit"),
+    "analyzer": ("FlatBlock", "FlatCircuit", "FlatLoop", "PrimitiveGate",
+                 "SymbolTable", "analyze", "resolve_qubit"),
     "ast": ("Program", "pretty_print"),
     "diagnostics": ("Diagnostic", "has_errors"),
     "emitter": ("emit", "parse_output"),
     "errors": ("JaqalError", "ManifestError", "OutputFormatError",
                "SimulationError"),
-    "expander": ("FlatBlock", "FlatCircuit", "FlatLoop", "PrimitiveGate",
-                 "count_primitive_gates", "expand"),
+    "expander": ("count_primitive_gates", "expand"),
     "gateset": ("GateDefinition", "apply_durations", "builtin_gateset",
                 "load_duration_manifest", "quantize_angle"),
     "parser": ("lex", "parse"),

@@ -1,15 +1,16 @@
-"""Semantic analysis: name resolution and hardware-model checks.
+"""Semantic analysis: name resolution, hardware-model checks and the flat
+circuit.
 
-Validates a parsed program against a gate set and builds the symbol table
-the expander consumes.  Jaqal has one flat namespace, so the table is one
-dict from each name to what it denotes; the kind of the entry picks the
-diagnostic for a name in the wrong slot.  Two resolvers read it, one for
-qubits (``resolve_qubit``) and one for numbers; each returns a value or
-raises JaqalError with the diagnostic's code.  The expander calls the same
-two, and analysis turns each failure into a diagnostic in one place.
-Aliases resolve to affine views (start, stride, length) over the single
-qubit register, so chained Python-style slices compose without
-materializing index lists.
+Validates a parsed program against a gate set and, in the same walk,
+builds the flat circuit it runs.  Jaqal has one flat namespace, so the
+symbol table is one dict from each name to what it denotes; the kind of
+the entry picks the diagnostic for a name in the wrong slot.  Two
+resolvers read it, one for qubits (``resolve_qubit``) and one for numbers;
+each returns a value or raises JaqalError with the diagnostic's code, and
+analysis turns each failure into a diagnostic in one place.  Aliases
+resolve to affine views (start, stride, length) over the single qubit
+register, so chained Python-style slices compose without materializing
+index lists.
 
 Checks performed, each with its own diagnostic code:
 
@@ -47,7 +48,15 @@ exclusivity: an invocation whose qubit arguments resolve has the macro's
 body checked again with them bound, once per distinct tuple of offsets,
 and reports each distinct error of that check; a definition's own errors
 are reported once, at the definition.  Only gates that run within the gate
-budget are checked so, which costs no more than expanding them.
+budget are checked so, which costs no more than expanding them.  The
+rules apply to statements as written, even a ``loop 0`` body.
+
+The check with bound qubits also builds the body's flat items, each number
+parameter left as its name, so an angle never costs a check; an invocation
+adds a ``_Call`` of them with its numbers.  At the end, ``_splice`` inlines
+every call and binds every number, and ``SymbolTable.circuit`` holds the
+resulting FlatCircuit: primitive gates on register offsets in alternating
+sequential/parallel blocks, and loops that hold their body once.
 """
 
 from __future__ import annotations
@@ -71,9 +80,9 @@ from .ast import (
     Slice,
     _arg,
 )
-from .diagnostics import error, warning
+from .diagnostics import error, has_errors, warning
 from .errors import JaqalError
-from .gateset import MEASUREMENT, PREPARATION, QUBIT
+from .gateset import FLOAT, MEASUREMENT, PREPARATION, QUBIT
 from .record import Record
 
 # The most primitive gates a program may run.  Expansion keeps loops whole,
@@ -157,6 +166,101 @@ def parallel_conflicts(usages, n_qubits: int):
                 break
 
 
+class PrimitiveGate(Record):
+    __slots__ = ("definition", "qubits", "float_args")
+    def __init__(self, definition, qubits=(), float_args=()):
+        self.definition, self.qubits = definition, qubits  # absolute offsets
+        self.float_args = float_args
+
+    @property
+    def name(self) -> str:
+        return self.definition.name
+
+    def __str__(self) -> str:
+        """``name offsets... floats...``, as the dumps print a gate."""
+        return " ".join([self.name, *map(str, self.qubits),
+                         *map(repr, self.float_args)])
+
+
+class FlatBlock(Record):
+    __slots__ = ("parallel", "items")
+    count = 1  # walkers repeat a node's items ``count`` times
+    def __init__(self, parallel: bool, items: tuple = ()):
+        # items: PrimitiveGate | FlatBlock | FlatLoop; no block of one kind
+        self.parallel, self.items = parallel, items
+
+
+class FlatLoop(Record):
+    __slots__ = ("count", "items")
+    parallel = False
+    def __init__(self, count: int, items: tuple):
+        # the body, never empty, runs count (at least 2) times in sequence
+        self.count, self.items = count, items
+
+
+class FlatCircuit(Record):
+    __slots__ = ("n_qubits", "root")
+    def __init__(self, n_qubits: int, root: FlatBlock):
+        self.n_qubits, self.root = n_qubits, root  # root is sequential
+
+
+class _Unbound(Record):
+    """A gate whose float arguments are numbers or number parameters'
+    names."""
+
+    __slots__ = ("definition", "qubits", "float_args")
+    def __init__(self, definition, qubits, float_args):
+        self.definition, self.qubits = definition, qubits
+        self.float_args = float_args
+
+
+class _Call(Record):
+    """A macro invocation: the body's items, shared by every invocation on
+    the same qubits, and ``(parameter, number or caller's parameter)``
+    pairs binding its number parameters."""
+
+    __slots__ = ("parallel", "items", "numbers")
+    def __init__(self, parallel: bool, items: list, numbers: tuple):
+        self.parallel, self.items, self.numbers = parallel, items, numbers
+
+
+def _splice(items, parallel: bool, numbers: dict, out: list):
+    """Append ``items``, built in a block of kind ``parallel``, to ``out`` as
+    flat IR.  Analysis builds them as the source is written: a FlatBlock
+    per block, a FlatLoop of any count per loop, a _Call per invocation.
+    Here calls are inlined, numbers bound from ``numbers`` (parameter name
+    -> number), a block spliced into one of its kind, empty blocks and
+    loops dropped and a loop run once unwrapped.  Loops sit in sequential
+    blocks: analysis rejects one in a parallel block."""
+    for item in items:
+        kind = type(item)
+        if kind is PrimitiveGate:
+            out.append(item)
+        elif kind is _Unbound:
+            out.append(PrimitiveGate(item.definition, item.qubits, tuple(
+                numbers[arg] if type(arg) is str else arg
+                for arg in item.float_args)))
+        elif kind is FlatLoop:
+            if item.count == 1:
+                _splice(item.items, False, numbers, out)
+            elif item.count >= 2:
+                body: list = []
+                _splice(item.items, False, numbers, body)
+                if body:
+                    out.append(FlatLoop(item.count, tuple(body)))
+        else:  # a FlatBlock, or a _Call, which binds its body's numbers
+            inner = numbers if kind is FlatBlock else {
+                param: numbers[arg] if type(arg) is str else arg
+                for param, arg in item.numbers}
+            if item.parallel == parallel:
+                _splice(item.items, parallel, inner, out)
+                continue
+            block: list = []
+            _splice(item.items, item.parallel, inner, block)
+            if block:
+                out.append(FlatBlock(item.parallel, tuple(block)))
+
+
 class SingleView(Record):
     """An alias naming exactly one register offset."""
 
@@ -203,11 +307,12 @@ class SymbolTable:
     ``names`` maps each declared name to what it denotes: the register's
     name to its RegisterInfo, an alias to its SingleView or ArrayView, a
     let constant to its int or float value and a macro to its MacroInfo.
+    ``circuit`` is the program's FlatCircuit, or None if it has errors.
     """
 
-    __slots__ = ("names", "register")
+    __slots__ = ("names", "register", "circuit")
     def __init__(self):
-        self.names, self.register = {}, None
+        self.names, self.register, self.circuit = {}, None, None
 
 
 def _contains_gate(stmt) -> bool:
@@ -233,7 +338,8 @@ class _Analyzer:
         self.deepest = 0
         # in a check with bound qubits: qubit parameter name -> offset
         self.env: Optional[dict] = None
-        # (macro name, *qubit offsets) -> the body's Usage and its errors
+        # (macro name, *qubit offsets) -> the body's Usage, its errors and
+        # its items
         self.bound: dict = {}
         self.live = True  # False in a loop body that runs no times
         self.budget = MAX_GATES  # gates bound checks may still cover
@@ -372,6 +478,7 @@ class _Analyzer:
             else:
                 self.do_let(stmt)
         first_gate_stmt = None
+        items: list = []
         total = 0  # primitive gates up to here
         # Bound checks in definitions share one budget; one skipped there
         # is made at the invocation.  At top level, a check past what the
@@ -386,7 +493,7 @@ class _Analyzer:
             if first_gate_stmt is None and _contains_gate(stmt):
                 first_gate_stmt = stmt
             self.budget = MAX_GATES - total
-            gates = self.check_statement(stmt, False, 0).gates
+            gates = self.check_statement(stmt, False, 0, items).gates
             total += gates
             if total > MAX_GATES >= total - gates:  # first passed here
                 self.diag(stmt, "too-many-gates",
@@ -395,6 +502,12 @@ class _Analyzer:
         if first_gate_stmt is not None and self.table.register is None:
             self.diag(first_gate_stmt, "no-register",
                       "the program executes gates but declares no register")
+        if not has_errors(self.diags):
+            register = self.table.register
+            root: list = []
+            _splice(items, False, {}, root)
+            self.table.circuit = FlatCircuit(
+                register.size if register else 0, FlatBlock(False, tuple(root)))
         return self.table, self.diags
 
     def do_macro(self, stmt: MacroDef):
@@ -410,20 +523,24 @@ class _Analyzer:
                           f"macro parameter {p!r} collides with another name")
             param_kinds.setdefault(p, None)
         self.current_macro, self.params = stmt.name, param_kinds
-        usage = self.check_block(stmt.body, False, 0)
+        usage = self.check_block(stmt.body, False, 0, [])
         self.current_macro, self.params = None, {}
         if not collision:
             self.table.names[stmt.name] = MacroInfo(
                 stmt.name, stmt.params, param_kinds, stmt.body, usage,
                 self.deepest, len(self.diags) == mark)
 
-    def check_statement(self, stmt, in_parallel: bool, depth: int) -> Usage:
-        """Check one statement and return its Usage.  ``in_parallel`` says
-        whether a parallel block encloses it, ``depth`` how many blocks."""
+    def check_statement(self, stmt, in_parallel: bool, depth: int,
+                        out: list) -> Usage:
+        """Check one statement, append the items it builds to ``out`` and
+        return its Usage.  ``in_parallel`` says whether a parallel block
+        encloses it, ``depth`` how many blocks."""
         if isinstance(stmt, GateStatement):
-            return self.check_gate(stmt, in_parallel, depth)
+            return self.check_gate(stmt, in_parallel, depth, out)
         if isinstance(stmt, GateBlock):
-            return self.check_block(stmt, in_parallel, depth)
+            items: list = []
+            out.append(FlatBlock(stmt.parallel, items))
+            return self.check_block(stmt, in_parallel, depth, items)
         if isinstance(stmt, LoopStatement):
             if in_parallel:
                 self.diag(stmt, "loop-in-parallel",
@@ -437,7 +554,9 @@ class _Analyzer:
                 self.diag(stmt, "expected-block",
                           "a loop body must be a sequential block")
             live, self.live = self.live, self.live and (count or 0) > 0
-            usage = self.check_statement(stmt.body, in_parallel, depth)
+            items = []
+            out.append(FlatLoop(count, items))
+            usage = self.check_block(stmt.body, in_parallel, depth, items)
             self.live = live
             # a count that did not resolve, or is negative, is reported; the
             # cap keeps nested huge counts from multiplying huge integers
@@ -449,8 +568,9 @@ class _Analyzer:
             return _NO_USAGE
         raise JaqalError(f"unexpected statement {type(stmt).__name__}")
 
-    def check_block(self, block: GateBlock, in_parallel: bool,
-                    depth: int) -> Usage:
+    def check_block(self, block: GateBlock, in_parallel: bool, depth: int,
+                    out: list) -> Usage:
+        """Check a block's statements, appending their items to ``out``."""
         in_parallel = in_parallel or block.parallel
         depth += 1
         self.deepest = max(self.deepest, depth)
@@ -461,7 +581,8 @@ class _Analyzer:
                 self.diag(child, "same-kind-nesting",
                           f"a {kind} block cannot be nested directly inside "
                           f"another {kind} block")
-            usages.append(self.check_statement(child, in_parallel, depth))
+            usages.append(self.check_statement(child, in_parallel, depth,
+                                               out))
         usage = Usage.union(usages)
         if not block.parallel:
             return usage
@@ -471,8 +592,8 @@ class _Analyzer:
             self.diag(block.statements[idx], code, message)
         return usage
 
-    def check_gate(self, stmt: GateStatement, in_parallel: bool,
-                   depth: int) -> Usage:
+    def check_gate(self, stmt: GateStatement, in_parallel: bool, depth: int,
+                   out: list) -> Usage:
         name = stmt.name
         definition = self.gates.get(name)
         if definition is not None:
@@ -480,15 +601,16 @@ class _Analyzer:
                 self.diag(stmt, "global-gate-in-parallel",
                           f"{name} acts on every qubit and cannot appear "
                           "inside a parallel block")
-            offsets = self.check_native_args(stmt, definition)
-            return Usage.of_gate(definition, offsets)
+            gate = self.check_native_args(stmt, definition)
+            out.append(gate)
+            return Usage.of_gate(definition, gate.qubits)
         macro = self.table.names.get(name)
         if isinstance(macro, MacroInfo):
             if in_parallel and macro.usage.global_gate:
                 self.diag(stmt, "global-gate-in-parallel",
                           f"macro {name!r} prepares or measures all qubits "
                           "and cannot appear inside a parallel block")
-            env = self.check_macro_args(stmt, macro)
+            env, numbers = self.check_macro_args(stmt, macro)
             depth += macro.depth
             if depth > MAX_NESTING:
                 self.diag(stmt, "nesting-too-deep",
@@ -501,22 +623,25 @@ class _Analyzer:
                 # too deep, errors in the definition, unbound parameters, or
                 # no gate to run within the budget
                 return macro.usage._replace(offsets=frozenset())
-            # Check the body with its qubit parameters bound, once per tuple
-            # of offsets, in this frame: a macro level costs three frames, as
-            # in expansion.  The checks inside fit the budget this one fits.
+            # Check the body with its qubit parameters bound, and build its
+            # items, once per tuple of offsets, in this frame: a macro level
+            # costs three frames.  The checks inside fit the budget this one
+            # fits.
             key = (name, *env.values())
             if key not in self.bound:
                 saved = self.diags, self.params, self.env, self.budget
                 self.diags, self.env = [], env
                 self.params = dict(macro.param_kinds)
-                usage = self.check_block(macro.body, False, 0)
+                items: list = []
+                usage = self.check_block(macro.body, False, 0, items)
                 self.bound[key] = usage, dict.fromkeys(
-                    (d.code, d.message) for d in self.diags)
+                    (d.code, d.message) for d in self.diags), items
                 self.diags, self.params, self.env, self.budget = saved
                 self.budget -= macro.usage.gates
-            usage, errors = self.bound[key]
+            usage, errors, items = self.bound[key]
             for code, message in errors:
                 self.diag(stmt, code, message)
+            out.append(_Call(macro.body.parallel, items, numbers))
             return usage
         if name == self.current_macro:
             self.diag(stmt, "recursive-macro",
@@ -531,35 +656,39 @@ class _Analyzer:
                       f"{name!r} is not a known gate or macro")
         return _NO_USAGE
 
-    def check_native_args(self, stmt, definition) -> list:
-        """Check a native gate's arguments; returns the register offsets
-        of the qubit arguments that resolved."""
+    def check_native_args(self, stmt, definition):
+        """Check a native gate's arguments; returns the gate they make, on
+        the register offsets of the qubit arguments that resolved, an
+        _Unbound one if an angle names a number parameter."""
         kinds = definition.param_kinds
         if len(stmt.args) != len(kinds):
             self.diag(stmt, "arity-mismatch",
                       f"{definition.name} takes {len(kinds)} argument(s), "
                       f"got {len(stmt.args)}")
-            return []
-        offsets = []
+            return PrimitiveGate(definition)
+        qubits, floats = [], []
         for arg, kind in zip(stmt.args, kinds):
             resolved = self.check_arg(stmt, arg, kind)
-            if kind == QUBIT:
-                offsets.append(resolved)
-        resolved = [o for o in offsets if o is not None]
-        if len(set(resolved)) != len(resolved):
+            if kind != QUBIT:
+                floats.append(resolved)
+            elif resolved is not None:
+                qubits.append(resolved)
+        if len(set(qubits)) != len(qubits):
             self.diag(stmt, "duplicate-qubit",
                       f"{definition.name} uses the same qubit twice")
-        return resolved
+        gate = _Unbound if str in map(type, floats) else PrimitiveGate
+        return gate(definition, tuple(qubits), tuple(floats))
 
-    def check_macro_args(self, stmt, macro: MacroInfo) -> Optional[dict]:
+    def check_macro_args(self, stmt, macro: MacroInfo):
         """Check an invocation's arguments; returns the offset bound to each
-        qubit parameter, or None if one did not resolve."""
+        qubit parameter, or None if one did not resolve, and the
+        ``(parameter, number)`` pairs for the number parameters."""
         if len(stmt.args) != len(macro.params):
             self.diag(stmt, "arity-mismatch",
                       f"macro {macro.name} takes {len(macro.params)} "
                       f"argument(s), got {len(stmt.args)}")
-            return None
-        env = {}
+            return None, ()
+        env, numbers = {}, []
         for arg, param in zip(stmt.args, macro.params):
             kind = macro.param_kinds.get(param)
             # a parameter the body never uses (kind None) takes any
@@ -568,21 +697,25 @@ class _Analyzer:
                 value = self.check_arg(stmt, arg, kind or QUBIT)
                 if kind == QUBIT:
                     env[param] = value
+                elif kind == FLOAT:
+                    numbers.append((param, value))
             elif (isinstance(arg, NameRef) and arg.name not in self.table.names
                   and arg.name not in self.params):
                 self.diag(stmt, "undefined-name",
                           f"{arg.name!r} is not declared")
-        return None if None in env.values() else env
+        return None if None in env.values() else env, tuple(numbers)
 
     def check_arg(self, stmt, arg, kind):
         """Validate an argument in a QUBIT or FLOAT slot; returns its
         register offset or number when statically resolvable, or None.
         Naming a parameter of the enclosing macro infers its kind, or in a
-        check with bound qubits gives its offset."""
+        check with bound qubits gives its offset; a number parameter gives
+        its name, bound when the circuit is spliced."""
         if isinstance(arg, NameRef) and arg.name in (self.env or ()):
             return self.env[arg.name]
         if isinstance(arg, NameRef) and arg.name in self.params:
-            return self.infer_param(stmt, arg.name, kind)
+            self.infer_param(stmt, arg.name, kind)
+            return None if kind == QUBIT else arg.name
         if kind == QUBIT:
             return self.report(stmt, resolve_qubit, arg, self.table,
                                self.params)

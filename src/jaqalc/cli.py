@@ -1,10 +1,11 @@
 """Command-line front end: check, expand, schedule, and run subcommands.
 
 Qubit exclusivity is decided once, by analysis, so ``check`` rejects every
-program a later command would reject for it; ``expand``, ``schedule`` and
-``run`` take the program analysis accepted as it is.
-Each command imports only the stages it runs: ``check`` never loads the
-expander, scheduler, emitter or simulator, and ``run`` never the scheduler.
+program a later command would reject for it.  Analysis also builds the flat
+circuit, which ``expand``, ``schedule`` and ``run`` take as it is.  Each
+command imports only the stages it runs: ``check`` never loads the
+expander, scheduler, emitter or simulator, and ``run`` never the
+scheduler.
 
 Exit codes are stable: 0 success, 1 for any language/semantic/runtime
 problem in the program, 2 for environment problems (unreadable input,
@@ -69,7 +70,8 @@ def _print_diagnostics(path: str, diagnostics):
 
 
 def _checked_program(path: str, gates: dict):
-    """Parse and analyze, printing diagnostics; exits 1 on any error."""
+    """Parse and analyze, printing diagnostics; exits 1 on any error, else
+    returns the program and the flat circuit analysis built for it."""
     source = _read_text(path)
     program, diags = parse(source)
     if has_errors(diags):
@@ -79,7 +81,7 @@ def _checked_program(path: str, gates: dict):
     _print_diagnostics(path, diags + sem_diags)
     if has_errors(sem_diags):
         raise _Exit(1)
-    return program, symbols
+    return program, symbols.circuit
 
 
 def _gates_for(args) -> dict:
@@ -100,24 +102,20 @@ def cmd_check(args) -> int:
 
 
 def cmd_expand(args) -> int:
-    from .expander import dump_flat, expand
+    from .expander import dump_flat
 
     out = _out_path(args)
-    gates = _gates_for(args)
-    program, symbols = _checked_program(args.file, gates)
-    circuit = expand(program, gates, symbols)
+    _, circuit = _checked_program(args.file, _gates_for(args))
     _write(out, dump_flat(circuit))
     return 0
 
 
 def cmd_schedule(args) -> int:
-    from .expander import expand
     from .scheduler import dump_timeline, schedule
 
     out = _out_path(args)
     gates = _gates_for(args)
-    program, symbols = _checked_program(args.file, gates)
-    circuit = expand(program, gates, symbols)
+    _, circuit = _checked_program(args.file, gates)
     timeline = schedule(circuit, gates)
     _write(out, dump_timeline(timeline)
            + f"total {timeline.total_duration:g}\n")
@@ -126,16 +124,14 @@ def cmd_schedule(args) -> int:
 
 def cmd_run(args) -> int:
     from .emitter import emit
-    from .expander import expand
     from .simulator import probabilities, run
 
     out = _out_path(args)
     gates = _gates_for(args)
-    program, symbols = _checked_program(args.file, gates)
+    program, circuit = _checked_program(args.file, gates)
     if not program.body:
         print(f"{args.file}: warning: the program has no body; the output "
               "will be empty", file=sys.stderr)
-    circuit = expand(program, gates, symbols)
     if args.probabilities:
         lines = []
         previous = None

@@ -1,10 +1,32 @@
-"""Shared test utilities: phase alignment, dense-matrix references and
-the flat-circuit exclusivity reference."""
+"""Shared test utilities: phase alignment, dense-matrix references, the
+expansion reference and the flat-circuit exclusivity reference."""
 
 import numpy as np
 
-from jaqalc.analyzer import Usage, parallel_conflicts
+from jaqalc.analyzer import (
+    FlatBlock,
+    FlatCircuit,
+    FlatLoop,
+    MacroInfo,
+    PrimitiveGate,
+    SymbolTable,
+    Usage,
+    _number,
+    analyze,
+    parallel_conflicts,
+    resolve_qubit,
+)
+from jaqalc.ast import (
+    GateBlock,
+    GateStatement,
+    LoopStatement,
+    MacroDef,
+    NameRef,
+    Program,
+)
+from jaqalc.diagnostics import has_errors
 from jaqalc.errors import JaqalError
+from jaqalc.gateset import FLOAT, QUBIT
 
 
 def align_phase(u, reference):
@@ -106,8 +128,6 @@ def unroll(circuit):
     its items, spliced into the enclosing sequence: the flat IR as
     expansion built it before loops stayed nodes.  Copies share their gate
     and block objects, as the unrolled iterations did."""
-    from jaqalc.expander import FlatBlock, FlatCircuit, FlatLoop
-
     def spliced(items) -> list:
         out = []
         for item in items:
@@ -134,8 +154,6 @@ def check_flat_conflicts(circuit):
     loop body is checked once.  A parallel block's own violation comes
     before any inside it, as in execution order.
     """
-    from jaqalc.expander import PrimitiveGate
-
     def walk(item) -> tuple:  # (Usage, JaqalError or None)
         if isinstance(item, PrimitiveGate):
             error = None
@@ -159,3 +177,98 @@ def check_flat_conflicts(circuit):
     violation = walk(circuit.root)[1]
     if violation is not None:
         raise violation
+
+
+class _Expander:
+    """Expands statements in an environment ``env``: the arguments bound
+    to the parameters of the macro being expanded, as a dict from each
+    parameter name to its register offset or number."""
+
+    def __init__(self, table: SymbolTable, gates: dict):
+        self.table = table
+        self.gates = gates
+
+    def expand_body(self, statements, parallel: bool, env: dict) -> list:
+        items: list = []
+        for stmt in statements:
+            if isinstance(stmt, MacroDef):
+                continue  # declarations produce no gates
+            if isinstance(stmt, GateStatement):
+                items.extend(self.expand_gate(stmt, parallel, env))
+            elif isinstance(stmt, GateBlock):
+                items.extend(self.expand_block(stmt, parallel, env))
+            elif isinstance(stmt, LoopStatement):
+                count = self.resolve(stmt.count, env, FLOAT, "loop count")
+                if count == 0:
+                    continue  # runs nothing; no gate budget bounds its body
+                body = self.expand_body(stmt.body.statements, False, env)
+                if count >= 2 and body:
+                    items.append(FlatLoop(count, tuple(body)))
+                elif count == 1:
+                    items.extend(body)
+            else:
+                raise JaqalError(
+                    f"cannot expand {type(stmt).__name__}")
+        return items
+
+    def expand_block(self, block: GateBlock, parallel: bool,
+                     env: dict) -> list:
+        items = self.expand_body(block.statements, block.parallel, env)
+        if block.parallel == parallel or not items:
+            return items  # same-kind splice; empty blocks vanish
+        return [FlatBlock(block.parallel, tuple(items))]
+
+    def expand_gate(self, stmt: GateStatement, parallel: bool,
+                    env: dict) -> list:
+        macro = self.table.names.get(stmt.name)
+        if not isinstance(macro, MacroInfo):
+            return [self.primitive(stmt, env)]
+        if not macro.usage.gates:
+            return []  # runs nothing, but may nest 2**40 invocations
+        binding = {}
+        for param, arg in zip(macro.params, stmt.args):
+            kind = macro.param_kinds[param]
+            if kind is not None:  # the body never reads a kind-None one
+                binding[param] = self.resolve(arg, env, kind)
+        return self.expand_block(macro.body, parallel, binding)
+
+    def primitive(self, stmt: GateStatement, env: dict) -> PrimitiveGate:
+        definition = self.gates[stmt.name]
+        qubits: list = []
+        floats: list = []
+        for arg, kind in zip(stmt.args, definition.param_kinds):
+            if kind == QUBIT:
+                qubits.append(self.resolve(arg, env, kind))
+            else:
+                floats.append(self.resolve(arg, env, kind))
+        return PrimitiveGate(definition, tuple(qubits), tuple(floats))
+
+    def resolve(self, arg, env: dict, kind, what=None):
+        """The register offset of a QUBIT argument or the value of a FLOAT
+        one: a macro parameter's binding, else the analyzer's resolver's
+        value, or its JaqalError; ``what`` names an integer slot."""
+        if isinstance(arg, NameRef) and arg.name in env:
+            return env[arg.name]
+        if kind == QUBIT:
+            return resolve_qubit(arg, self.table)
+        return _number(arg, self.table, what)
+
+
+def expand_reference(program: Program, gates: dict,
+                     symbols: SymbolTable = None) -> FlatCircuit:
+    """Lower an analyzed program to a FlatCircuit by walking its syntax
+    tree again: expansion as it was before analysis built the circuit, and
+    the reference ``expand`` is compared against.  It needs no clean
+    analysis: given a symbol table, it expands what the table resolves, so
+    a test can compare a rejected program's expansion with its verdict.
+    """
+    if symbols is None:
+        symbols, diags = analyze(program, gates)
+        if has_errors(diags):
+            raise JaqalError("program has analysis errors; expansion "
+                             "requires a clean analysis")
+    register = symbols.register
+    n_qubits = register.size if register is not None else 0
+    expander = _Expander(symbols, gates)
+    items = expander.expand_body(program.body, False, {})
+    return FlatCircuit(n_qubits, FlatBlock(False, tuple(items)))

@@ -6,6 +6,8 @@ construction: parallel siblings touch disjoint qubits, the entangler never
 has parallel company, loop counts are small, and the primitive-gate budget
 bounds the unrolled size.  ``bound_macro_program`` gives programs whose
 only errors are qubit conflicts, most of them created by macro arguments.
+``number_macro_program`` gives valid programs whose macros pass angle
+parameters on through nested invocations.
 """
 
 import random
@@ -132,6 +134,25 @@ def macro_chain(length: int, alternate: bool = False) -> str:
     return "\n".join(lines) + "\n"
 
 
+def fan_chain(fan: int, chain: int, angle=None) -> str:
+    """``register q[1]``, macros f0..f<fan>, each invoking the one before
+    twice, and c0..c<chain>, c0 invoking f<fan> and each later one the one
+    before; the last line invokes c<chain> on q[0], so it runs 2**fan gates
+    through fan + chain + 1 macro levels.  With ``angle``, every macro takes
+    an angle parameter ``t`` too, passes it on, and f0 runs ``Rz a t``; the
+    last line passes ``angle``."""
+    t = "" if angle is None else " t"
+    gate = "Rz a t" if t else "Sx a"
+    lines = ["register q[1]", f"macro f0 a{t} {{ {gate} }}"]
+    lines += [f"macro f{k} a{t} {{ f{k - 1} a{t}; f{k - 1} a{t} }}"
+              for k in range(1, fan + 1)]
+    lines.append(f"macro c0 a{t} {{ f{fan} a{t} }}")
+    lines += [f"macro c{k} a{t} {{ c{k - 1} a{t} }}"
+              for k in range(1, chain + 1)]
+    lines.append(f"c{chain} q[0]" + ("" if angle is None else f" {angle}"))
+    return "\n".join(lines) + "\n"
+
+
 # -- macros on bound qubits ----------------------------------------------------
 
 def _pick(rng, qubits, count):
@@ -209,6 +230,85 @@ def bound_macro_program(rng: random.Random, max_qubits=3) -> str:
     for _ in range(rng.randint(1, 4)):
         lines.append(_bound_statement(rng, qubits, macros, False, False, 2,
                                       True, [False]))
+    lines.append("measure_all")
+    return "\n".join(lines) + "\n"
+
+
+# -- macros with angle parameters ----------------------------------------------
+
+# equal under ``==`` but printed apart: ``Rz 0 1``, ``Rz 0 1.0``, ...
+NUMBER_FORMS = ("1", "1.0", "-0.0", "0.0")
+
+
+def _number_arg(rng, names):
+    """One of ``NUMBER_FORMS``, or one of ``names``: lets and the enclosing
+    macro's angle parameters."""
+    if names and rng.random() < 0.6:
+        return rng.choice(names)
+    return rng.choice(NUMBER_FORMS)
+
+
+def _on_one_qubit(rng, qubit, names, singles, depth):
+    """A statement on ``qubit`` alone: a gate, an invocation of one of the
+    macros ``singles`` (each taking a qubit and two angles) or, while
+    ``depth`` is positive, a block or a loop of such statements."""
+    roll = rng.random()
+    if roll < 0.35 and singles:
+        return " ".join([rng.choice(singles), qubit, _number_arg(rng, names),
+                         _number_arg(rng, names)])
+    if roll < 0.5 and depth > 0:
+        body = "; ".join(_on_one_qubit(rng, qubit, names, singles, depth - 1)
+                         for _ in range(rng.randint(1, 2)))
+        return f"loop {rng.randint(1, 2)} {{ {body} }}"
+    if roll < 0.6:
+        return f"{rng.choice(['Sx', 'Sy', 'Pz'])} {qubit}"
+    return f"{rng.choice(_SINGLE_ANGLE)} {qubit} {_number_arg(rng, names)}"
+
+
+def number_macro_program(rng: random.Random) -> str:
+    """A valid program on ``register q[3]`` whose macros take angle
+    parameters ``t`` and ``u`` and pass them on, with lets and the literals
+    of ``NUMBER_FORMS``, through nested invocations and loops.  Macros
+    m<i> a t u have a sequential body on qubit a; macros p<i> a b t u have
+    a parallel body, one branch on a and one on b, and are invoked at top
+    level and inside parallel blocks."""
+    lines = ["register q[3]"]
+    lets = [f"angle{i}" for i in range(rng.randint(0, 2))]
+    lines += [f"let {name} {rng.choice(NUMBER_FORMS)}" for name in lets]
+    names = lets + ["t", "u"]
+    singles, pairs = [], []
+    for index in range(rng.randint(2, 5)):
+        if singles and rng.random() < 0.4:
+            left, right = (_on_one_qubit(rng, q, names, singles, 0)
+                           for q in "ab")
+            if rng.random() < 0.3:
+                left = "{ " + left + "; Sx a }"
+            lines.append(f"macro p{index} a b t u < {left} | {right} >")
+            pairs.append(f"p{index}")
+        else:
+            body = "; ".join(_on_one_qubit(rng, "a", names, singles, 2)
+                             for _ in range(rng.randint(1, 3)))
+            lines.append(f"macro m{index} a t u {{ {body} }}")
+            singles.append(f"m{index}")
+    lines.append("prepare_all")
+    for _ in range(rng.randint(2, 5)):
+        q = rng.sample(["q[0]", "q[1]", "q[2]"], 3)
+        angles = [_number_arg(rng, lets) for _ in range(2)]
+        single = " ".join([rng.choice(singles), q[2], *angles])
+        pair = (" ".join([rng.choice(pairs), q[0], q[1], *angles])
+                if pairs else None)
+        roll = rng.random()
+        if roll < 0.25 and pair:
+            lines.append(pair)
+        elif roll < 0.5 and pair:
+            lines.append(f"< {pair} | {single} >")
+        elif roll < 0.7:
+            other = _on_one_qubit(rng, q[0], lets, singles, 0)
+            lines.append(f"< {other} | {single} >")
+        elif roll < 0.85:
+            lines.append(f"loop 2 {{ {single} }}")
+        else:
+            lines.append(single)
     lines.append("measure_all")
     return "\n".join(lines) + "\n"
 

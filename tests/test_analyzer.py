@@ -31,7 +31,7 @@ from jaqalc.diagnostics import has_errors
 from jaqalc.errors import JaqalError
 from jaqalc.expander import count_primitive_gates, expand
 from jaqalc.parser import parse
-from helpers import check_flat_conflicts
+from helpers import check_flat_conflicts, expand_reference
 from program_gen import bound_macro_program, macro_chain, random_program
 
 
@@ -459,7 +459,7 @@ def test_too_many_gates_exactly_when_the_expansion_passes_the_cap(
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(analyzer, "MAX_GATES", cap)
         table, diags = analyze(program, gates)
-    over = count_primitive_gates(expand(program, gates, table)) > cap
+    over = count_primitive_gates(expand_reference(program, gates, table)) > cap
     assert [d.code for d in diags] == (["too-many-gates"] if over else [])
 
 
@@ -569,7 +569,7 @@ def verdicts(source, gates):
     assert not has_errors(diags), diags
     symbols, sem = analyze(program, gates)
     try:
-        check_flat_conflicts(expand(program, gates, symbols))
+        check_flat_conflicts(expand_reference(program, gates, symbols))
     except JaqalError as exc:
         return {d.code for d in sem if d.severity == "error"}, exc
     return {d.code for d in sem if d.severity == "error"}, None
@@ -650,23 +650,28 @@ def test_each_macro_body_is_checked_once_per_qubit_tuple(gates,
                                                          monkeypatch):
     """A chain whose every macro invokes the one before twice, with its
     arguments swapped the second time, checks each body once per distinct
-    tuple of bound offsets: 2 per level, not 2**level."""
+    tuple of bound offsets: 2 per level, not 2**level.  An angle passed
+    down the chain adds no check, whatever its value."""
     levels = 12
-    lines = ["register q[2]", "macro m0 a b { Sxx a b }"]
-    lines += [f"macro m{k} a b {{ m{k - 1} a b; m{k - 1} b a }}"
-              for k in range(1, levels)]
-    lines += [f"m{levels - 1} q[0] q[1]", f"m{levels - 1} q[0] q[1]"]
     checked = []
     check_block = _Analyzer.check_block
 
-    def counting(self, block, in_parallel, depth):
+    def counting(self, block, in_parallel, depth, out):
         if self.env is not None and depth == 0:
             checked.append((id(block), tuple(self.env.values())))
-        return check_block(self, block, in_parallel, depth)
+        return check_block(self, block, in_parallel, depth, out)
 
     monkeypatch.setattr(_Analyzer, "check_block", counting)
-    accept("\n".join(lines) + "\n", gates)
-    assert len(checked) == len(set(checked)) == 2 * levels - 1
+    for t, m0_body, angles in [("", "Sxx a b", ["", ""]),
+                               (" t", "Sxx a b; Rz a t",
+                                [" 0.5", " 1", " -0.0"])]:
+        lines = ["register q[2]", f"macro m0 a b{t} {{ {m0_body} }}"]
+        lines += [f"macro m{k} a b{t} {{ m{k - 1} a b{t}; m{k - 1} b a{t} }}"
+                  for k in range(1, levels)]
+        lines += [f"m{levels - 1} q[0] q[1]{angle}" for angle in angles]
+        checked.clear()
+        accept("\n".join(lines) + "\n", gates)
+        assert len(checked) == len(set(checked)) == 2 * levels - 1
 
 
 def test_checks_with_bound_qubits_keep_within_the_gate_budget(gates,

@@ -15,6 +15,7 @@ from jaqalc.ast import MAX_NESTING
 from jaqalc.cli import main
 from jaqalc.simulator import MAX_QUBITS
 from program_gen import (
+    fan_chain,
     macro_chain,
     mutant,
     nested_blocks,
@@ -447,6 +448,44 @@ def test_what_runs_no_gates_is_neither_checked_nor_expanded(
                     if command[0] == "run" else command + [path]) == 0
         assert time.perf_counter() - started < 5.0, command
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("source, gates", [
+    (fan_chain(18, 150), ("Sx 0", 2 ** 18)),
+    (fan_chain(16, 120, "0.5"), ("Rz 0 0.5", 2 ** 16)),
+], ids=["splice-chain", "number-parameter-chain"])
+def test_a_wide_fan_under_a_long_chain_is_checked_and_expanded_at_once(
+        workdir, capsys, source, gates):
+    """The last line runs 2**18 (2**16) gates through 169 (137) macro
+    levels.  Analysis builds each body's items once per tuple of qubits and
+    splices them, binding every number, once at the end; keeping each
+    level's spliced items, or binding numbers at every level, would cost
+    hundreds of MiB or a minute here."""
+    path = write(workdir, "chain.jaqal", source)
+    out = workdir / "chain.flat"
+    for command in (["check", path], ["expand", path, "-o", str(out)]):
+        started = time.perf_counter()
+        assert main(command) == 0, capsys.readouterr().err
+        assert time.perf_counter() - started < 5.0, command
+    line, count = gates
+    assert out.read_text() == f"{line}\n" * count
+
+
+@pytest.mark.parametrize("source, diagnostic", [
+    ("register q[2]\nloop 0 { Sxx q[0] q[0] }\n",
+     "2:10: duplicate-qubit: Sxx uses the same qubit twice"),
+    ("register q[3]\nmacro e a { loop 0 { Sx a } }\n"
+     "< Sxx q[0] q[1] | e q[0] >\n",
+     "3:3: ms-in-parallel: the two-qubit entangling gate runs in parallel "
+     "with no other gates"),
+], ids=["loop-0-body", "sibling-running-nothing"])
+def test_check_applies_the_rules_to_statements_as_written(workdir, capsys,
+                                                          source, diagnostic):
+    """Exclusivity is checked on the source, so a loop body that runs no
+    times, and a sibling that runs no gates, still count."""
+    path = write(workdir, "written.jaqal", source)
+    assert main(["check", path]) == 1
+    assert capsys.readouterr().err == f"{path}:{diagnostic}\n"
 
 
 @pytest.mark.parametrize("source, diagnostic", [

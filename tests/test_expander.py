@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jaqalc.analyzer import analyze
+from jaqalc import analyzer
+from jaqalc.analyzer import _Analyzer, analyze
 from jaqalc.diagnostics import has_errors
 from jaqalc.errors import JaqalError
 from jaqalc.expander import (
@@ -22,9 +23,14 @@ from jaqalc.parser import parse
 from jaqalc.scheduler import dump_timeline, schedule, total_duration
 from jaqalc.simulator import probabilities, run
 
-from helpers import check_flat_conflicts, unroll
+from helpers import check_flat_conflicts, expand_reference, unroll
 from oracle import interpret_probabilities
-from program_gen import random_program
+from program_gen import (
+    NUMBER_FORMS,
+    bound_macro_program,
+    number_macro_program,
+    random_program,
+)
 
 
 def flat(source, gates):
@@ -244,6 +250,57 @@ def test_expand_requires_clean_analysis(gates):
         expand(program, gates)
 
 
+def test_expand_walks_and_resolves_nothing(gates, monkeypatch):
+    """Analysis built the circuit; ``expand`` hands it over."""
+    program, diags = parse("register q[2]\nlet x 0.5\n"
+                           "macro m a t { Rz a t; Sxx a q[1] }\n"
+                           "loop 2 { m q[0] x }\n< Sx q[0] | Sy q[1] >\n")
+    assert not has_errors(diags)
+    symbols, sem = analyze(program, gates)
+    assert not has_errors(sem)
+
+    def walk(*args, **kwargs):
+        raise JaqalError("expand walked the syntax tree")
+
+    monkeypatch.setattr(analyzer, "resolve_qubit", walk)
+    monkeypatch.setattr(analyzer, "_number", walk)
+    monkeypatch.setattr(_Analyzer, "check_block", walk)
+    assert dump_flat(expand(program, gates, symbols)) == (
+        "Rz 0 0.5\nSxx 0 1\n" * 2 + "<\n    Sx 0\n    Sy 1\n>\n")
+
+
+def test_equal_numbers_keep_their_own_forms_through_nested_macros(gates):
+    """1, 1.0, -0.0 and 0.0 are equal under ``==`` but print apart, so the
+    checks, keyed on qubits alone, never merge them; neither does a let."""
+    invocations = "".join(f"outer q[0] {form}\n" for form in NUMBER_FORMS)
+    source = ("register q[1]\nlet one 1\nmacro inner a t { Rz a t }\n"
+              "macro outer a t { inner a t; inner a one }\n" + invocations)
+    assert dump_flat(flat(source, gates)) == "".join(
+        f"Rz 0 {form}\nRz 0 1\n" for form in NUMBER_FORMS)
+
+
+@settings(max_examples=400, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1),
+       generator=st.sampled_from([random_program, bound_macro_program,
+                                  number_macro_program]))
+def test_analysis_builds_the_circuit_the_reference_expands(gates, seed,
+                                                           generator):
+    """On every accepted program the circuit analysis builds equals the
+    one the syntax-tree walk of ``helpers.expand_reference`` builds, and
+    dumps the same text, which tells 1 from 1.0 and -0.0 from 0.0."""
+    source = generator(random.Random(seed))
+    program, diags = parse(source)
+    assert not has_errors(diags), diags
+    symbols, sem = analyze(program, gates)
+    if has_errors(sem):  # only bound_macro_program makes conflicts
+        assert generator is bound_macro_program and symbols.circuit is None
+        return
+    circuit = expand(program, gates, symbols)
+    reference = expand_reference(program, gates, symbols)
+    assert circuit == reference, source
+    assert dump_flat(circuit) == dump_flat(reference), source
+
+
 # -- post-substitution conflicts ----------------------------------------------------
 
 def analysis_of(source, gates):
@@ -283,7 +340,7 @@ def test_parallel_conflict_comes_before_a_duplicate_inside_it(gates):
                    "3:17: parallel-conflict: qubit offset 0 is used by two "
                    "statements in the same parallel block"]
     with pytest.raises(JaqalError) as err:
-        check_flat_conflicts(expand(program, gates, symbols))
+        check_flat_conflicts(expand_reference(program, gates, symbols))
     assert err.value.code == "parallel-conflict"
 
 
