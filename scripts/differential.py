@@ -14,8 +14,8 @@ character, so most exercise lexer and parser diagnostics), macro chains
 and one past it (the chains pass macro arguments through every level), the
 benchmark's ``shots``, ``scan`` and ``wide`` programs at the default seed
 (``wide`` runs 16 to 20 qubits, where the simulator kernel dominates), a
-few loop, macro-substitution and angle-parameter edge cases (``EDGES``,
-and an angle passed down a chain of macros), N seeded
+few loop, macro-substitution, angle-parameter and scheduling edge cases
+(``EDGES``, and an angle passed down a chain of macros), N seeded
 ``tests/program_gen.py`` programs of up to 4 qubits (default 150) and
 ``WIDE_PROGRAMS`` seeded ones of up to 12 qubits, so a kernel change is
 compared byte for byte on registers where every gate sweeps a sizeable
@@ -130,6 +130,21 @@ EDGES = {
         "macro p a b < Rz a 0.5 | Sx b >\nprepare_all\nm q[0] q[1]\n"
         "< m q[0] q[1] | Sz q[2] >\nloop 2 { m q[0] q[1] }\np q[0] q[1]\n"
         "< p q[0] q[1] | Sz q[2] >\nmeasure_all\n"),
+    # the scheduler: padding nested in a parallel block in a sequence in a
+    # parallel block, run by a loop; under the scan manifest Rz, Sz and
+    # Szd take no time, so rows tie where one loop iteration meets the next
+    # and where one loop meets the next statement
+    "nested_padding_in_a_loop": (
+        "register q[3]\nprepare_all\nloop 3 { < { Sx q[0]; Sy q[0]; "
+        "Rz q[0] 0.5 } | { < Px q[1] | Sz q[2] >; Sy q[1] } > }\n"
+        "measure_all\n"),
+    "zero_duration_at_a_loop_boundary": (
+        "register q[2]\nloop 4 { Sx q[0]; Rz q[0] 0.5 }\n"
+        "loop 2 { Sz q[1]; Sy q[1]; Szd q[1] }\nRz q[1] 0.25\nSx q[0]\n"),
+    # a top-level parallel block is written whole, at the step after it
+    "top_level_parallel_block": (
+        "register q[3]\n< { Rz q[0] 0.5; Sx q[0] } | Sy q[1] | { Sz q[2]; "
+        "Pz q[2]; Rz q[2] 1 } >\nloop 2 { < Sx q[1] | Rz q[2] 0.5 > }\n"),
 }
 
 

@@ -53,10 +53,11 @@ rules apply to statements as written, even a ``loop 0`` body.
 
 The check with bound qubits also builds the body's flat items, each number
 parameter left as its name, so an angle never costs a check; an invocation
-adds a ``_Call`` of them with its numbers.  At the end, ``_splice`` inlines
-every call and binds every number, and ``SymbolTable.circuit`` holds the
-resulting FlatCircuit: primitive gates on register offsets in alternating
-sequential/parallel blocks, and loops that hold their body once.
+adds a ``_Call`` of them with its numbers.  When ``SymbolTable.circuit`` is
+first read, ``_splice`` inlines every call and binds every number, giving
+a FlatCircuit of primitive gates on register offsets in alternating
+sequential/parallel blocks, and loops that hold their body once; ``check``
+never reads it.
 """
 
 from __future__ import annotations
@@ -307,12 +308,24 @@ class SymbolTable:
     ``names`` maps each declared name to what it denotes: the register's
     name to its RegisterInfo, an alias to its SingleView or ArrayView, a
     let constant to its int or float value and a macro to its MacroInfo.
-    ``circuit`` is the program's FlatCircuit, or None if it has errors.
+    ``circuit``, built when first read, is the program's FlatCircuit, or
+    None if it has errors.
     """
 
-    __slots__ = ("names", "register", "circuit")
-    def __init__(self):
-        self.names, self.register, self.circuit = {}, None, None
+    __slots__ = ("names", "register", "_items", "_circuit")
+    def __init__(self):  # _items: what analysis built, until spliced
+        self.names, self.register = {}, None
+        self._items = self._circuit = None
+
+    @property
+    def circuit(self) -> Optional[FlatCircuit]:
+        if self._items is not None:
+            root: list = []
+            _splice(self._items, False, {}, root)
+            size = self.register.size if self.register else 0
+            self._circuit = FlatCircuit(size, FlatBlock(False, tuple(root)))
+            self._items = None
+        return self._circuit
 
 
 def _contains_gate(stmt) -> bool:
@@ -503,11 +516,7 @@ class _Analyzer:
             self.diag(first_gate_stmt, "no-register",
                       "the program executes gates but declares no register")
         if not has_errors(self.diags):
-            register = self.table.register
-            root: list = []
-            _splice(items, False, {}, root)
-            self.table.circuit = FlatCircuit(
-                register.size if register else 0, FlatBlock(False, tuple(root)))
+            self.table._items = items
         return self.table, self.diags
 
     def do_macro(self, stmt: MacroDef):

@@ -50,14 +50,15 @@ def _read_text(path: str, what: str = "source") -> str:
         _fail(1, f"{path}: {what} is not valid UTF-8 text")
 
 
-def _write(path, text: str):
+def _write(path, chunks):  # text chunks, written as they come
     name = "<stdout>" if path is None else path
     try:
         if path is None:
-            sys.stdout.write(text)
+            sys.stdout.writelines(chunks)
             sys.stdout.flush()  # a full device fails here, not at exit
         else:
-            Path(path).write_text(text, encoding="ascii")
+            with open(path, "w", encoding="ascii") as file:
+                file.writelines(chunks)
     except OSError as exc:
         if path is None:  # drop the unwritten buffer, or exit flushes it again
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
@@ -71,7 +72,7 @@ def _print_diagnostics(path: str, diagnostics):
 
 def _checked_program(path: str, gates: dict):
     """Parse and analyze, printing diagnostics; exits 1 on any error, else
-    returns the program and the flat circuit analysis built for it."""
+    returns the program and its symbol table (``circuit`` built if read)."""
     source = _read_text(path)
     program, diags = parse(source)
     if has_errors(diags):
@@ -81,7 +82,7 @@ def _checked_program(path: str, gates: dict):
     _print_diagnostics(path, diags + sem_diags)
     if has_errors(sem_diags):
         raise _Exit(1)
-    return program, symbols.circuit
+    return program, symbols
 
 
 def _gates_for(args) -> dict:
@@ -102,23 +103,21 @@ def cmd_check(args) -> int:
 
 
 def cmd_expand(args) -> int:
-    from .expander import dump_flat
+    from .expander import flat_chunks
 
     out = _out_path(args)
-    _, circuit = _checked_program(args.file, _gates_for(args))
-    _write(out, dump_flat(circuit))
+    _, symbols = _checked_program(args.file, _gates_for(args))
+    _write(out, flat_chunks(symbols.circuit))
     return 0
 
 
 def cmd_schedule(args) -> int:
-    from .scheduler import dump_timeline, schedule
+    from .scheduler import timeline_chunks
 
     out = _out_path(args)
     gates = _gates_for(args)
-    _, circuit = _checked_program(args.file, gates)
-    timeline = schedule(circuit, gates)
-    _write(out, dump_timeline(timeline)
-           + f"total {timeline.total_duration:g}\n")
+    _, symbols = _checked_program(args.file, gates)
+    _write(out, timeline_chunks(symbols.circuit, gates))
     return 0
 
 
@@ -128,24 +127,25 @@ def cmd_run(args) -> int:
 
     out = _out_path(args)
     gates = _gates_for(args)
-    program, circuit = _checked_program(args.file, gates)
+    program, symbols = _checked_program(args.file, gates)
     if not program.body:
         print(f"{args.file}: warning: the program has no body; the output "
               "will be empty", file=sys.stderr)
     if args.probabilities:
         lines = []
         previous = None
-        for distribution in probabilities(circuit, gates,
+        for distribution in probabilities(symbols.circuit, gates,
                                           quantize=args.quantize):
             if distribution != previous:  # repeated shots share a line
                 pairs = sorted(distribution.items())
                 line = " ".join(f"{bits} {p!r}" for bits, p in pairs) + "\n"
                 previous = distribution
             lines.append(line)
-        _write(out, "".join(lines))
+        _write(out, lines)
     else:
-        record = run(circuit, gates, seed=args.seed, quantize=args.quantize)
-        _write(out, emit(record).decode("ascii"))
+        record = run(symbols.circuit, gates, seed=args.seed,
+                     quantize=args.quantize)
+        _write(out, [emit(record).decode("ascii")])
     return 0
 
 

@@ -19,7 +19,6 @@ from .analyzer import (  # noqa: F401  (the IR records are public here)
 )
 from .ast import Program
 from .errors import JaqalError
-from .gateset import MEASUREMENT, PREPARATION
 
 
 def expand(program: Program, gates: dict,
@@ -63,18 +62,12 @@ def iter_gates(circuit: FlatCircuit):
     yield from walk(circuit.root.items)
 
 
-def gate_qubits(gate: PrimitiveGate, n_qubits: int) -> set:
-    """Offsets a primitive occupies; all-qubit operations cover everything."""
-    if gate.definition.kind in (PREPARATION, MEASUREMENT):
-        return set(range(n_qubits))
-    return set(gate.qubits)
-
-
-def dump_flat(circuit: FlatCircuit) -> str:
-    """Readable text form: one primitive per line as ``name offsets...
-    floats...``, nested blocks bracketed by indented markers.  Top-level
-    items print at indent zero with no brackets; a loop has none either:
-    its body is rendered once and its text repeated ``count`` times."""
+def flat_chunks(circuit: FlatCircuit):
+    """Readable text form, in chunks: one primitive per line as ``name
+    offsets... floats...``, nested blocks bracketed by indented markers,
+    top-level items at indent zero without them.  A loop has none either:
+    its body's text is repeated ``count`` times, at top level in chunks of
+    about 64 KiB; the items between top-level loops make one chunk."""
 
     def render(items, indent: int) -> str:
         pad = "    " * indent
@@ -90,4 +83,18 @@ def dump_flat(circuit: FlatCircuit) -> str:
                 parts.append(f"{pad}{open_ch}\n{inner}{pad}{close_ch}\n")
         return "".join(parts)
 
-    return render(circuit.root.items, 0)
+    items, start = circuit.root.items, 0  # the items since the last loop
+    for index, item in enumerate(items):
+        if isinstance(item, FlatLoop):
+            yield render(items[start:index], 0)
+            text = render(item.items, 0)
+            block = max(1, (1 << 16) // (len(text) or 1))
+            for done in range(0, item.count, block):
+                yield text * min(block, item.count - done)
+            start = index + 1
+    yield render(items[start:], 0)
+
+
+def dump_flat(circuit: FlatCircuit) -> str:
+    """``flat_chunks``' text as one string."""
+    return "".join(flat_chunks(circuit))

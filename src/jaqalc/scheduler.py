@@ -5,12 +5,18 @@ parallel block every child starts at the block's start and the block lasts
 as long as its longest child.  Each qubit that participates in a parallel
 block is padded with synthetic idle entries (one ``I_pad`` per gap, sized
 exactly) so that its busy time plus inserted idle time equals the block
-duration.  Qubits the block never mentions receive no padding.  One walk,
-``_place``, does the layout: ``schedule`` keeps its entries and idles, and
-``total_duration`` keeps nothing per gate.
+duration.  Qubits the block never mentions receive no padding.
+
+One walk, ``_layout``, serves ``schedule``, ``total_duration`` and the
+streamed dump, ``timeline_chunks``; it builds each IR node's step once for
+all loop iterations.  No row added later starts before the step of the
+root's sequential chain being placed, so the rows that start before it
+are final and are written there: memory is bounded by a loop body or a
+top-level parallel block.
 
 Precondition: the circuit is the expansion of a program that analysis
-accepted, or a hand-built circuit that keeps the same rules.  Qubit
+accepted, or a hand-built circuit that keeps the same rules, and no
+duration is negative (the manifest loader refuses one).  Qubit
 exclusivity is decided by analysis, never here; a circuit that breaks it
 still lays out (overlapping spans on one qubit merge when padding), but its
 timeline is meaningless.
@@ -18,10 +24,16 @@ timeline is meaningless.
 
 from __future__ import annotations
 
-from .expander import FlatBlock, FlatCircuit, PrimitiveGate, gate_qubits
+from bisect import bisect_left
+from itertools import count
+from math import inf
+
+from .analyzer import FlatCircuit, PrimitiveGate
+from .gateset import MEASUREMENT, PREPARATION
 from .record import Record
 
 PAD_IDLE_NAME = "I_pad"
+FLUSH_ROWS = 4096  # rows held before a step of the root's chain writes them
 
 
 class TimelineEntry(Record):
@@ -59,61 +71,109 @@ class Timeline(Record):
         self.total_duration = total_duration
 
 
-def _coverage(intervals, lo: float, hi: float):
-    """Gaps of [lo, hi) not covered by the given (start, end) intervals.
-    Overlapping intervals, possible only in a circuit that breaks the
-    module's precondition, merge, so such a circuit still lays out."""
-    gaps = []
-    cursor = lo
-    for start, end in sorted(intervals):
-        if start > cursor:
-            gaps.append((cursor, start))
-        cursor = max(cursor, end)
-    if cursor < hi:
-        gaps.append((cursor, hi))
-    return gaps
+def _layout(circuit: FlatCircuit, gates, rows: list, limit=inf):
+    """Lay out the circuit from time 0.  Each gate run and each idle adds
+    a row ``(start, (first qubit, name, kind), seq, text, ref)`` to
+    ``rows``: rows sort in dump order, text is the line after its start,
+    and ref is the gate's step or the idle's end.  A generator: at a step
+    of the root's sequential chain, once ``rows`` holds ``limit`` rows, it
+    yields the step's start; last, the end.
 
+    Each node's step is built once, keyed by ``id``: a gate's ``(0,
+    duration, key, text, qubits, gate)``, a sequence's ``(1, count,
+    steps)``, a parallel block's ``(2, steps, pads)``, where pads lists
+    ``(qubit, duration)`` in qubit order if the block holds single gates
+    on disjoint qubits, and is None otherwise."""
+    steps, ids, add = {}, count(), rows.append
 
-def _place(circuit: FlatCircuit, gates, entries, idles) -> float:
-    """Lay out the circuit from time 0 and return its end.  Each gate run
-    appends a ``TimelineEntry`` to ``entries`` and each padding gap an
-    ``IdleEntry`` to ``idles``, unless the lists are None; no end time
-    depends on what is appended."""
+    def step_of(node):
+        if id(node) in steps:
+            return steps[id(node)]
+        if isinstance(node, PrimitiveGate):
+            d, qubits = gates[node.definition.name].duration, node.qubits
+            occupied = range(circuit.n_qubits) if (  # lazily: q[10**400]
+                node.definition.kind in (PREPARATION, MEASUREMENT)) else qubits
+            step = (0, d, (min(qubits, default=-1), node.name, 0),
+                    f" {d:g} {node}\n", occupied, node)
+        elif node.parallel:
+            children = [step_of(child) for child in node.items]
+            pads = sorted((q, c[1]) for c in children if not c[0]
+                          for q in c[4])
+            single = all(not c[0] for c in children)
+            disjoint = len(dict(pads)) == len(pads)  # no qubit twice
+            step = (2, children, pads if single and disjoint else None)
+        else:
+            step = (1, node.count, [step_of(child) for child in node.items])
+        steps[id(node)] = step
+        return step
 
-    def place(item, t0: float) -> float:
-        if isinstance(item, PrimitiveGate):
-            duration = gates[item.definition.name].duration
-            if entries is not None:
-                entries.append(TimelineEntry(item, t0, duration))
-            return t0 + duration
-        if item.parallel:
-            return place_parallel(item, t0)
-        t = t0
-        for _ in range(item.count):
-            for child in item.items:
-                t = place(child, t)
-        return t
+    def pad(q, start, end):
+        add((start, (q, PAD_IDLE_NAME, 1), next(ids),
+             f" {end - start:g} {PAD_IDLE_NAME} {q}\n", end))
 
-    def place_parallel(block: FlatBlock, t0: float) -> float:
-        marks = None if entries is None else (len(entries), len(idles))
-        end = t0
-        for child in block.items:
+    def place(step, t0: float) -> float:
+        if not step[0]:
+            add((t0, step[2], next(ids), step[3], step))
+            return t0 + step[1]
+        if step[0] == 1:
+            for _ in range(step[1]):
+                for child in step[2]:
+                    t0 = place(child, t0)
+            return t0
+        end, pads, mark = t0, step[2], len(rows)
+        for child in step[1]:
             end = max(end, place(child, t0))
-        if marks is None:
+        if pads is not None:
+            for q, d in pads:
+                if t0 + d < end:
+                    pad(q, t0 + d, end)
             return end
-        # pad every participating qubit out to the block end
-        occupancy: dict = {}
-        for entry in entries[marks[0]:]:
-            for q in gate_qubits(entry.gate, circuit.n_qubits):
-                occupancy.setdefault(q, []).append((entry.start, entry.end))
-        for idle in idles[marks[1]:]:
-            occupancy.setdefault(idle.qubit, []).append((idle.start, idle.end))
-        for qubit in sorted(occupancy):
-            for gap_start, gap_end in _coverage(occupancy[qubit], t0, end):
-                idles.append(IdleEntry(qubit, gap_start, gap_end))
+        spans: dict = {}  # each qubit's busy spans, gates' and idles'
+        for start, key, _, _, ref in rows[mark:]:
+            for q in (key[0],) if key[2] else ref[4]:
+                spans.setdefault(q, []).append(
+                    (start, ref if key[2] else start + ref[1]))
+        # pad the gaps; spans overlap only against the precondition: merge
+        for q in sorted(spans):
+            cursor = t0
+            for start, stop in sorted(spans[q]):
+                if start > cursor:
+                    pad(q, cursor, start)
+                cursor = max(cursor, stop)
+            if cursor < end:
+                pad(q, cursor, end)
         return end
 
-    return place(circuit.root, 0.0)
+    def chain(step, t: float):  # a sequence on the root's chain
+        nonlocal limit
+        for _ in range(step[1]):
+            for child in step[2]:
+                if len(rows) >= limit:
+                    yield t  # held rows count: a run of ties is not
+                    limit = 2 * len(rows) + FLUSH_ROWS  # sorted every step
+                if child[0] == 1:
+                    t = yield from chain(child, t)
+                else:
+                    t = place(child, t)
+        return t
+
+    yield (yield from chain(step_of(circuit.root), 0.0))
+
+
+def _lines(rows) -> str:
+    return "".join([f"{start:g}{text}" for start, _, _, text, _ in rows])
+
+
+def timeline_chunks(circuit: FlatCircuit, gates: dict):
+    """``dump_timeline(schedule(circuit, gates))`` and a ``total`` line, in
+    chunks of about ``FLUSH_ROWS`` rows, without a row per gate kept."""
+    rows: list = []
+    for t in _layout(circuit, gates, rows, FLUSH_ROWS):
+        rows.sort()
+        cut = bisect_left(rows, (t,))  # the rows that start before t
+        yield _lines(rows[:cut])
+        del rows[:cut]
+    yield _lines(rows) + f"total {t:g}\n"  # sorted: none came after the end
 
 
 def schedule(circuit: FlatCircuit, gates: dict) -> Timeline:
@@ -123,35 +183,38 @@ def schedule(circuit: FlatCircuit, gates: dict) -> Timeline:
     with manifest overrides applied), not from each gate's own definition.
     The circuit must satisfy the module's precondition.
     """
-    entries: list = []
-    idles: list = []
-    total = _place(circuit, gates, entries, idles)
-    return Timeline(entries, idles, total)
+    rows: list = []
+    *_, total = _layout(circuit, gates, rows)
+    return Timeline([TimelineEntry(ref[5], start, ref[1])
+                     for start, key, _, _, ref in rows if not key[2]],
+                    [IdleEntry(key[0], start, ref)
+                     for start, key, _, _, ref in rows if key[2]], total)
 
 
 def total_duration(circuit: FlatCircuit, gates: dict) -> float:
     """Total runtime of a circuit: sequential blocks add, parallel blocks
-    take the maximum.  It is ``schedule``'s walk keeping nothing per gate,
-    so the two agree to the last bit.  The circuit must meet ``schedule``'s
+    take the maximum.  It is ``schedule``'s walk keeping no rows, so the
+    two agree to the last bit.  The circuit must meet ``schedule``'s
     precondition; nothing is checked here."""
-    return _place(circuit, gates, None, None)
+    rows: list = []
+    for end in _layout(circuit, gates, rows, FLUSH_ROWS):
+        rows.clear()
+    return end
 
 
 def dump_timeline(timeline: Timeline) -> str:
     """One line per entry, ``start duration name qubits... floats...``,
-    sorted by (start, first qubit); inserted idles appear as I_pad lines."""
-    rows, known = [], {}  # known: id(gate) -> (first qubit, name, tail)
-    for entry in timeline.entries:
-        row = known.get(id(entry.gate))
-        if row is None:  # a loop runs the same gate objects again
-            gate = entry.gate
-            first = min(gate.qubits) if gate.qubits else -1
-            row = known[id(gate)] = (first, gate.name,
-                                     f" {entry.duration:g} {gate}\n")
-        first, name, tail = row
-        rows.append(((entry.start, first, name), f"{entry.start:g}{tail}"))
-    for idle in timeline.inserted_idles:
-        rows.append(((idle.start, idle.qubit, idle.name), f"{idle.start:g} "
-                     f"{idle.duration:g} {idle.name} {idle.qubit}\n"))
-    rows.sort(key=lambda r: r[0])
-    return "".join(text for _, text in rows)
+    sorted by (start, first qubit, name); inserted idles appear as I_pad
+    lines, after the entries they tie with."""
+    rows, known = [], {}  # known: id(gate) -> (key, text)
+    for seq, entry in enumerate(timeline.entries):
+        gate = entry.gate
+        if id(gate) not in known:  # a loop runs the same gate objects again
+            known[id(gate)] = ((min(gate.qubits, default=-1), gate.name, 0),
+                               f" {entry.duration:g} {gate}\n")
+        key, text = known[id(gate)]
+        rows.append((entry.start, key, seq, text, None))
+    rows += [(i.start, (i.qubit, i.name, 1), seq,
+              f" {i.duration:g} {i.name} {i.qubit}\n", None)
+             for seq, i in enumerate(timeline.inserted_idles)]
+    return _lines(sorted(rows))

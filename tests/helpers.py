@@ -1,5 +1,6 @@
 """Shared test utilities: phase alignment, dense-matrix references, the
-expansion reference and the flat-circuit exclusivity reference."""
+expansion reference, the flat-circuit exclusivity reference and the
+timeline reference."""
 
 import numpy as np
 
@@ -26,7 +27,8 @@ from jaqalc.ast import (
 )
 from jaqalc.diagnostics import has_errors
 from jaqalc.errors import JaqalError
-from jaqalc.gateset import FLOAT, QUBIT
+from jaqalc.gateset import FLOAT, MEASUREMENT, PREPARATION, QUBIT
+from jaqalc.scheduler import IdleEntry, Timeline, TimelineEntry
 
 
 def align_phase(u, reference):
@@ -272,3 +274,111 @@ def expand_reference(program: Program, gates: dict,
     expander = _Expander(symbols, gates)
     items = expander.expand_body(program.body, False, {})
     return FlatCircuit(n_qubits, FlatBlock(False, tuple(items)))
+
+
+# The timeline reference: ``place_reference`` makes a TimelineEntry per
+# gate run and pads every parallel block from them, and
+# ``dump_timeline_reference`` sorts one keyed row per entry.  The
+# scheduler's streamed rows are compared against them.
+
+def gate_qubits(gate: PrimitiveGate, n_qubits: int) -> set:
+    """Offsets a primitive occupies; all-qubit operations cover everything."""
+    if gate.definition.kind in (PREPARATION, MEASUREMENT):
+        return set(range(n_qubits))
+    return set(gate.qubits)
+
+
+def _coverage(intervals, lo: float, hi: float):
+    """Gaps of [lo, hi) not covered by the given (start, end) intervals.
+    Overlapping intervals, possible only in a circuit that breaks the
+    scheduler's precondition, merge, so such a circuit still lays out."""
+    gaps = []
+    cursor = lo
+    for start, end in sorted(intervals):
+        if start > cursor:
+            gaps.append((cursor, start))
+        cursor = max(cursor, end)
+    if cursor < hi:
+        gaps.append((cursor, hi))
+    return gaps
+
+
+def place_reference(circuit: FlatCircuit, gates, entries, idles) -> float:
+    """Lay out the circuit from time 0 and return its end.  Each gate run
+    appends a ``TimelineEntry`` to ``entries`` and each padding gap an
+    ``IdleEntry`` to ``idles``, unless the lists are None; no end time
+    depends on what is appended."""
+
+    def place(item, t0: float) -> float:
+        if isinstance(item, PrimitiveGate):
+            duration = gates[item.definition.name].duration
+            if entries is not None:
+                entries.append(TimelineEntry(item, t0, duration))
+            return t0 + duration
+        if item.parallel:
+            return place_parallel(item, t0)
+        t = t0
+        for _ in range(item.count):
+            for child in item.items:
+                t = place(child, t)
+        return t
+
+    def place_parallel(block: FlatBlock, t0: float) -> float:
+        marks = None if entries is None else (len(entries), len(idles))
+        end = t0
+        for child in block.items:
+            end = max(end, place(child, t0))
+        if marks is None:
+            return end
+        # pad every participating qubit out to the block end
+        occupancy: dict = {}
+        for entry in entries[marks[0]:]:
+            for q in gate_qubits(entry.gate, circuit.n_qubits):
+                occupancy.setdefault(q, []).append((entry.start, entry.end))
+        for idle in idles[marks[1]:]:
+            occupancy.setdefault(idle.qubit, []).append((idle.start, idle.end))
+        for qubit in sorted(occupancy):
+            for gap_start, gap_end in _coverage(occupancy[qubit], t0, end):
+                idles.append(IdleEntry(qubit, gap_start, gap_end))
+        return end
+
+    return place(circuit.root, 0.0)
+
+
+def dump_timeline_reference(timeline: Timeline) -> str:
+    """One line per entry, ``start duration name qubits... floats...``,
+    sorted by (start, first qubit); inserted idles appear as I_pad lines."""
+    rows, known = [], {}  # known: id(gate) -> (first qubit, name, tail)
+    for entry in timeline.entries:
+        row = known.get(id(entry.gate))
+        if row is None:  # a loop runs the same gate objects again
+            gate = entry.gate
+            first = min(gate.qubits) if gate.qubits else -1
+            row = known[id(gate)] = (first, gate.name,
+                                     f" {entry.duration:g} {gate}\n")
+        first, name, tail = row
+        rows.append(((entry.start, first, name), f"{entry.start:g}{tail}"))
+    for idle in timeline.inserted_idles:
+        rows.append(((idle.start, idle.qubit, idle.name), f"{idle.start:g} "
+                     f"{idle.duration:g} {idle.name} {idle.qubit}\n"))
+    rows.sort(key=lambda r: r[0])
+    return "".join(text for _, text in rows)
+
+
+def schedule_reference(circuit: FlatCircuit, gates: dict) -> Timeline:
+    """The timeline as one recursive walk made it, a ``TimelineEntry`` per
+    gate run, before the scheduler built each node's step once and
+    streamed rows: the reference ``scheduler.schedule`` is compared
+    against."""
+    entries: list = []
+    idles: list = []
+    total = place_reference(circuit, gates, entries, idles)
+    return Timeline(entries, idles, total)
+
+
+def schedule_text_reference(circuit: FlatCircuit, gates: dict) -> str:
+    """What ``jaqalc schedule`` wrote before it streamed: the reference
+    dump of the reference timeline, then the ``total`` line."""
+    timeline = schedule_reference(circuit, gates)
+    total = f"total {timeline.total_duration:g}\n"
+    return dump_timeline_reference(timeline) + total

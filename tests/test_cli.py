@@ -1,3 +1,4 @@
+import hashlib
 import os
 import random
 import re
@@ -666,6 +667,84 @@ def test_a_full_standard_output_exits_two_with_one_line(workdir, command):
     assert "Traceback" not in done.stderr
     assert done.stderr.count("\n") == 1
     assert done.stderr.startswith("<stdout>: cannot write: ")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"),
+                    reason="needs a /dev/full device")
+@pytest.mark.parametrize("command", ["expand", "schedule"])
+def test_a_standard_output_that_fills_mid_stream_exits_two_with_one_line(
+        workdir, command):
+    """The dump is written chunk by chunk, so the device is full while
+    chunks are still to come: they are dropped, with one line and exit 2."""
+    path = write(workdir, "shots.jaqal", SHOT_LOOP.format(20000))
+    with open("/dev/full", "w") as full:
+        done = subprocess.run(
+            [sys.executable, "-m", "jaqalc.cli", command, path],
+            env={**os.environ, "PYTHONPATH": str(SRC)}, stdout=full,
+            stderr=subprocess.PIPE, text=True, timeout=120)
+    assert done.returncode == 2, done.stderr
+    assert done.stderr.count("\n") == 1
+    assert done.stderr.startswith("<stdout>: cannot write: ")
+
+
+SHOT_LOOP = ("register q[2]\nloop {} {{ prepare_all; Sxx q[0] q[1]; "
+             "measure_all }}\n")
+
+
+# Run from a small interpreter: a child's peak RSS counts its parent's at
+# the fork, and pytest's is larger than the bounds checked here.
+PEAK_PROBE = r"""
+import os, sys
+with open(sys.argv[1], "wb") as out:
+    pid = os.posix_spawn(
+        sys.executable, [sys.executable, "-m", "jaqalc.cli", *sys.argv[2:]],
+        os.environ, file_actions=[(os.POSIX_SPAWN_DUP2, out.fileno(), 1)])
+_, status, usage = os.wait4(pid, 0)
+print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
+"""
+
+
+def _peak_mib(workdir, argv) -> tuple:
+    """Exit status, sha256 of standard output and peak RSS in MiB of one
+    ``python -m jaqalc.cli`` process, measured with ``os.wait4``."""
+    out = workdir / "stdout.txt"
+    status, kib = _python(workdir, PEAK_PROBE, out, *argv).split()
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    return int(status), digest, int(kib) / 1024
+
+
+@pytest.mark.parametrize("command, count, digest, limit", [
+    # the digest of tests/helpers.schedule_text_reference, which made a
+    # TimelineEntry per gate run; that command line peaked at 218 MiB
+    ("schedule", 200000,
+     "99d2d24a8d5dcd033b7b283d8c182f68b5deee70a1022f522d622b5220efa78e", 60),
+    # 3M lines: dump_flat as one string peaked at 76 MiB
+    ("expand", 1000000,
+     "8a88279f64150ba4a2234df5100d1377a0c38a4e469c24ebe985a0d2e079a07e", 40),
+], ids=["schedule-200k", "expand-1M"])
+def test_a_long_shot_loop_streams_in_bounded_memory(workdir, command, count,
+                                                    digest, limit):
+    path = write(workdir, "shots.jaqal", SHOT_LOOP.format(count))
+    status, got, peak = _peak_mib(workdir, [command, path])
+    assert (status, got) == (0, digest)
+    assert peak < limit, peak
+
+
+def test_check_splices_no_circuit(workdir, capsys, monkeypatch):
+    """Analysis keeps the items it built; only reading the symbol table's
+    circuit splices them, which ``check`` never does."""
+    import jaqalc.analyzer
+
+    path = write(workdir, "chain.jaqal", fan_chain(6, 20, "0.5"))
+    spliced = []
+    splice = jaqalc.analyzer._splice
+    monkeypatch.setattr(jaqalc.analyzer, "_splice",
+                        lambda *args: spliced.append(splice(*args)))
+    assert main(["check", path]) == 0
+    assert spliced == []
+    assert main(["expand", path]) == 0
+    assert spliced
+    assert capsys.readouterr().out == "Rz 0 0.5\n" * 2 ** 6
 
 
 def test_schedule_with_duration_manifest(workdir, capsys):

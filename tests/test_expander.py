@@ -17,6 +17,7 @@ from jaqalc.expander import (
     count_primitive_gates,
     dump_flat,
     expand,
+    flat_chunks,
     iter_gates,
 )
 from jaqalc.parser import parse
@@ -399,6 +400,25 @@ def test_flat_dump_repeats_indented_brackets_inside_a_loop(gates):
     body = ("<\n    Sx 0\n    {\n        Sy 1\n        Sz 1\n    }\n>\n"
             + "Sxx 0 1\n" * 3)
     assert dump_flat(flat(source, gates)) == body * 2
+
+
+def test_a_top_level_loop_is_written_in_blocks_of_its_body(gates):
+    """``expand`` writes the chunks as they come: the text of the items
+    between top-level loops at once, and a loop's body text repeated in
+    blocks of at most 64 KiB, so memory stays bounded by one body however
+    often it runs."""
+    source = ("register q[2]\nSx q[0]\nSy q[1]\n"
+              "loop 100000 { < Sx q[0] | Sz q[1] >; loop 3 { Sy q[0] } }\n"
+              "Sz q[0]\nloop 2 { Sx q[1] }\n")
+    body = "<\n    Sx 0\n    Sz 1\n>\n" + "Sy 0\n" * 3
+    chunks = list(flat_chunks(flat(source, gates)))
+    assert "".join(chunks) == ("Sx 0\nSy 1\n" + body * 100000 + "Sz 0\n"
+                               + "Sx 1\n" * 2)
+    assert chunks[0] == "Sx 0\nSy 1\n"
+    assert chunks[-3:] == ["Sz 0\n", "Sx 1\n" * 2, ""]
+    assert max(map(len, chunks)) <= 1 << 16
+    assert all(chunk == body * (len(chunk) // len(body))
+               for chunk in chunks[1:-3])
 
 
 # -- cross-module equivalence ---------------------------------------------------

@@ -1,25 +1,44 @@
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from jaqalc import scheduler
 from jaqalc.diagnostics import has_errors
 from jaqalc.errors import JaqalError
 from jaqalc.expander import (
     FlatBlock,
     FlatCircuit,
+    FlatLoop,
     PrimitiveGate,
     expand,
-    gate_qubits,
 )
-from jaqalc.gateset import apply_durations, load_duration_manifest
+from jaqalc.gateset import (
+    IDLE,
+    QUBIT,
+    GateDefinition,
+    apply_durations,
+    load_duration_manifest,
+)
 from jaqalc.parser import parse
-from jaqalc.scheduler import dump_timeline, schedule, total_duration
+from jaqalc.scheduler import (
+    dump_timeline,
+    schedule,
+    timeline_chunks,
+    total_duration,
+)
 
-from helpers import check_flat_conflicts
-from program_gen import random_program
+from helpers import (
+    check_flat_conflicts,
+    dump_timeline_reference,
+    gate_qubits,
+    schedule_reference,
+    schedule_text_reference,
+)
+from program_gen import bound_macro_program, random_program
 
 
 def circuit_of(source, gates):
@@ -426,3 +445,137 @@ def test_timeline_dump_sorts_across_loop_iterations(gates):
 def test_timeline_dump_empty(gates):
     circuit = circuit_of("register q[1]\n", gates)
     assert dump_timeline(schedule(circuit, gates)) == ""
+
+
+# -- streamed dump ------------------------------------------------------------
+
+def random_tree_circuit(rng, gates, disjoint=True):
+    """A hand-built circuit of loops, sequences and parallel blocks nested
+    in any order: parallel blocks in sequences in parallel blocks inside
+    loops, and parallel blocks at top level.  Unless ``disjoint``, parallel
+    siblings may share qubits and all-qubit gates may sit in them, which
+    breaks the scheduler's precondition; padding merges the overlaps."""
+    n = rng.randint(1, 5)
+
+    def gate(pool):
+        if not disjoint and rng.random() < 0.1:
+            return PrimitiveGate(gates[rng.choice(["prepare_all",
+                                                   "measure_all"])])
+        if len(pool) >= 2 and rng.random() < 0.2:
+            return PrimitiveGate(gates["I_Sxx"], tuple(rng.sample(pool, 2)))
+        name = rng.choice(["Sx", "Sy", "Sz", "Px", "Rz"])
+        floats = (0.25,) if name == "Rz" else ()
+        return PrimitiveGate(gates[name], (rng.choice(pool),), floats)
+
+    def node(pool, depth, parallel):
+        if depth == 0 or rng.random() < 0.3:
+            return gate(pool)
+        if parallel:
+            if disjoint:
+                shuffled = rng.sample(pool, len(pool))
+                cut = rng.randint(1, len(pool))
+                pools = [p for p in (shuffled[:cut], shuffled[cut:]) if p]
+            else:
+                pools = [pool] * rng.randint(1, 3)
+            return FlatBlock(True, tuple(node(p, depth - 1, False)
+                                         for p in pools))
+        items = tuple(node(pool, depth - 1, True)
+                      for _ in range(rng.randint(1, 3)))
+        if rng.random() < 0.4:
+            return FlatLoop(rng.randint(2, 4), items)
+        return FlatBlock(False, items)
+
+    qubits = list(range(n))
+    items = [node(qubits, 4, rng.random() < 0.5)
+             for _ in range(rng.randint(1, 4))]
+    if rng.random() < 0.5:
+        items.insert(rng.randint(0, len(items)), FlatLoop(
+            rng.randint(2, 5), (PrimitiveGate(gates["prepare_all"]),
+                                node(qubits, 3, True),
+                                PrimitiveGate(gates["measure_all"]))))
+    return FlatCircuit(n, FlatBlock(False, tuple(items)))
+
+
+# zero durations make rows tie across loop iterations and flushes
+DURATION = st.sampled_from([0.0, 0.0, 0.1, 0.25, 0.3, 0.7, 1.0, 2.5, 10.0])
+TIMED = ["Sx", "Sy", "Sz", "Px", "Rz", "Sxx", "MS", "prepare_all",
+         "measure_all"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1),
+       source=st.sampled_from(["random", "bound", "tree", "overlapping"]),
+       durations=st.lists(DURATION, min_size=len(TIMED),
+                          max_size=len(TIMED)),
+       timed=st.booleans(), flush=st.sampled_from([1, 2, 3, 5, 4096]))
+def test_the_streamed_schedule_equals_the_reference(
+        gates, seed, source, durations, timed, flush):
+    """``jaqalc schedule``'s bytes, the timeline and its total are those of
+    the reference walk that made a TimelineEntry per gate run, however
+    small the batches written between steps of the root's chain."""
+    rng = random.Random(seed)
+    if timed:  # the manifest's rules: an idle twin takes its gate's time
+        manifest = "".join(f"{name} {d}\n" for name, d in zip(TIMED,
+                                                              durations))
+        gates = apply_durations(gates, load_duration_manifest(manifest,
+                                                              gates))
+    if source in ("tree", "overlapping"):
+        circuit = random_tree_circuit(rng, gates, source == "tree")
+    else:
+        make = random_program if source == "random" else bound_macro_program
+        program_source = make(rng, max_qubits=4)
+        program, diags = parse(program_source)
+        assert not has_errors(diags), program_source
+        try:
+            circuit = expand(program, gates)
+        except JaqalError:  # a bound-macro program analysis rejects
+            return
+    reference = schedule_reference(circuit, gates)
+    with mock.patch.object(scheduler, "FLUSH_ROWS", flush):
+        chunks = list(timeline_chunks(circuit, gates))
+        assert total_duration(circuit, gates) == reference.total_duration
+    assert "".join(chunks) == schedule_text_reference(circuit, gates)
+    timeline = schedule(circuit, gates)
+    assert timeline == reference
+    assert dump_timeline(timeline) == dump_timeline_reference(reference)
+
+
+def test_a_tie_at_a_flush_is_held_for_the_next_batch(gates):
+    """A step of the root's chain writes only the rows that start before
+    it.  At the second step, at t = 1, the one row is the zero-duration Sz
+    that starts at 1, so nothing is written: the next iteration's Sx
+    starts at 1 too and sorts first."""
+    circuit = circuit_of("register q[1]\nloop 3 { Sx q[0]\nSz q[0] }\n",
+                         gates)
+    timed = apply_durations(gates, {"Sz": 0.0})
+    with mock.patch.object(scheduler, "FLUSH_ROWS", 1):
+        chunks = list(timeline_chunks(circuit, timed))
+    assert chunks == ["0 1 Sx 0\n", "", "1 1 Sx 0\n1 0 Sz 0\n",
+                      "2 1 Sx 0\n2 0 Sz 0\n", "3 0 Sz 0\ntotal 3\n"]
+
+
+def test_a_top_level_parallel_block_is_written_whole(gates):
+    """Its rows, idles included, wait for the step after it."""
+    circuit = circuit_of("register q[2]\n< { Sx q[0]; Sy q[0] } | Px q[1] >"
+                         "\nSz q[1]\n", gates)
+    with mock.patch.object(scheduler, "FLUSH_ROWS", 1):
+        chunks = list(timeline_chunks(circuit, gates))
+    assert chunks == ["0 1 Sx 0\n0 1 Px 1\n1 1 Sy 0\n1 1 I_pad 1\n",
+                      "2 1 Sz 1\n", "total 3\n"]
+
+
+def test_a_gate_named_like_the_padding_sorts_before_the_idle_it_ties_with(
+        gates):
+    """Rows sort by (start, first qubit, name), then entries before idles:
+    only a hand-made gate set can name a gate I_pad and tie with an idle."""
+    named = GateDefinition("I_pad", (QUBIT,), 0.0, IDLE)
+    timed = {**gates, "I_pad": named}
+    circuit = FlatCircuit(2, FlatBlock(False, (FlatBlock(True, (
+        FlatBlock(False, (single(gates, "Sx", 0),
+                          PrimitiveGate(named, (0,)))),
+        FlatBlock(False, (single(gates, "Sy", 1), single(gates, "Sy", 1))),
+    )),)))
+    text = "".join(timeline_chunks(circuit, timed))
+    assert text == schedule_text_reference(circuit, timed) == (
+        "0 1 Sx 0\n0 1 Sy 1\n1 0 I_pad 0\n1 1 I_pad 0\n1 1 Sy 1\n"
+        "total 2\n")
