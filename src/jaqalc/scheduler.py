@@ -5,21 +5,19 @@ parallel block every child starts at the block's start and the block lasts
 as long as its longest child.  Each qubit that participates in a parallel
 block is padded with synthetic idle entries (one ``I_pad`` per gap, sized
 exactly) so that its busy time plus inserted idle time equals the block
-duration.  Qubits the block never mentions receive no padding.
-
-One walk, ``_layout``, serves ``schedule``, ``total_duration`` and the
-streamed dump, ``timeline_chunks``; it builds each IR node's step once for
-all loop iterations.  No row added later starts before the step of the
-root's sequential chain being placed, so the rows that start before it
-are final and are written there: memory is bounded by a loop body or a
-top-level parallel block.
+duration.  Qubits the block never mentions receive no padding.  One walk,
+``_layout``, serves ``schedule``, ``total_duration`` and the streamed dump,
+``timeline_chunks``, building each IR node's step once for all loop
+iterations.  At each step of the root's sequential chain the dump writes
+the rows that start before it and holds the rest, so memory is bounded by
+a loop body, a top-level parallel block, or a run of rows that all start
+at one time (a long loop of zero-duration gates is held whole).
 
 Precondition: the circuit is the expansion of a program that analysis
 accepted, or a hand-built circuit that keeps the same rules, and no
-duration is negative (the manifest loader refuses one).  Qubit
-exclusivity is decided by analysis, never here; a circuit that breaks it
-still lays out (overlapping spans on one qubit merge when padding), but its
-timeline is meaningless.
+duration is negative.  Qubit exclusivity is decided by analysis, never
+here; a circuit that breaks it still lays out (overlapping spans on one
+qubit merge when padding), but its timeline is meaningless.
 """
 
 from __future__ import annotations
@@ -71,20 +69,16 @@ class Timeline(Record):
         self.total_duration = total_duration
 
 
-def _layout(circuit: FlatCircuit, gates, rows: list, limit=inf):
-    """Lay out the circuit from time 0.  Each gate run and each idle adds
-    a row ``(start, (first qubit, name, kind), seq, text, ref)`` to
-    ``rows``: rows sort in dump order, text is the line after its start,
-    and ref is the gate's step or the idle's end.  A generator: at a step
-    of the root's sequential chain, once ``rows`` holds ``limit`` rows, it
-    yields the step's start; last, the end.
-
-    Each node's step is built once, keyed by ``id``: a gate's ``(0,
-    duration, key, text, qubits, gate)``, a sequence's ``(1, count,
-    steps)``, a parallel block's ``(2, steps, pads)``, where pads lists
-    ``(qubit, duration)`` in qubit order if the block holds single gates
-    on disjoint qubits, and is None otherwise."""
-    steps, ids, add = {}, count(), rows.append
+def _layout(circuit: FlatCircuit, gates, rows, limit=inf):
+    """Lay out the circuit from time 0, adding to ``rows`` a row ``(start,
+    (first qubit, name, kind), seq, text, ref)`` per gate run and idle:
+    rows sort in dump order, and ref is the gate's step or the idle's end.
+    A generator: at a step of the root's sequential chain, once ``rows``
+    holds ``limit`` rows, it yields the step's start; last, the end.  Each
+    node's step is built once, keyed by ``id``: a gate's ``(0, duration,
+    key, text, qubits, gate)``, a block's ``(1 + parallel, count, steps)``.
+    If ``rows`` is None, it adds no rows and pads nothing."""
+    steps, ids, add = {}, count(), rows is not None and rows.append
 
     def step_of(node):
         if id(node) in steps:
@@ -95,15 +89,9 @@ def _layout(circuit: FlatCircuit, gates, rows: list, limit=inf):
                 node.definition.kind in (PREPARATION, MEASUREMENT)) else qubits
             step = (0, d, (min(qubits, default=-1), node.name, 0),
                     f" {d:g} {node}\n", occupied, node)
-        elif node.parallel:
-            children = [step_of(child) for child in node.items]
-            pads = sorted((q, c[1]) for c in children if not c[0]
-                          for q in c[4])
-            single = all(not c[0] for c in children)
-            disjoint = len(dict(pads)) == len(pads)  # no qubit twice
-            step = (2, children, pads if single and disjoint else None)
         else:
-            step = (1, node.count, [step_of(child) for child in node.items])
+            step = (1 + node.parallel, node.count,
+                    [step_of(child) for child in node.items])
         steps[id(node)] = step
         return step
 
@@ -113,20 +101,18 @@ def _layout(circuit: FlatCircuit, gates, rows: list, limit=inf):
 
     def place(step, t0: float) -> float:
         if not step[0]:
-            add((t0, step[2], next(ids), step[3], step))
+            if add:
+                add((t0, step[2], next(ids), step[3], step))
             return t0 + step[1]
         if step[0] == 1:
             for _ in range(step[1]):
                 for child in step[2]:
                     t0 = place(child, t0)
             return t0
-        end, pads, mark = t0, step[2], len(rows)
-        for child in step[1]:
+        end, mark = t0, add and len(rows)
+        for child in step[2]:
             end = max(end, place(child, t0))
-        if pads is not None:
-            for q, d in pads:
-                if t0 + d < end:
-                    pad(q, t0 + d, end)
+        if not add:
             return end
         spans: dict = {}  # each qubit's busy spans, gates' and idles'
         for start, key, _, _, ref in rows[mark:]:
@@ -148,7 +134,7 @@ def _layout(circuit: FlatCircuit, gates, rows: list, limit=inf):
         nonlocal limit
         for _ in range(step[1]):
             for child in step[2]:
-                if len(rows) >= limit:
+                if rows and len(rows) >= limit:
                     yield t  # held rows count: a run of ties is not
                     limit = 2 * len(rows) + FLUSH_ROWS  # sorted every step
                 if child[0] == 1:
@@ -196,25 +182,25 @@ def total_duration(circuit: FlatCircuit, gates: dict) -> float:
     take the maximum.  It is ``schedule``'s walk keeping no rows, so the
     two agree to the last bit.  The circuit must meet ``schedule``'s
     precondition; nothing is checked here."""
-    rows: list = []
-    for end in _layout(circuit, gates, rows, FLUSH_ROWS):
-        rows.clear()
+    *_, end = _layout(circuit, gates, None)
     return end
 
 
 def dump_timeline(timeline: Timeline) -> str:
     """One line per entry, ``start duration name qubits... floats...``,
-    sorted by (start, first qubit, name); inserted idles appear as I_pad
-    lines, after the entries they tie with."""
-    rows, known = [], {}  # known: id(gate) -> (key, text)
-    for seq, entry in enumerate(timeline.entries):
-        gate = entry.gate
-        if id(gate) not in known:  # a loop runs the same gate objects again
-            known[id(gate)] = ((min(gate.qubits, default=-1), gate.name, 0),
-                               f" {entry.duration:g} {gate}\n")
-        key, text = known[id(gate)]
-        rows.append((entry.start, key, seq, text, None))
-    rows += [(i.start, (i.qubit, i.name, 1), seq,
-              f" {i.duration:g} {i.name} {i.qubit}\n", None)
-             for seq, i in enumerate(timeline.inserted_idles)]
-    return _lines(sorted(rows))
+    sorted by (start, first qubit); inserted idles appear as I_pad lines."""
+    rows, known = [], {}  # known: id(gate) -> (first qubit, name, tail)
+    for entry in timeline.entries:
+        row = known.get(id(entry.gate))
+        if row is None:  # a loop runs the same gate objects again
+            gate = entry.gate
+            first = min(gate.qubits) if gate.qubits else -1
+            row = known[id(gate)] = (first, gate.name,
+                                     f" {entry.duration:g} {gate}\n")
+        first, name, tail = row
+        rows.append(((entry.start, first, name), f"{entry.start:g}{tail}"))
+    for idle in timeline.inserted_idles:
+        rows.append(((idle.start, idle.qubit, idle.name), f"{idle.start:g} "
+                     f"{idle.duration:g} {idle.name} {idle.qubit}\n"))
+    rows.sort(key=lambda r: r[0])
+    return "".join(text for _, text in rows)

@@ -28,7 +28,7 @@ from jaqalc.ast import (
 from jaqalc.diagnostics import has_errors
 from jaqalc.errors import JaqalError
 from jaqalc.gateset import FLOAT, MEASUREMENT, PREPARATION, QUBIT
-from jaqalc.scheduler import IdleEntry, Timeline, TimelineEntry
+from jaqalc.scheduler import IdleEntry, Timeline, TimelineEntry, dump_timeline
 
 
 def align_phase(u, reference):
@@ -278,7 +278,7 @@ def expand_reference(program: Program, gates: dict,
 
 # The timeline reference: ``place_reference`` makes a TimelineEntry per
 # gate run and pads every parallel block from them, and
-# ``dump_timeline_reference`` sorts one keyed row per entry.  The
+# ``scheduler.dump_timeline`` sorts one keyed row per entry.  The
 # scheduler's streamed rows are compared against them.
 
 def gate_qubits(gate: PrimitiveGate, n_qubits: int) -> set:
@@ -345,26 +345,6 @@ def place_reference(circuit: FlatCircuit, gates, entries, idles) -> float:
     return place(circuit.root, 0.0)
 
 
-def dump_timeline_reference(timeline: Timeline) -> str:
-    """One line per entry, ``start duration name qubits... floats...``,
-    sorted by (start, first qubit); inserted idles appear as I_pad lines."""
-    rows, known = [], {}  # known: id(gate) -> (first qubit, name, tail)
-    for entry in timeline.entries:
-        row = known.get(id(entry.gate))
-        if row is None:  # a loop runs the same gate objects again
-            gate = entry.gate
-            first = min(gate.qubits) if gate.qubits else -1
-            row = known[id(gate)] = (first, gate.name,
-                                     f" {entry.duration:g} {gate}\n")
-        first, name, tail = row
-        rows.append(((entry.start, first, name), f"{entry.start:g}{tail}"))
-    for idle in timeline.inserted_idles:
-        rows.append(((idle.start, idle.qubit, idle.name), f"{idle.start:g} "
-                     f"{idle.duration:g} {idle.name} {idle.qubit}\n"))
-    rows.sort(key=lambda r: r[0])
-    return "".join(text for _, text in rows)
-
-
 def schedule_reference(circuit: FlatCircuit, gates: dict) -> Timeline:
     """The timeline as one recursive walk made it, a ``TimelineEntry`` per
     gate run, before the scheduler built each node's step once and
@@ -381,4 +361,4 @@ def schedule_text_reference(circuit: FlatCircuit, gates: dict) -> str:
     dump of the reference timeline, then the ``total`` line."""
     timeline = schedule_reference(circuit, gates)
     total = f"total {timeline.total_duration:g}\n"
-    return dump_timeline_reference(timeline) + total
+    return dump_timeline(timeline) + total
