@@ -14,8 +14,8 @@ character, so most exercise lexer and parser diagnostics), macro chains
 and one past it (the chains pass macro arguments through every level), the
 benchmark's ``shots``, ``scan`` and ``wide`` programs at the default seed
 (``wide`` runs 16 to 20 qubits, where the simulator kernel dominates), a
-few loop, macro-substitution, angle-parameter and scheduling edge cases
-(``EDGES``, and an angle passed down a chain of macros), N seeded
+few loop, macro-substitution, angle-parameter, scheduling and ``run -p``
+edge cases (``EDGES``, and an angle passed down a chain of macros), N seeded
 ``tests/program_gen.py`` programs of up to 4 qubits (default 150) and
 ``WIDE_PROGRAMS`` seeded ones of up to 12 qubits, so a kernel change is
 compared byte for byte on registers where every gate sweeps a sizeable
@@ -145,6 +145,31 @@ EDGES = {
     "top_level_parallel_block": (
         "register q[3]\n< { Rz q[0] 0.5; Sx q[0] } | Sy q[1] | { Sz q[2]; "
         "Pz q[2]; Rz q[2] 1 } >\nloop 2 { < Sx q[1] | Rz q[2] 0.5 > }\n"),
+    # run -p streams each line in chunks of 4096 outcomes; an invalid
+    # register size is reported before anything is simulated
+    "zero_register_shots": ("register q[0]\nprepare_all\nmeasure_all\n"
+                            "prepare_all\nmeasure_all\n"),
+    # 8192 equally likely outcomes: the line crosses a chunk
+    "dense_13_qubits": ("register q[13]\nprepare_all\n"
+                        + "".join(f"Sy q[{q}]\n" for q in range(13))
+                        + "measure_all\n"),
+    "alternating_segments": ("register q[2]\nloop 4 { prepare_all\n"
+                             "Rx q[0] 0.3\nmeasure_all\nprepare_all\n"
+                             "Sxx q[0] q[1]\nRy q[1] 1.1\nmeasure_all }\n"),
+    # distinct segments, equal distributions, on alternate shots
+    "equal_distributions": ("register q[2]\nloop 3 { prepare_all\nSx q[1]\n"
+                            "measure_all\nprepare_all\nSy q[1]\n"
+                            "measure_all }\n"),
+    # loop bodies of more than 1024 gates stream per iteration in expand
+    "nested_loop_dump": ("register q[2]\nloop 3 { prepare_all\nloop 2 { "
+                         "loop 700 { Sx q[0]\nmeasure_all\nprepare_all } }"
+                         "\nSy q[1]\nmeasure_all }\n"),
+    # the register is destroyed after lines were due: run -p writes none
+    "destroyed_in_a_later_iteration": ("register q[1]\nloop 3 { Sx q[0]\n"
+                                       "measure_all }\n"),
+    "destroyed_after_a_shot_loop": ("register q[2]\nloop 2 { prepare_all\n"
+                                    "loop 2 { < Sx q[0] | Sy q[1] > }\n"
+                                    "measure_all }\nI_Sx q[1]\n"),
 }
 
 

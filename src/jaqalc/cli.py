@@ -17,6 +17,7 @@ raises as ``file: code: message``; data goes to files or standard output.
 from __future__ import annotations
 
 import argparse
+import itertools
 import os
 import sys
 from pathlib import Path
@@ -52,6 +53,8 @@ def _read_text(path: str, what: str = "source") -> str:
 
 def _write(path, chunks):  # text chunks, written as they come
     name = "<stdout>" if path is None else path
+    chunks = iter(chunks)  # a run that fails before its first chunk
+    chunks = itertools.chain([next(chunks, "")], chunks)  # opens no file
     try:
         if path is None:
             sys.stdout.writelines(chunks)
@@ -123,7 +126,7 @@ def cmd_schedule(args) -> int:
 
 def cmd_run(args) -> int:
     from .emitter import emit
-    from .simulator import probabilities, run
+    from .simulator import probability_chunks, run
 
     out = _out_path(args)
     gates = _gates_for(args)
@@ -132,16 +135,8 @@ def cmd_run(args) -> int:
         print(f"{args.file}: warning: the program has no body; the output "
               "will be empty", file=sys.stderr)
     if args.probabilities:
-        lines = []
-        previous = None
-        for distribution in probabilities(symbols.circuit, gates,
-                                          quantize=args.quantize):
-            if distribution != previous:  # repeated shots share a line
-                pairs = sorted(distribution.items())
-                line = " ".join(f"{bits} {p!r}" for bits, p in pairs) + "\n"
-                previous = distribution
-            lines.append(line)
-        _write(out, lines)
+        _write(out, probability_chunks(symbols.circuit, gates,
+                                       quantize=args.quantize))
     else:
         record = run(symbols.circuit, gates, seed=args.seed,
                      quantize=args.quantize)

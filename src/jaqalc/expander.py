@@ -36,14 +36,13 @@ def expand(program: Program, gates: dict,
     return symbols.circuit
 
 
-def count_primitive_gates(circuit: FlatCircuit) -> int:
-    """Primitive gates the circuit runs; a loop multiplies its body's."""
-    def count(item) -> int:
-        if isinstance(item, PrimitiveGate):
-            return 1
-        return item.count * sum(count(child) for child in item.items)
-
-    return count(circuit.root)
+def count_primitive_gates(circuit) -> int:
+    """Primitive gates a circuit, or one of its IR nodes, runs; a loop
+    multiplies its body's."""
+    item = getattr(circuit, "root", circuit)
+    if isinstance(item, PrimitiveGate):
+        return 1
+    return item.count * sum(map(count_primitive_gates, item.items))
 
 
 def iter_gates(circuit: FlatCircuit):
@@ -66,8 +65,9 @@ def flat_chunks(circuit: FlatCircuit):
     """Readable text form, in chunks: one primitive per line as ``name
     offsets... floats...``, nested blocks bracketed by indented markers,
     top-level items at indent zero without them.  A loop has none either:
-    its body's text is repeated ``count`` times, at top level in chunks of
-    about 64 KiB; the items between top-level loops make one chunk."""
+    its body's text is repeated ``count`` times, in 64 KiB blocks, unless
+    loops in it make it run more than 1024 gates: then it streams on each
+    iteration as the top level does."""
 
     def render(items, indent: int) -> str:
         pad = "    " * indent
@@ -83,16 +83,24 @@ def flat_chunks(circuit: FlatCircuit):
                 parts.append(f"{pad}{open_ch}\n{inner}{pad}{close_ch}\n")
         return "".join(parts)
 
-    items, start = circuit.root.items, 0  # the items since the last loop
-    for index, item in enumerate(items):
-        if isinstance(item, FlatLoop):
-            yield render(items[start:index], 0)
-            text = render(item.items, 0)
-            block = max(1, (1 << 16) // (len(text) or 1))
-            for done in range(0, item.count, block):
-                yield text * min(block, item.count - done)
-            start = index + 1
-    yield render(items[start:], 0)
+    def chunks(items):  # the items since the last loop make one chunk
+        start = 0
+        for index, item in enumerate(items):
+            if isinstance(item, FlatLoop):
+                yield render(items[start:index], 0)
+                nested = any(isinstance(i, FlatLoop) for i in item.items)
+                if nested and count_primitive_gates(item) > 1024 * item.count:
+                    for _ in range(item.count):  # its loops stream in turn
+                        yield from chunks(item.items)
+                else:  # a short body is rendered once
+                    text = render(item.items, 0)
+                    block = max(1, (1 << 16) // (len(text) or 1))
+                    for done in range(0, item.count, block):
+                        yield text * min(block, item.count - done)
+                start = index + 1
+        yield render(items[start:], 0)
+
+    return chunks(circuit.root.items)
 
 
 def dump_flat(circuit: FlatCircuit) -> str:

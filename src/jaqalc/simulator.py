@@ -7,18 +7,20 @@ SplitMix64 stream seeded by the caller, so measurement records are
 bit-reproducible across platforms for a given (circuit, seed) pair.
 
 Measurement physically destroys the register: after ``measure_all`` every
-operation except ``prepare_all`` raises, which surfaces generated programs
-that forgot to re-prepare.  The outcome distribution of a measurement
-therefore depends only on its segment, the gates since the last
-``prepare_all`` (or the start).  A segment is simulated from the all-zeros
-state when it is measured, unless it equals the segment measured just
-before: each distinct segment builds one outcome table, the only one kept,
-and every measurement of it samples the table's nonzero outcomes.
+operation except ``prepare_all`` raises, as a check finds before anything
+runs.  So a measurement's distribution depends only on its segment, the
+gates since the last ``prepare_all`` (or the start), simulated from the
+all-zeros state unless it equals the segment measured just before: each
+distinct segment builds one outcome table, the only one kept.
 
 A state holds two 2**n complex vectors (512 MiB together at the 24-qubit
 cap).  Each gate gathers the amplitudes into the other with its qubits'
 axes first, unless the last gate left them so, and multiplies them back;
 they return to basis order only when read.  No gate allocates a vector.
+The Born probabilities go into the spare one; the amplitudes are freed
+before the outcome table is built and the spare before its running sums,
+so ``run`` peaks at two vectors, and ``run -p`` streams each line in
+chunks of ``CHUNK`` outcomes.
 
 This is the only module that builds unitaries, and the only one that
 imports numpy.  Unitaries follow the half-angle convention: a rotation by
@@ -38,7 +40,7 @@ import math
 import numpy as np
 
 from .errors import SimulationError
-from .expander import FlatCircuit, iter_gates
+from .expander import FlatCircuit, PrimitiveGate, iter_gates
 from .gateset import (
     IDLE,
     MEASUREMENT,
@@ -90,6 +92,7 @@ def unitary_of(definition: GateDefinition, float_args=()) -> np.ndarray:
 
 
 MAX_QUBITS = 24  # 2**24 complex amplitudes is the practical cap
+CHUNK = 1 << 12  # outcomes per chunk of a ``run -p`` line
 
 _MASK64 = (1 << 64) - 1
 
@@ -218,7 +221,11 @@ def _bitstrings(indices: np.ndarray, n_qubits: int) -> list:
 
 
 def born_probabilities(state: QuantumState) -> np.ndarray:
-    return np.abs(state.amplitudes) ** 2
+    """|amplitude|**2 in basis order, in the spare vector it gives up."""
+    amplitudes, spare, state._scratch = state.amplitudes, state._scratch, None
+    probs = (np.empty(len(amplitudes)) if spare is None
+             else spare.view(float)[:len(amplitudes)])
+    return np.square(np.abs(amplitudes, out=probs), out=probs)
 
 
 def _simulate(n_qubits: int, segment: tuple, gates, quantize: bool):
@@ -242,10 +249,14 @@ class _Outcomes:
         self._n_qubits = n_qubits
         self._indices = np.nonzero(probs)[0]
         self._probs = probs[self._indices]
-        # zero entries would not change a running sum or win a draw u > 0
-        self._cumulative = np.cumsum(self._probs)
         # names of drawn outcomes only: all 2**20 cost run 0.6 s and 300 MiB
         self._drawn = {}
+
+    @functools.cached_property
+    def _cumulative(self) -> np.ndarray:
+        # summed once the caller has freed ``probs``; zero entries would
+        # not change a running sum or win a draw u > 0
+        return np.cumsum(self._probs)
 
     @functools.cached_property
     def mapping(self) -> dict:
@@ -263,6 +274,43 @@ class _Outcomes:
                                           self._n_qubits)[0]
         return self._drawn[at]
 
+    def line_chunks(self):
+        """The ``run -p`` line: ``bits p`` pairs sorted by bitstring, which
+        sorts as the bit-reversed index, each p its ``repr``."""
+        indices, n = self._indices, self._n_qubits
+        order = np.zeros_like(indices)  # the bit-reversed indices
+        for t in range(n):
+            order |= (indices >> t & 1) << (n - 1 - t)
+        # stable: the default SIMD sort faults in 0.3 MiB more code
+        order = np.argsort(order, kind="stable")
+        for start in range(0, len(order), CHUNK):
+            at = order[start:start + CHUNK]
+            values = repr(self._probs[at].tolist())[1:-1].split(", ")
+            yield " " * (start > 0) + " ".join(
+                map(" ".join, zip(_bitstrings(indices[at], n), values)))
+        yield "\n"
+
+
+def _check_register(items, gates, destroyed=False) -> bool:
+    """Raise destroyed-state where running would, before it runs; return
+    whether the register ends measured.  A loop iteration started so runs
+    as the first did once its first gate prepares, and raises otherwise."""
+    for item in items:
+        if isinstance(item, PrimitiveGate):
+            definition = item.definition if gates is None else gates[item.name]
+            if destroyed and definition.kind != PREPARATION:
+                raise SimulationError(
+                    f"{item.name} applied after measure_all destroyed the "
+                    "register; prepare_all must intervene",
+                    code="destroyed-state")
+            destroyed = definition.kind == MEASUREMENT
+        else:
+            destroyed = _check_register(item.items, gates, destroyed)
+            if destroyed and item.count > 1:  # the next iteration starts so
+                first = next(iter_gates(FlatCircuit(0, item)), None)
+                _check_register([first] if first else [], gates, True)
+    return destroyed
+
 
 def _measurements(circuit: FlatCircuit, gates, quantize: bool):
     """Yield the ``_Outcomes`` of each measure_all, in execution order; a
@@ -276,25 +324,17 @@ def _measurements(circuit: FlatCircuit, gates, quantize: bool):
     """
     n_qubits = circuit.n_qubits
     _check_qubit_cap(n_qubits)
+    _check_register(circuit.root.items, gates)
     segment: list = []
-    destroyed = False
     measured = table = None  # the last measured segment and its outcomes
     for gate in iter_gates(circuit):
         definition = gate.definition
-        if gates is not None:
-            definition = gates[definition.name]
-        if definition.kind == PREPARATION:
+        kind = (definition if gates is None else gates[definition.name]).kind
+        if kind == PREPARATION:
             if segment:
                 _simulate(n_qubits, segment, gates, quantize)
                 segment = []
-            destroyed = False
-            continue
-        if destroyed:
-            raise SimulationError(
-                f"{definition.name} applied after measure_all destroyed "
-                "the register; prepare_all must intervene",
-                code="destroyed-state")
-        if definition.kind == MEASUREMENT:
+        elif kind == MEASUREMENT:
             segment = tuple(segment)
             if segment != measured:
                 measured = table = None  # free the old table first
@@ -303,8 +343,7 @@ def _measurements(circuit: FlatCircuit, gates, quantize: bool):
                 measured = segment
             yield table
             segment = []
-            destroyed = True
-        elif definition.kind != IDLE:
+        elif kind != IDLE:
             segment.append(gate)
     if segment:
         _simulate(n_qubits, segment, gates, quantize)
@@ -319,9 +358,10 @@ def run(circuit: FlatCircuit, gates: dict = None, seed: int = 0,
     (circuit, seed) pairs reproduce identical records anywhere.  With
     ``quantize`` every angle is first snapped to the hardware grid.
     """
-    rng = SplitMix64(seed)
-    return [table.sample(rng.uniform())
-            for table in _measurements(circuit, gates, quantize)]
+    # unlike a comprehension, map holds no table while the next is built
+    draws = iter(SplitMix64(seed).uniform, None)
+    tables = _measurements(circuit, gates, quantize)
+    return list(map(_Outcomes.sample, tables, draws))
 
 
 def probabilities(circuit: FlatCircuit, gates: dict = None,
@@ -331,3 +371,16 @@ def probabilities(circuit: FlatCircuit, gates: dict = None,
     per measure_all."""
     return [dict(table.mapping)
             for table in _measurements(circuit, gates, quantize)]
+
+
+def probability_chunks(circuit: FlatCircuit, gates: dict = None,
+                       quantize: bool = False):
+    """The ``run -p`` text in chunks, one line per measure_all.  A line of
+    at most CHUNK outcomes is kept while its table repeats; a longer one
+    is formatted again, so no step holds more than a table and a chunk."""
+    kept = line = None
+    for table in _measurements(circuit, gates, quantize):
+        if table is not kept and len(table._indices) <= CHUNK:
+            kept, line = table, "".join(table.line_chunks())
+        yield from [line] if table is kept else table.line_chunks()
+        del table  # free it before the next segment is simulated

@@ -1,6 +1,6 @@
 """Shared test utilities: phase alignment, dense-matrix references, the
-expansion reference, the flat-circuit exclusivity reference and the
-timeline reference."""
+expansion reference, the flat-circuit exclusivity reference, the timeline
+reference and the ``run -p`` text reference."""
 
 import numpy as np
 
@@ -27,6 +27,7 @@ from jaqalc.ast import (
 )
 from jaqalc.diagnostics import has_errors
 from jaqalc.errors import JaqalError
+from jaqalc.expander import iter_gates
 from jaqalc.gateset import FLOAT, MEASUREMENT, PREPARATION, QUBIT
 from jaqalc.scheduler import IdleEntry, Timeline, TimelineEntry, dump_timeline
 
@@ -123,6 +124,37 @@ def sample_full_vector(probs, u: float, n_qubits: int) -> str:
     if index >= len(cumulative):  # float sums can land a hair under 1.0
         index = last
     return bitstring_of(index, n_qubits)
+
+
+def register_error_reference(circuit: FlatCircuit, gates: dict):
+    """The destroyed-state message the simulator raised gate by gate, in
+    execution order, before it checked the register ahead: any gate but
+    ``prepare_all`` after ``measure_all`` without one between; else None.
+    ``simulator._check_register`` must raise the same message."""
+    destroyed = False
+    for gate in iter_gates(circuit):
+        kind = gates[gate.name].kind
+        if destroyed and kind != PREPARATION:
+            return (f"{gate.name} applied after measure_all destroyed the "
+                    "register; prepare_all must intervene")
+        destroyed = kind == MEASUREMENT
+    return None
+
+
+def probability_text_reference(distributions) -> str:
+    """``run -p``'s text as the command line built it before it streamed:
+    one line per distribution, its pairs sorted by bitstring, each
+    probability its ``repr``; an equal distribution reuses the line.
+    ``simulator.probability_chunks`` must join to the same text."""
+    lines = []
+    previous = None
+    for distribution in distributions:
+        if distribution != previous:  # repeated shots share a line
+            pairs = sorted(distribution.items())
+            line = " ".join(f"{bits} {p!r}" for bits, p in pairs) + "\n"
+            previous = distribution
+        lines.append(line)
+    return "".join(lines)
 
 
 def unroll(circuit):

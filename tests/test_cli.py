@@ -704,12 +704,13 @@ print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
 """
 
 
-def _peak_mib(workdir, argv) -> tuple:
-    """Exit status, sha256 of standard output and peak RSS in MiB of one
-    ``python -m jaqalc.cli`` process, measured with ``os.wait4``."""
+def _peak_mib(workdir, argv, output="stdout.txt") -> tuple:
+    """Exit status, sha256 of ``output`` (standard output by default) and
+    peak RSS in MiB of one ``python -m jaqalc.cli`` process, measured with
+    ``os.wait4``."""
     out = workdir / "stdout.txt"
     status, kib = _python(workdir, PEAK_PROBE, out, *argv).split()
-    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    digest = hashlib.sha256((workdir / output).read_bytes()).hexdigest()
     return int(status), digest, int(kib) / 1024
 
 
@@ -728,6 +729,105 @@ def test_a_long_shot_loop_streams_in_bounded_memory(workdir, command, count,
     status, got, peak = _peak_mib(workdir, [command, path])
     assert (status, got) == (0, digest)
     assert peak < limit, peak
+
+
+def test_a_nested_shot_loop_streams_like_a_flat_one(workdir):
+    """An inner loop streams in blocks of its body on each outer iteration,
+    as a top-level one does; the outer body's text held whole peaked at
+    52 MiB."""
+    nested = write(workdir, "nested.jaqal", (
+        "register q[2]\nloop 2 { loop 600000 { prepare_all; Sxx q[0] q[1]; "
+        "measure_all } }\n"))
+    flat = write(workdir, "flat.jaqal", SHOT_LOOP.format(1000000))
+    status, digest, peak = _peak_mib(workdir, ["expand", nested])
+    assert (status, digest) == (
+        0, "6fb6b8d4f483302e83d0522194a50a357ef7d4e551626cf6aff29e24f2b14a90")
+    assert peak <= _peak_mib(workdir, ["expand", flat])[2] + 2, peak
+
+
+def dense(n: int) -> str:
+    """``Sy`` on each of n qubits: 2**n equally likely outcomes."""
+    gates = "".join(f"Sy q[{q}]\n" for q in range(n))
+    return f"register q[{n}]\nprepare_all\n{gates}measure_all\n"
+
+
+def test_dense_probabilities_stream_in_bounded_memory(workdir):
+    """``run -p`` names and formats 2**18 outcomes a chunk at a time; a
+    dict, a sorted list and one f-string per outcome peaked at 122 MiB."""
+    path = write(workdir, "dense.jaqal", dense(18))
+    status, digest, peak = _peak_mib(
+        workdir, ["run", path, "-p", "-o", "dense.prob"], "dense.prob")
+    assert (status, digest) == (
+        0, "1e083a40607a3cd59dad0a793a61d986e7601eb9fdc6b66376221593553adebb")
+    assert peak < 60, peak
+
+
+def test_a_register_destroyed_after_a_measurement_leaves_no_file(workdir,
+                                                                 capsys):
+    """``run -p`` streams its lines, but the register order is checked
+    before the first, so a program that fails on its second shot leaves no
+    output file, as when the lines were built first."""
+    path = write(workdir, "late.jaqal",
+                 "register q[1]\nloop 3 { Sx q[0]\nmeasure_all }\n")
+    for flags in (["-p"], []):
+        assert main(["run", path, *flags]) == 1
+        assert not (workdir / "late.out").exists()
+        assert "destroyed-state: Sx applied after measure_all" in (
+            capsys.readouterr().err)
+
+
+def test_run_peaks_at_two_state_vectors(workdir):
+    """The probabilities go into the spare vector, the table is built once
+    the amplitudes are freed and summed once the spare is: numpy's base
+    (a two-qubit run) plus two 2**18 complex vectors of 4 MiB, and 1.5 MiB
+    of slack.  A third vector for the probabilities peaked 2.6 MiB over."""
+    base = _peak_mib(workdir, ["run", write(workdir, "bell.jaqal", BELL)])
+    status, _, peak = _peak_mib(
+        workdir, ["run", write(workdir, "dense.jaqal", dense(18))])
+    assert (status, base[0]) == (0, 0)
+    assert peak <= base[2] + 2 * 4 + 1.5, (base[2], peak)
+
+
+@st.composite
+def _probability_sources(draw):
+    """Random programs of up to 12 qubits, or shot loops of repeated and
+    alternating segments, some with equal distributions."""
+    rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
+    if draw(st.booleans()):
+        return random_program(rng, max_qubits=12, measurements=3)
+    angle = repr(rng.uniform(-4, 4))
+    segments = [f"Rx q[0] {angle}", f"Ry q[0] {angle}", "Sxx q[0] q[1]",
+                f"< Sx q[0] | Rz q[1] {angle} >", "Sy q[1]"]
+    body = "\n".join(f"prepare_all\n{rng.choice(segments)}\nmeasure_all"
+                     for _ in range(rng.randint(1, 3)))
+    return f"register q[2]\nloop {rng.randint(2, 5)} {{ {body} }}\n"
+
+
+@settings(max_examples=80, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(source=_probability_sources(), quantize=st.booleans(),
+       chunk=st.sampled_from([1, 2, 3, 7, 4096]))
+def test_streamed_probabilities_equal_the_reference_text(
+        workdir, gates, source, quantize, chunk):
+    """The ``run -p`` file is the reference formatting of ``probabilities``,
+    also with the chunk size patched small, so lines cross chunks."""
+    from unittest import mock
+
+    import jaqalc.simulator
+    from jaqalc.expander import expand
+    from jaqalc.parser import parse
+    from jaqalc.simulator import probabilities
+
+    from helpers import probability_text_reference
+
+    path = write(workdir, "p.jaqal", source)
+    out = workdir / "p.prob"
+    argv = ["run", path, "-p", "-o", str(out)] + ["-q"] * quantize
+    with mock.patch.object(jaqalc.simulator, "CHUNK", chunk):
+        assert main(argv) == 0
+    circuit = expand(parse(source)[0], gates)
+    assert out.read_text() == probability_text_reference(
+        probabilities(circuit, gates, quantize=quantize))
 
 
 def test_check_splices_no_circuit(workdir, capsys, monkeypatch):

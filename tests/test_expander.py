@@ -421,6 +421,38 @@ def test_a_top_level_loop_is_written_in_blocks_of_its_body(gates):
                for chunk in chunks[1:-3])
 
 
+def test_a_loop_body_renders_once_if_short_and_streams_if_long(
+        gates, monkeypatch):
+    """A loop body is rendered once and repeated in blocks, unless loops
+    in it make it run more than 1024 gates: then it streams per iteration
+    as the top level does, so a loop in it is rendered once per outer
+    iteration, in blocks too.  A long body without loops is bounded by the
+    circuit, and is rendered once."""
+    rendered = []
+    text_of = PrimitiveGate.__str__
+    monkeypatch.setattr(PrimitiveGate, "__str__",
+                        lambda gate: rendered.append(gate.name) or
+                        text_of(gate))
+    short = flat("register q[2]\nloop 100000 { Sx q[0]; loop 3 { Sy q[1] } "
+                 "}\n", gates)
+    chunks = list(flat_chunks(short))
+    assert "".join(chunks) == ("Sx 0\n" + "Sy 1\n" * 3) * 100000
+    assert sorted(rendered) == ["Sx", "Sy"]
+    assert max(map(len, chunks)) <= 1 << 16
+    rendered.clear()
+    long = flat("register q[2]\nloop 3 { Sy q[1]\nloop 2 { loop 300000 { "
+                "Sx q[0] } } }\n", gates)
+    chunks = list(flat_chunks(long))
+    assert "".join(chunks) == ("Sy 1\n" + "Sx 0\n" * 600000) * 3
+    assert sorted(rendered) == ["Sx"] * 6 + ["Sy"] * 3
+    assert max(map(len, chunks)) <= 1 << 16
+    rendered.clear()
+    plain = flat("register q[1]\nloop 3 {" + " Sx q[0];" * 1100 + " }\n",
+                 gates)
+    assert dump_flat(plain) == "Sx 0\n" * 3300
+    assert len(rendered) == 1100
+
+
 # -- cross-module equivalence ---------------------------------------------------
 
 def test_simulation_matches_ast_oracle_on_random_programs(gates):

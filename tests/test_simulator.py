@@ -1,3 +1,4 @@
+import copy
 import math
 import random
 import tracemalloc
@@ -18,7 +19,9 @@ from jaqalc.simulator import (
     _bitstrings,
     _Outcomes,
     apply_unitary,
+    born_probabilities,
     probabilities,
+    probability_chunks,
     run,
     unitary_of,
 )
@@ -27,6 +30,7 @@ from helpers import (
     apply_unitary_reference,
     bitstring_of,
     embed_dense,
+    register_error_reference,
     random_state,
     random_unitary,
     sample_full_vector,
@@ -403,6 +407,49 @@ def test_zero_qubit_circuit_measures_the_empty_string(gates):
     circuit = FlatCircuit(0, FlatBlock(False, shot * 2))
     assert probabilities(circuit, gates) == [{"": 1.0}, {"": 1.0}]
     assert run(circuit, gates) == ["", ""]
+    assert "".join(probability_chunks(circuit, gates)) == " 1.0\n" * 2
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(0, 9), count=st.integers(0, 12),
+       seed=st.integers(0, 2 ** 32 - 1), assigned=st.booleans())
+def test_born_probabilities_are_squared_magnitudes_bit_for_bit(
+        n, count, seed, assigned):
+    """The probabilities written into the spare vector are ``np.abs(a) **
+    2`` to the last bit, whatever axis order the last gate left, with no
+    spare vector yet (no gate, or amplitudes just assigned), and the state
+    keeps its amplitudes and takes further gates."""
+    rng = np.random.default_rng(seed)
+    state = QuantumState(n)
+    if assigned:
+        state.amplitudes = random_state(rng, n)
+    for _ in range(count if n else 0):
+        k = int(rng.integers(1, min(n, 2) + 1))
+        qubits = rng.choice(n, size=k, replace=False).tolist()
+        apply_unitary(state, random_unitary(rng, 2 ** k), qubits)
+    reference = copy.deepcopy(state)
+    amplitudes = reference.amplitudes
+    probs = born_probabilities(state)
+    assert probs.dtype == np.float64 and probs.shape == (2 ** n,)
+    assert probs.tobytes() == (np.abs(amplitudes) ** 2).tobytes()
+    if n:
+        unitary = random_unitary(rng, 2)
+        apply_unitary(state, unitary, [0])
+        apply_unitary(reference, unitary, [0])
+    assert state.amplitudes.tobytes() == reference.amplitudes.tobytes()
+
+
+def test_born_probabilities_reach_a_reordered_state(gates):
+    """Gates on qubits other than the first leave the axes out of basis
+    order; the probabilities still come back in basis order."""
+    state = QuantumState(3)
+    for qubits in ([2], [1, 2], [0], [2, 0]):
+        apply_unitary(state, random_unitary(np.random.default_rng(
+            len(qubits)), 2 ** len(qubits)), qubits)
+    assert state._layout != (0, 1, 2)
+    reference = copy.deepcopy(state)
+    expected = np.abs(reference.amplitudes) ** 2
+    assert born_probabilities(state).tobytes() == expected.tobytes()
 
 
 def test_draw_past_a_sum_below_one_takes_the_last_nonzero_outcome(
@@ -601,6 +648,53 @@ def test_destroyed_state_is_raised_after_a_memo_hit(gates):
             with pytest.raises(SimulationError) as err:
                 execute()
             assert err.value.code == "destroyed-state"
+
+
+@st.composite
+def _register_circuits(draw):
+    """Hand-built one-qubit circuits of prepare_all, measure_all, Sx and
+    I_Sx in loops and blocks up to three deep, stray measurements and all:
+    a loop body may start or end measured."""
+    from jaqalc.expander import FlatLoop
+    from jaqalc.gateset import builtin_gateset
+
+    gates = builtin_gateset()
+
+    def items(depth: int) -> tuple:
+        kinds = ["prepare_all", "measure_all", "Sx", "I_Sx"]
+        out = []
+        for _ in range(draw(st.integers(1, 3))):
+            kind = draw(st.sampled_from(kinds + ["loop", "block"] * bool(
+                depth)))
+            if kind == "loop":
+                out.append(FlatLoop(draw(st.integers(2, 3)), items(depth - 1)))
+            elif kind == "block":
+                out.append(FlatBlock(draw(st.booleans()), items(depth - 1)))
+            else:
+                qubits = (0,) if kind in ("Sx", "I_Sx") else ()
+                out.append(PrimitiveGate(gates[kind], qubits))
+        return tuple(out)
+
+    return FlatCircuit(1, FlatBlock(False, items(3)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(circuit=_register_circuits())
+def test_register_check_raises_where_running_gate_by_gate_did(gates,
+                                                              circuit):
+    """The register is checked before anything runs, in one walk of the
+    IR (a loop's next iteration by its first gate), and fails exactly
+    when the gate-by-gate walk did, naming the same gate."""
+    message = register_error_reference(circuit, gates)
+    for execute in (run, probabilities,
+                    lambda *args: list(probability_chunks(*args))):
+        if message is None:
+            execute(circuit, gates)
+            continue
+        with pytest.raises(SimulationError) as err:
+            execute(circuit, gates)
+        assert (err.value.code, str(err.value)) == ("destroyed-state",
+                                                    message)
 
 
 def test_invalid_gate_in_an_unmeasured_segment_still_raises(gates):
