@@ -16,10 +16,14 @@ benchmark's ``shots``, ``scan`` and ``wide`` programs at the default seed
 (``wide`` runs 16 to 20 qubits, where the simulator kernel dominates), a
 few loop, macro-substitution, angle-parameter, scheduling and ``run -p``
 edge cases (``EDGES``, and an angle passed down a chain of macros), N seeded
-``tests/program_gen.py`` programs of up to 4 qubits (default 150) and
-``WIDE_PROGRAMS`` seeded ones of up to 12 qubits, so a kernel change is
-compared byte for byte on registers where every gate sweeps a sizeable
-vector.  Each tree gets one child interpreter that calls
+``tests/program_gen.py`` programs of up to 4 qubits (default 150), N seeded
+macro programs whose bodies name register qubits, ``WIDE_PROGRAMS`` seeded
+ones of up to 12 qubits, so a kernel change is compared byte for byte on
+registers where every gate sweeps a sizeable vector, and the 20-qubit
+shift registers of m0..m12 invoking m10, with m0's gates in sequence and in
+parallel, whose macros hand their callers pairs of qubit terms (these run
+``check``, ``expand`` and ``schedule`` only: 20,480 gates on 20 qubits are
+too slow to simulate here).  Each tree gets one child interpreter that calls
 ``jaqalc.cli.main`` in-process for every invocation, with standard output
 and error captured.
 
@@ -98,6 +102,14 @@ EDGES = {
     "conflict_in_a_macro_loop": ("register q[3]\nmacro m a b { loop 3 { "
                                  "< Sx a | Sy b > } }\nprepare_all\n"
                                  "m q[0] q[1]\nm q[2] q[2]\nmeasure_all\n"),
+    # a register qubit passed on beside a parameter, or named in the body
+    # of the macro invoked, meets a sibling's only once bound
+    "passed_offset_meets_a_sibling": ("register q[2]\nmacro d a b { Sx a; "
+                                      "Sx b }\nmacro m a < d a q[1] | "
+                                      "Sx q[1] >\nm q[0]\nm q[1]\n"),
+    "callee_offset_meets_a_sibling": ("register q[2]\nmacro d a { Sx a; "
+                                      "Sx q[1] }\nmacro m a < d a | Sy q[1] "
+                                      ">\nm q[0]\n"),
     # a conflict in a definition is reported there once, not per invocation
     "conflict_in_a_definition": ("register q[2]\nmacro d a b { I_Sxx a b }\n"
                                  "macro m a { d q[0] q[0]; Sx a }\n"
@@ -189,7 +201,9 @@ def _deep(depth: int) -> dict:
 def _inputs(work: Path, programs: int) -> list:
     sys.path[:0] = [str(ROOT / d) for d in ("tests", "src", "bench")]
     from jaqalc.ast import MAX_NESTING
-    from program_gen import fan_chain, mutant, random_program
+    from program_gen import (PARALLEL_ALL, SX_ALL, bound_macro_program,
+                             fan_chain, mutant, random_program,
+                             shift_register)
     from workloads import DEFAULT_SEED, generate
 
     inputs = []
@@ -231,15 +245,26 @@ def _inputs(work: Path, programs: int) -> list:
         path = generated / f"gen{index:04d}.jaqal"
         path.write_text(random_program(random.Random(index), max_qubits=4))
         inputs.append(path)
+    for index in range(programs):
+        path = generated / f"register{index:04d}.jaqal"
+        path.write_text(bound_macro_program(random.Random(index), 4,
+                                            register=True))
+        inputs.append(path)
     for index in range(WIDE_PROGRAMS):
         path = generated / f"wide{index:02d}.jaqal"
         path.write_text(random_program(random.Random(f"wide{index}"),
                                        max_qubits=12))
         inputs.append(path)
-    return [str(path) for path in inputs]
+    analysis_only = []
+    for stem, m0_body in (("shift_sequential", f"{{ {SX_ALL} }}"),
+                          ("shift_parallel", f"< {PARALLEL_ALL} >")):
+        path = edges / f"{stem}.jaqal"
+        path.write_text(shift_register(m0_body, last=12, invoked=10))
+        analysis_only.append(str(path))
+    return [str(path) for path in inputs], analysis_only
 
 
-def _jobs(work: Path, inputs: list) -> list:
+def _jobs(work: Path, inputs: list, analysis_only: list) -> list:
     from workloads import SCAN_MANIFEST
 
     manifest = work / "scan.manifest"
@@ -255,6 +280,8 @@ def _jobs(work: Path, inputs: list) -> list:
         for command in commands:
             jobs.append((command + [path],
                          output if command[0] == "run" else None))
+    jobs += [(command + [path], None) for path in analysis_only
+             for command in commands[:3]]
     return jobs
 
 
@@ -306,8 +333,9 @@ def main(argv=None) -> int:
         old_src = _extract(args.rev, tmp / "old")
         work = tmp / "work"
         work.mkdir()
-        inputs = _inputs(work, args.programs)
-        jobs = _jobs(work, inputs)
+        inputs, analysis_only = _inputs(work, args.programs)
+        jobs = _jobs(work, inputs, analysis_only)
+        inputs += analysis_only
         jobs_path = work / "jobs.json"
         jobs_path.write_text(json.dumps(jobs))
         old = _run_tree(old_src, work, jobs_path, "old")

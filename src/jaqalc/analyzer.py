@@ -44,18 +44,18 @@ Checks performed, each with its own diagnostic code:
 
 Each statement is summarised once, as a ``Usage``, while it is checked; the
 parallel-sibling rules read only those summaries.  Analysis alone decides
-exclusivity: an invocation whose qubit arguments resolve has the macro's
-body checked again with them bound, once per distinct tuple of offsets,
-and reports each distinct error of that check; a definition's own errors
-are reported once, at the definition.  Only gates that run within the gate
-budget are checked so, which costs no more than expanding them.  The
+exclusivity, and walks each macro body once, where it is defined, with
+parameters standing for their names.  A check that depends on an invocation's
+qubits becomes pairs of terms (parameters or offsets) that must not name one
+qubit, kept with the walk position of the check.  An invocation on offsets
+reports each distinct error of the pairs that meet, in walk order; one
+passing a parameter on hands its caller the pairs that may still meet.  The
 rules apply to statements as written, even a ``loop 0`` body.
 
-The check with bound qubits also builds the body's flat items, each number
-parameter left as its name, so an angle never costs a check; an invocation
-adds a ``_Call`` of them with its numbers.  When ``SymbolTable.circuit`` is
-first read, ``_splice`` inlines every call and binds every number, giving
-a FlatCircuit of primitive gates on register offsets in alternating
+The same walk builds the body's flat items; an invocation adds a ``_Call``
+of them with its arguments.  When ``SymbolTable.circuit`` is first read,
+``_splice`` inlines every call and binds every parameter, giving a
+FlatCircuit of primitive gates on register offsets in alternating
 sequential/parallel blocks, and loops that hold their body once; ``check``
 never reads it.
 """
@@ -83,7 +83,7 @@ from .ast import (
 )
 from .diagnostics import error, has_errors, warning
 from .errors import JaqalError
-from .gateset import FLOAT, MEASUREMENT, PREPARATION, QUBIT
+from .gateset import MEASUREMENT, PREPARATION, QUBIT
 from .record import Record
 
 # The most primitive gates a program may run.  Expansion keeps loops whole,
@@ -95,44 +95,49 @@ MAX_GATES = 2 ** 22
 class Usage(NamedTuple):
     """What a statement occupies, as the exclusivity rules see it.
 
-    ``offsets`` holds the register offsets it is known to touch, or None
+    ``offsets`` holds the register offsets it is known to touch, and None
     when it holds an all-qubit gate and so occupies every offset.
     ``global_gate`` and ``entangler`` say whether it holds an all-qubit
     preparation/measurement or the two-qubit entangler, also through
     macro invocations.  ``gates`` counts the primitive gates it expands
-    to.
+    to.  ``later`` holds, in a macro body, the terms whose checks wait for
+    a binding: parameters, and what an invocation passing one on touches.
     """
 
-    offsets: Optional[frozenset] = frozenset()
+    offsets: frozenset = frozenset()
     global_gate: bool = False
     entangler: bool = False
     gates: int = 0
+    later: frozenset = frozenset()
 
     @classmethod
     def of_gate(cls, definition, offsets) -> "Usage":
         is_global = definition.kind in (PREPARATION, MEASUREMENT)
         rotation = definition.rotation
-        return cls(None if is_global else frozenset(offsets), is_global,
+        return cls(frozenset((None,) if is_global else offsets), is_global,
                    rotation is not None and rotation.family == "ms", 1)
 
     @classmethod
     def union(cls, usages) -> "Usage":
-        offsets = set()
+        offsets, later = set(), set()
         global_gate = entangler = False
         gates = 0
         for usage in usages:
-            if usage.offsets is None:
-                offsets = None
-            elif offsets is not None:
-                offsets |= usage.offsets
+            offsets |= usage.offsets
+            later |= usage.later
             global_gate = global_gate or usage.global_gate
             entangler = entangler or usage.entangler
             gates += usage.gates
-        return cls(None if offsets is None else frozenset(offsets),
-                   global_gate, entangler, gates)
+        return cls(frozenset(offsets), global_gate, entangler, gates,
+                   frozenset(later))
 
 
 _NO_USAGE = Usage()
+
+
+def _shared(offset) -> str:
+    return (f"qubit offset {offset} is used by two statements in the same "
+            "parallel block")
 
 
 def parallel_conflicts(usages, n_qubits: int):
@@ -147,7 +152,7 @@ def parallel_conflicts(usages, n_qubits: int):
     taken: set = set()
     everything = False  # an earlier child occupies every offset
     for idx, usage in enumerate(usages):
-        if usage.offsets is None:
+        if None in usage.offsets:
             shared = range(n_qubits) if everything else sorted(taken)
             everything = True
         else:
@@ -155,9 +160,7 @@ def parallel_conflicts(usages, n_qubits: int):
                             else usage.offsets & taken)
             taken |= usage.offsets
         for offset in shared:
-            yield (idx, "parallel-conflict",
-                   f"qubit offset {offset} is used by two statements in the "
-                   "same parallel block")
+            yield idx, "parallel-conflict", _shared(offset)
     if len(usages) > 1:
         for idx, usage in enumerate(usages):
             if usage.entangler:
@@ -206,19 +209,19 @@ class FlatCircuit(Record):
 
 
 class _Unbound(Record):
-    """A gate whose float arguments are numbers or number parameters'
-    names."""
+    """A gate in a macro body, whose arguments may name parameters;
+    ``bound`` keeps the gate it makes on each tuple of offsets."""
 
-    __slots__ = ("definition", "qubits", "float_args")
+    __slots__ = ("definition", "qubits", "float_args", "angles", "bound")
     def __init__(self, definition, qubits, float_args):
         self.definition, self.qubits = definition, qubits
-        self.float_args = float_args
+        self.float_args, self.bound = float_args, {}
+        self.angles = str in map(type, float_args)
 
 
 class _Call(Record):
-    """A macro invocation: the body's items, shared by every invocation on
-    the same qubits, and ``(parameter, number or caller's parameter)``
-    pairs binding its number parameters."""
+    """A macro invocation: the body's items, and pairs binding each of its
+    parameters to an offset, a number or a parameter of the caller."""
 
     __slots__ = ("parallel", "items", "numbers")
     def __init__(self, parallel: bool, items: list, numbers: tuple):
@@ -229,18 +232,22 @@ def _splice(items, parallel: bool, numbers: dict, out: list):
     """Append ``items``, built in a block of kind ``parallel``, to ``out`` as
     flat IR.  Analysis builds them as the source is written: a FlatBlock
     per block, a FlatLoop of any count per loop, a _Call per invocation.
-    Here calls are inlined, numbers bound from ``numbers`` (parameter name
-    -> number), a block spliced into one of its kind, empty blocks and
-    loops dropped and a loop run once unwrapped.  Loops sit in sequential
-    blocks: analysis rejects one in a parallel block."""
+    Here calls are inlined, parameters bound from ``numbers`` (name ->
+    offset or number), a block spliced into one of its kind, empty blocks
+    and loops dropped and a loop run once unwrapped.  Loops sit in
+    sequential blocks: analysis rejects one in a parallel block."""
     for item in items:
         kind = type(item)
         if kind is PrimitiveGate:
             out.append(item)
         elif kind is _Unbound:
-            out.append(PrimitiveGate(item.definition, item.qubits, tuple(
-                numbers[arg] if type(arg) is str else arg
-                for arg in item.float_args)))
+            qubits = tuple(map(numbers.get, item.qubits, item.qubits))
+            gate = item.bound.get(qubits) or item.bound.setdefault(
+                qubits, PrimitiveGate(item.definition, qubits, item.float_args))
+            if item.angles:  # 1 == 1.0, but they print apart
+                gate = PrimitiveGate(item.definition, gate.qubits, tuple(
+                    map(numbers.get, gate.float_args, gate.float_args)))
+            out.append(gate)
         elif kind is FlatLoop:
             if item.count == 1:
                 _splice(item.items, False, numbers, out)
@@ -249,7 +256,7 @@ def _splice(items, parallel: bool, numbers: dict, out: list):
                 _splice(item.items, False, numbers, body)
                 if body:
                     out.append(FlatLoop(item.count, tuple(body)))
-        else:  # a FlatBlock, or a _Call, which binds its body's numbers
+        else:  # a FlatBlock, or a _Call, which binds its body's parameters
             inner = numbers if kind is FlatBlock else {
                 param: numbers[arg] if type(arg) is str else arg
                 for param, arg in item.numbers}
@@ -292,14 +299,16 @@ class RegisterInfo(Record):
 
 class MacroInfo(Record):
     __slots__ = ("name", "params", "param_kinds", "body", "usage", "depth",
-                 "clean")
-    def __init__(self, name, params, param_kinds, body, usage, depth, clean):
+                 "clean", "items", "pairs")
+    def __init__(self, name, params, param_kinds, body, usage, depth, clean,
+                 items, pairs):
         # param_kinds: param name -> QUBIT | FLOAT | None (unused); usage:
         # the body's; depth: how deep the expanded body nests blocks;
-        # clean: the definition drew no diagnostic
+        # clean: the definition drew no diagnostic; items: the body's;
+        # pairs: (code, message or None, term, term) -> walk position
         self.name, self.params, self.param_kinds = name, params, param_kinds
         self.body, self.usage, self.depth = body, usage, depth
-        self.clean = clean
+        self.clean, self.items, self.pairs = clean, items, pairs
 
 
 class SymbolTable:
@@ -345,17 +354,12 @@ class _Analyzer:
         self.diags: list = []
         self.table = SymbolTable()
         # the macro being checked: its name, its param name -> inferred
-        # kind (mutated) and the deepest nesting in its body
+        # kind (mutated), the deepest nesting in its body and its pairs
         self.current_macro = None
         self.params: dict = {}
-        self.deepest = 0
-        # in a check with bound qubits: qubit parameter name -> offset
-        self.env: Optional[dict] = None
-        # (macro name, *qubit offsets) -> the body's Usage, its errors and
-        # its items
-        self.bound: dict = {}
+        self.deepest, self.pairs = 0, {}
+        self.tick = 0  # counts checks that deferred pairs: walk positions
         self.live = True  # False in a loop body that runs no times
-        self.budget = MAX_GATES  # gates bound checks may still cover
         # every macro's name, for forward-reference messages
         self.macro_names = {stmt.name for stmt in program.body
                             if isinstance(stmt, MacroDef)}
@@ -493,19 +497,12 @@ class _Analyzer:
         first_gate_stmt = None
         items: list = []
         total = 0  # primitive gates up to here
-        # Bound checks in definitions share one budget; one skipped there
-        # is made at the invocation.  At top level, a check past what the
-        # gates so far leave would be in a program too-many-gates rejects.
-        defined = MAX_GATES
         for stmt in self.program.body:
             if isinstance(stmt, MacroDef):
-                self.budget = defined
                 self.do_macro(stmt)
-                defined = self.budget
                 continue
             if first_gate_stmt is None and _contains_gate(stmt):
                 first_gate_stmt = stmt
-            self.budget = MAX_GATES - total
             gates = self.check_statement(stmt, False, 0, items).gates
             total += gates
             if total > MAX_GATES >= total - gates:  # first passed here
@@ -520,7 +517,7 @@ class _Analyzer:
         return self.table, self.diags
 
     def do_macro(self, stmt: MacroDef):
-        mark, self.deepest = len(self.diags), 0
+        mark, self.deepest, self.pairs = len(self.diags), 0, {}
         collision = stmt.name in self.table.names or stmt.name in self.gates
         if collision:
             self.diag(stmt, "duplicate-name",
@@ -532,12 +529,13 @@ class _Analyzer:
                           f"macro parameter {p!r} collides with another name")
             param_kinds.setdefault(p, None)
         self.current_macro, self.params = stmt.name, param_kinds
-        usage = self.check_block(stmt.body, False, 0, [])
+        items: list = []
+        usage = self.check_block(stmt.body, False, 0, items)
         self.current_macro, self.params = None, {}
         if not collision:
             self.table.names[stmt.name] = MacroInfo(
                 stmt.name, stmt.params, param_kinds, stmt.body, usage,
-                self.deepest, len(self.diags) == mark)
+                self.deepest, len(self.diags) == mark, items, self.pairs)
 
     def check_statement(self, stmt, in_parallel: bool, depth: int,
                         out: list) -> Usage:
@@ -599,6 +597,12 @@ class _Analyzer:
         n_qubits = register.size if register and register.size else 0
         for idx, code, message in parallel_conflicts(usages, n_qubits):
             self.diag(block.statements[idx], code, message)
+        if usage.later and None not in usage.offsets:  # terms yet to bind
+            seen: set = set()
+            for child in usages:  # each sibling's pairs at its own position
+                self.defer((("parallel-conflict", None, a, b), ())
+                           for a in child.offsets | child.later for b in seen)
+                seen |= child.offsets | child.later
         return usage
 
     def check_gate(self, stmt: GateStatement, in_parallel: bool, depth: int,
@@ -610,16 +614,14 @@ class _Analyzer:
                 self.diag(stmt, "global-gate-in-parallel",
                           f"{name} acts on every qubit and cannot appear "
                           "inside a parallel block")
-            gate = self.check_native_args(stmt, definition)
-            out.append(gate)
-            return Usage.of_gate(definition, gate.qubits)
+            return self.check_native_args(stmt, definition, out)
         macro = self.table.names.get(name)
         if isinstance(macro, MacroInfo):
             if in_parallel and macro.usage.global_gate:
                 self.diag(stmt, "global-gate-in-parallel",
                           f"macro {name!r} prepares or measures all qubits "
                           "and cannot appear inside a parallel block")
-            env, numbers = self.check_macro_args(stmt, macro)
+            qubits, binding = self.check_macro_args(stmt, macro)
             depth += macro.depth
             if depth > MAX_NESTING:
                 self.diag(stmt, "nesting-too-deep",
@@ -627,31 +629,27 @@ class _Analyzer:
                           f"more than {MAX_NESTING}")
             else:
                 self.deepest = max(self.deepest, depth)
-            if not (depth <= MAX_NESTING and macro.clean and env is not None
-                    and self.live and 0 < macro.usage.gates <= self.budget):
-                # too deep, errors in the definition, unbound parameters, or
-                # no gate to run within the budget
-                return macro.usage._replace(offsets=frozenset())
-            # Check the body with its qubit parameters bound, and build its
-            # items, once per tuple of offsets, in this frame: a macro level
-            # costs three frames.  The checks inside fit the budget this one
-            # fits.
-            key = (name, *env.values())
-            if key not in self.bound:
-                saved = self.diags, self.params, self.env, self.budget
-                self.diags, self.env = [], env
-                self.params = dict(macro.param_kinds)
-                items: list = []
-                usage = self.check_block(macro.body, False, 0, items)
-                self.bound[key] = usage, dict.fromkeys(
-                    (d.code, d.message) for d in self.diags), items
-                self.diags, self.params, self.env, self.budget = saved
-                self.budget -= macro.usage.gates
-            usage, errors, items = self.bound[key]
-            for code, message in errors:
+            if not (depth <= MAX_NESTING and macro.clean and qubits is not None
+                    and self.live and macro.usage.gates):
+                # too deep, a faulty definition or qubit, or no gate to run
+                return macro.usage._replace(offsets=frozenset(),
+                                            later=frozenset())
+            out.append(_Call(macro.body.parallel, macro.items, binding))
+            binding, usage = dict(binding), macro.usage
+            bound = usage.offsets.union(map(binding.get, usage.later,
+                                            usage.later))
+            pairs = [((c, m, binding.get(a, a), binding.get(b, b)), at)
+                     for (c, m, a, b), at in macro.pairs.items()]
+            if str in map(type, qubits):  # passes a parameter on: wait
+                self.defer(pairs)
+                return usage._replace(offsets=frozenset(), later=bound)
+            # each distinct error of the pairs that meet, in walk order
+            met = sorted((position, a, code, message or _shared(a))
+                         for (code, message, a, b), position in pairs
+                         if a == b)
+            for code, message in dict.fromkeys(m[2:] for m in met):
                 self.diag(stmt, code, message)
-            out.append(_Call(macro.body.parallel, items, numbers))
-            return usage
+            return usage._replace(offsets=bound, later=frozenset())
         if name == self.current_macro:
             self.diag(stmt, "recursive-macro",
                       f"macro {name!r} cannot invoke itself; a macro is "
@@ -665,16 +663,16 @@ class _Analyzer:
                       f"{name!r} is not a known gate or macro")
         return _NO_USAGE
 
-    def check_native_args(self, stmt, definition):
-        """Check a native gate's arguments; returns the gate they make, on
-        the register offsets of the qubit arguments that resolved, an
-        _Unbound one if an angle names a number parameter."""
+    def check_native_args(self, stmt, definition, out: list) -> Usage:
+        """Check a native gate's arguments and append the gate they make, on
+        the qubit arguments that resolved, to ``out``: an _Unbound one in a
+        macro body.  Returns the gate's Usage."""
         kinds = definition.param_kinds
         if len(stmt.args) != len(kinds):
             self.diag(stmt, "arity-mismatch",
                       f"{definition.name} takes {len(kinds)} argument(s), "
                       f"got {len(stmt.args)}")
-            return PrimitiveGate(definition)
+            kinds = ()  # and no argument is checked
         qubits, floats = [], []
         for arg, kind in zip(stmt.args, kinds):
             resolved = self.check_arg(stmt, arg, kind)
@@ -682,53 +680,65 @@ class _Analyzer:
                 floats.append(resolved)
             elif resolved is not None:
                 qubits.append(resolved)
-        if len(set(qubits)) != len(qubits):
-            self.diag(stmt, "duplicate-qubit",
-                      f"{definition.name} uses the same qubit twice")
-        gate = _Unbound if str in map(type, floats) else PrimitiveGate
-        return gate(definition, tuple(qubits), tuple(floats))
+        twice, fixed = f"{definition.name} uses the same qubit twice", qubits
+        if str in map(type, qubits):  # a parameter: pairs wait for binding
+            fixed = [q for q in qubits if type(q) is int]
+            self.defer((("duplicate-qubit", twice, a, b), ())
+                       for j, b in enumerate(qubits) for a in qubits[:j])
+        if len(set(fixed)) != len(fixed):
+            self.diag(stmt, "duplicate-qubit", twice)
+        out.append((_Unbound if self.current_macro else PrimitiveGate)(
+            definition, tuple(qubits), tuple(floats)))
+        usage = Usage.of_gate(definition, fixed)
+        return usage if fixed is qubits else usage._replace(
+            later=frozenset(qubits).difference(fixed))
 
     def check_macro_args(self, stmt, macro: MacroInfo):
-        """Check an invocation's arguments; returns the offset bound to each
-        qubit parameter, or None if one did not resolve, and the
-        ``(parameter, number)`` pairs for the number parameters."""
+        """Check an invocation's arguments; returns the terms bound to its
+        qubit parameters, or None if one did not resolve, and ``(parameter,
+        term or number)`` pairs binding the parameters its body uses."""
         if len(stmt.args) != len(macro.params):
             self.diag(stmt, "arity-mismatch",
                       f"macro {macro.name} takes {len(macro.params)} "
                       f"argument(s), got {len(stmt.args)}")
             return None, ()
-        env, numbers = {}, []
+        qubits, binding = [], []
         for arg, param in zip(stmt.args, macro.params):
             kind = macro.param_kinds.get(param)
             # a parameter the body never uses (kind None) takes any
             # argument that resolves cleanly
             if kind is not None or isinstance(arg, QubitRef):
                 value = self.check_arg(stmt, arg, kind or QUBIT)
+                if kind is not None:
+                    binding.append((param, value))
                 if kind == QUBIT:
-                    env[param] = value
-                elif kind == FLOAT:
-                    numbers.append((param, value))
+                    qubits.append(value)
             elif (isinstance(arg, NameRef) and arg.name not in self.table.names
                   and arg.name not in self.params):
                 self.diag(stmt, "undefined-name",
                           f"{arg.name!r} is not declared")
-        return None if None in env.values() else env, tuple(numbers)
+        return None if None in qubits else qubits, tuple(binding)
 
     def check_arg(self, stmt, arg, kind):
         """Validate an argument in a QUBIT or FLOAT slot; returns its
         register offset or number when statically resolvable, or None.
-        Naming a parameter of the enclosing macro infers its kind, or in a
-        check with bound qubits gives its offset; a number parameter gives
+        Naming a parameter of the enclosing macro infers its kind and gives
         its name, bound when the circuit is spliced."""
-        if isinstance(arg, NameRef) and arg.name in (self.env or ()):
-            return self.env[arg.name]
         if isinstance(arg, NameRef) and arg.name in self.params:
             self.infer_param(stmt, arg.name, kind)
-            return None if kind == QUBIT else arg.name
+            return arg.name
         if kind == QUBIT:
             return self.report(stmt, resolve_qubit, arg, self.table,
                                self.params)
         return self.report(stmt, _number, arg, self.table)
+
+    def defer(self, pairs):
+        """Keep the pairs that may yet meet, at this check's walk position."""
+        self.tick += 1
+        for (code, message, a, b), position in pairs:
+            if a == b or type(a) is str or type(b) is str:
+                self.pairs.setdefault((code, message, a, b),
+                                      (self.tick, position))
 
     def infer_param(self, stmt, name, kind):
         current = self.params.get(name)

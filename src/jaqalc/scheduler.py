@@ -77,7 +77,7 @@ def _layout(circuit: FlatCircuit, gates, rows, limit=inf):
     holds ``limit`` rows, it yields the step's start; last, the end.  Each
     node's step is built once, keyed by ``id``: a gate's ``(0, duration,
     key, text, qubits, gate)``, a block's ``(1 + parallel, count, steps)``.
-    If ``rows`` is None, it adds no rows and pads nothing."""
+    If ``rows`` is None, it adds no rows, pads nothing and builds no text."""
     steps, ids, add = {}, count(), rows is not None and rows.append
 
     def step_of(node):
@@ -88,7 +88,7 @@ def _layout(circuit: FlatCircuit, gates, rows, limit=inf):
             occupied = range(circuit.n_qubits) if (  # lazily: q[10**400]
                 node.definition.kind in (PREPARATION, MEASUREMENT)) else qubits
             step = (0, d, (min(qubits, default=-1), node.name, 0),
-                    f" {d:g} {node}\n", occupied, node)
+                    add and f" {d:g} {node}\n", occupied, node)
         else:
             step = (1 + node.parallel, node.count,
                     [step_of(child) for child in node.items])

@@ -5,9 +5,11 @@ exercised).  ``random_program`` gives programs that are valid by
 construction: parallel siblings touch disjoint qubits, the entangler never
 has parallel company, loop counts are small, and the primitive-gate budget
 bounds the unrolled size.  ``bound_macro_program`` gives programs whose
-only errors are qubit conflicts, most of them created by macro arguments.
+only errors are qubit conflicts, most of them created by macro arguments;
+with ``register``, bodies also name register qubits.
 ``number_macro_program`` gives valid programs whose macros pass angle
-parameters on through nested invocations.
+parameters on through nested invocations.  ``macro_chain``, ``fan_chain``
+and ``shift_register`` give chains of macros whose invocations multiply.
 """
 
 import random
@@ -153,6 +155,26 @@ def fan_chain(fan: int, chain: int, angle=None) -> str:
     return "\n".join(lines) + "\n"
 
 
+SX_ALL = "; ".join(f"Sx p{i}" for i in range(20))
+PARALLEL_ALL = " | ".join(f"Sx p{i}" for i in range(20))
+
+
+def shift_register(m0_body, body="{{ {0}; {1} }}", last=39, invoked=None):
+    """Macros m0..m<last> of 20 qubit parameters on ``register q[20]``.
+    m<k> invokes m<k-1> on its last 19 parameters and q[0], then on them
+    and q[1], inside ``body``, so m<last-d> is reached with 2**min(d, 20)
+    distinct tuples of qubits.  The last line invokes m<invoked>, by
+    default m<last>."""
+    params = [f"p{i}" for i in range(20)]
+    lines = ["register q[20]", f"macro m0 {' '.join(params)} {m0_body}"]
+    for k in range(1, last + 1):
+        calls = (f"m{k - 1} {' '.join(params[1:])} q[{i}]" for i in (0, 1))
+        lines.append(f"macro m{k} {' '.join(params)} " + body.format(*calls))
+    invoked = last if invoked is None else invoked
+    lines.append(f"m{invoked} " + " ".join(f"q[{i}]" for i in range(20)))
+    return "\n".join(lines) + "\n"
+
+
 # -- macros on bound qubits ----------------------------------------------------
 
 def _pick(rng, qubits, count):
@@ -164,46 +186,73 @@ def _pick(rng, qubits, count):
 
 
 def _bound_statement(rng, qubits, macros, parallel, in_parallel, depth,
-                     top, used):
+                     top, used, register):
     """One statement inside a block of kind ``parallel``.  ``macros`` holds
-    ``(name, arity, runs an entangler)`` for the macros defined so far;
-    ``used`` collects whether this statement runs an entangler.  Outside
-    the top level no entangler runs inside a parallel block, so no macro
-    definition is rejected for one."""
+    ``(name, arity, runs an entangler, positions of the parameters its
+    body reads)`` for the macros defined so far; ``used`` collects whether
+    this statement runs an entangler and the qubits it reads, in a gate or
+    passed to a parameter its macro reads.  Outside the top level no entangler
+    runs inside a parallel block, so no macro definition is rejected for
+    one.
+
+    ``register``, in a body, holds the register qubits it may name and
+    whether a native gate may still name one: once per body, so no two of
+    the body's own gates meet on one, while an invocation names any beside
+    a parameter its macro reads, so its qubits meet the body's only once
+    bound, never at the definition."""
     roll = rng.random()
     if roll < 0.25 and depth > 0:
         if not in_parallel and rng.random() < 0.5:
             return (f"loop {rng.randint(1, 3)} "
                     + _bound_block(rng, qubits, macros, False, False,
-                                   depth - 1, top, used))
+                                   depth - 1, top, used, register))
         return _bound_block(rng, qubits, macros, not parallel, in_parallel,
-                            depth - 1, top, used)
+                            depth - 1, top, used, register)
     allowed = top or not in_parallel
-    usable = [m for m in macros if allowed or not m[2]]
+    # with ``register``, a body invokes only macros that read a parameter
+    usable = [m for m in macros if (allowed or not m[2])
+              and (m[3] or not register)]
     if roll < 0.6 and usable:
-        name, arity, entangler = rng.choice(usable)
+        name, arity, entangler, reads = rng.choice(usable)
         used[0] = used[0] or entangler
-        return " ".join([name, *_pick(rng, qubits, arity)])
+        args = _pick(rng, qubits, arity)
+        if register and rng.random() < 0.5:
+            kept = rng.choice(reads)  # a parameter passed on stays
+            for i in range(arity):
+                if i != kept and rng.random() < 0.6:
+                    args[i] = rng.choice(register[0])
+        used[1].update(args[i] for i in reads)
+        return " ".join([name, *args])
     if rng.random() < 0.4:
         name = rng.choice(["Sxx", "MS", "I_Sxx"] if allowed else ["I_Sxx"])
         used[0] = used[0] or name != "I_Sxx"
         angles = ["0.5", "0.25"] if name == "MS" else []
-        return " ".join([name, *_pick(rng, qubits, 2), *angles])
-    return f"{rng.choice(['Sx', 'Sy', 'Pz'])} {rng.choice(qubits)}"
+        args = _pick(rng, qubits, 2)
+        if register and register[1] and rng.random() < 0.3:
+            args[rng.randrange(2)] = rng.choice(register[0])
+            register[1] = False
+        used[1].update(args)
+        return " ".join([name, *args, *angles])
+    name, qubit = rng.choice(["Sx", "Sy", "Pz"]), rng.choice(qubits)
+    if register and register[1] and rng.random() < 0.3:
+        qubit, register[1] = rng.choice(register[0]), False
+    used[1].add(qubit)
+    return f"{name} {qubit}"
 
 
 def _bound_block(rng, qubits, macros, parallel, in_parallel, depth, top,
-                 used):
+                 used, register=None):
     in_parallel = in_parallel or parallel
     parts = [_bound_statement(rng, qubits, macros, parallel, in_parallel,
-                              depth, top, used)
+                              depth, top, used, register)
              for _ in range(rng.randint(1, 3))]
     if parallel:
         return "< " + " | ".join(parts) + " >"
     return "{ " + "; ".join(parts) + " }"
 
 
-def bound_macro_program(rng: random.Random, max_qubits=3) -> str:
+def bound_macro_program(rng: random.Random, max_qubits=3,
+                        register=False) -> str:
     """A program of macros taking 1 to 3 qubits, each body in a sequential
     or parallel block with nested blocks and loops and invocations of
     earlier macros, and top-level invocations with repeated or permuted
@@ -211,25 +260,27 @@ def bound_macro_program(rng: random.Random, max_qubits=3) -> str:
 
     The only errors it can have are qubit-exclusivity ones, and every
     macro definition is clean: a body names qubits through its parameters
-    only, and no entangler runs inside a body's parallel block.  Loops run
+    only (with ``register``, also register qubits, as ``_bound_statement``
+    says), and no entangler runs inside a body's parallel block.  Loops run
     1 to 3 times and no block is empty, so every statement expands to
     gates."""
     n = rng.randint(1, max_qubits)
     lines = [f"register q[{n}]"]
     macros: list = []
+    qubits = [f"q[{i}]" for i in range(n)]
     for index in range(rng.randint(1, 3)):
         arity = rng.randint(1, 3)
         params = list("abc"[:arity])
-        used = [False]
+        used = [False, set()]
         body = _bound_block(rng, params, macros, rng.random() < 0.4, False,
-                            2, False, used)
+                            2, False, used, register and [qubits, True])
         lines.append(f"macro m{index} {' '.join(params)} {body}")
-        macros.append((f"m{index}", arity, used[0]))
-    qubits = [f"q[{i}]" for i in range(n)]
+        reads = [i for i, p in enumerate(params) if p in used[1]]
+        macros.append((f"m{index}", arity, used[0], reads))
     lines.append("prepare_all")
     for _ in range(rng.randint(1, 4)):
         lines.append(_bound_statement(rng, qubits, macros, False, False, 2,
-                                      True, [False]))
+                                      True, [False, set()], None))
     lines.append("measure_all")
     return "\n".join(lines) + "\n"
 

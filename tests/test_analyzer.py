@@ -575,19 +575,45 @@ def verdicts(source, gates):
     return {d.code for d in sem if d.severity == "error"}, None
 
 
-@settings(max_examples=300, deadline=None)
-@given(seed=st.integers(0, 2 ** 32 - 1))
-def test_analysis_rejects_exactly_what_the_flat_reference_rejects(gates,
-                                                                  seed):
+@settings(max_examples=600, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), register=st.booleans())
+def test_analysis_rejects_exactly_what_the_flat_reference_rejects(
+        gates, seed, register):
     """Analysis decides exclusivity alone: it reports an exclusivity error
     exactly when the expanded circuit breaks the rules, and its codes
-    include the one the flat reference reports first."""
-    source = bound_macro_program(random.Random(seed))
+    include the one the flat reference reports first.  With ``register``,
+    bodies name register qubits too, and pass them on beside parameters,
+    so a pair a macro hands its caller may hold two offsets."""
+    source = bound_macro_program(random.Random(seed), register=register)
     found, reference = verdicts(source, gates)
     assert found <= EXCLUSIVITY, source
     assert bool(found) == (reference is not None), (source, found)
     if reference is not None:
         assert reference.code in found, (source, found, reference.code)
+
+
+@settings(max_examples=500, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1))
+def test_each_invocation_is_rejected_exactly_when_its_expansion_is(gates,
+                                                                    seed):
+    """Top-level statements are checked apart, so each is rejected exactly
+    when the flat reference rejects the program of it alone; one program's
+    other conflicts cannot hide a missed one.  Bodies name register qubits
+    and pass them on beside parameters, so macros hand their callers pairs
+    of two offsets, which meet at every invocation."""
+    source = bound_macro_program(random.Random(seed), 5, register=True)
+    lines = source.splitlines()
+    _, diags = analyzed(source, gates)
+    for number, line in enumerate(lines, 1):
+        if line.startswith(("macro", "register", "prepare_all",
+                            "measure_all")):
+            continue
+        alone = [text for text in lines if text.startswith(
+            ("register", "macro"))] + ["prepare_all", line, "measure_all"]
+        _, reference = verdicts("\n".join(alone) + "\n", gates)
+        found = {d.code for d in diags if d.line == number}
+        assert bool(found) == (reference is not None), (source, line, found)
+        assert reference is None or reference.code in found, (source, line)
 
 
 def test_bound_macro_programs_reach_every_verdict(gates):
@@ -620,8 +646,17 @@ def test_bound_macro_programs_reach_every_verdict(gates):
     "register q[2]\nmacro d a b { Sxx a b }\nmacro m a { d a a }\nm q[1]\n",
     "register q[2]\nmacro m a b { loop 3 { < Sx a | Sy b > } }\n"
     "m q[1] q[1]\n",
+    # a register qubit passed on beside a parameter, or named in the body
+    # of the macro invoked, meets a sibling's; two passed on meet in a gate
+    "register q[2]\nmacro d a b { Sx a; Sx b }\n"
+    "macro m a < d a q[1] | Sx q[1] >\nm q[0]\n",
+    "register q[2]\nmacro d a { Sx a; Sx q[1] }\n"
+    "macro m a < d a | Sy q[1] >\nm q[0]\n",
+    "register q[2]\nmacro d a b c { Sxx b c; Sx a }\n"
+    "macro m a { d a q[1] q[1] }\nm q[0]\n",
 ], ids=["duplicate", "parallel", "literal", "own-first", "spliced",
-        "two-deep", "loop"])
+        "two-deep", "loop", "passed-offset", "callee-offset",
+        "offsets-in-a-gate"])
 def test_a_substitution_conflict_is_reported_at_the_invocation(gates,
                                                                source):
     """Each distinct error once, at the one top-level invocation on the
@@ -646,19 +681,18 @@ def test_a_conflict_in_a_definition_is_reported_once(gates):
         "3:13: duplicate-qubit: I_Sxx uses the same qubit twice"]
 
 
-def test_each_macro_body_is_checked_once_per_qubit_tuple(gates,
-                                                         monkeypatch):
+def test_each_macro_body_is_checked_once(gates, monkeypatch):
     """A chain whose every macro invokes the one before twice, with its
-    arguments swapped the second time, checks each body once per distinct
-    tuple of bound offsets: 2 per level, not 2**level.  An angle passed
-    down the chain adds no check, whatever its value."""
+    arguments swapped the second time, reaches m0 on 2**11 paths; each
+    body is still walked once, where it is defined, and an invocation
+    walks none.  An angle passed down the chain adds no walk either."""
     levels = 12
     checked = []
     check_block = _Analyzer.check_block
 
     def counting(self, block, in_parallel, depth, out):
-        if self.env is not None and depth == 0:
-            checked.append((id(block), tuple(self.env.values())))
+        if depth == 0:
+            checked.append(id(block))
         return check_block(self, block, in_parallel, depth, out)
 
     monkeypatch.setattr(_Analyzer, "check_block", counting)
@@ -669,17 +703,21 @@ def test_each_macro_body_is_checked_once_per_qubit_tuple(gates,
         lines += [f"macro m{k} a b{t} {{ m{k - 1} a b{t}; m{k - 1} b a{t} }}"
                   for k in range(1, levels)]
         lines += [f"m{levels - 1} q[0] q[1]{angle}" for angle in angles]
+        program, diags = parse("\n".join(lines) + "\n")
+        assert not has_errors(diags)
         checked.clear()
-        accept("\n".join(lines) + "\n", gates)
-        assert len(checked) == len(set(checked)) == 2 * levels - 1
+        assert not has_errors(analyze(program, gates)[1])
+        assert checked == [id(stmt.body) for stmt in program.body
+                           if isinstance(stmt, MacroDef)]
 
 
-def test_checks_with_bound_qubits_keep_within_the_gate_budget(gates,
-                                                              monkeypatch):
-    """Checks in definitions share one budget; once it is spent, a
-    conflict in a definition is found where the macro is invoked.  At top
-    level a check past what the gates so far leave is not made: the
-    program is rejected for its size."""
+def test_checks_with_bound_qubits_ignore_the_gate_budget(gates,
+                                                         monkeypatch):
+    """Checking an invocation costs time in proportion to the source, not
+    to the gates it runs, so no check waits for the gate budget: a
+    conflict in a definition is reported there even when the invocations
+    before it run more than ``MAX_GATES`` gates, and an invocation past
+    the budget is checked as well as rejected for the program's size."""
     monkeypatch.setattr(analyzer, "MAX_GATES", 4)
     _, diags = analyzed(
         "register q[2]\nmacro m a b { Sxx a b; Sxx a b }\n"
@@ -687,7 +725,7 @@ def test_checks_with_bound_qubits_keep_within_the_gate_budget(gates,
         "d2\nd2\nm q[1] q[1]\n", gates)
     duplicate = "duplicate-qubit: Sxx uses the same qubit twice"
     assert [str(d) for d in diags] == [
-        f"5:1: {duplicate}", f"6:1: {duplicate}",
+        f"4:12: {duplicate}", f"7:1: {duplicate}",
         "7:1: too-many-gates: the program expands to more than 4 primitive "
         "gates by the end of this statement"]
 
@@ -695,9 +733,9 @@ def test_checks_with_bound_qubits_keep_within_the_gate_budget(gates,
 @pytest.mark.parametrize("alternate", [False, True])
 def test_a_chain_at_the_nesting_limit_is_analyzed_on_a_deep_stack(
         gates, alternate):
-    """Checking a macro body with its qubits bound costs a macro level
-    three frames, as in expansion, so analysis of an invocation at the
-    nesting limit leaves room for a caller already deep in the stack."""
+    """Analysis walks each macro body once, where it is defined, and an
+    invocation walks no body, so analysis of an invocation at the nesting
+    limit leaves room for a caller already deep in the stack."""
     program, diags = parse(macro_chain(MAX_NESTING, alternate)
                            + f"m{MAX_NESTING - 1} q[0]\n")
     assert not has_errors(diags)
@@ -709,6 +747,7 @@ def test_a_chain_at_the_nesting_limit_is_analyzed_on_a_deep_stack(
     def at_depth(n):
         return analyze(program, gates) if n == 0 else at_depth(n - 1)
 
-    # 700 frames stay free; a level of four frames needs 800
+    # 700 frames stay free; a walk through the chain's levels at four
+    # frames a level would need 800
     _, sem = at_depth(sys.getrecursionlimit() - frames - 700)
     assert not has_errors(sem), sem

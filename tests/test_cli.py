@@ -16,12 +16,15 @@ from jaqalc.ast import MAX_NESTING
 from jaqalc.cli import main
 from jaqalc.simulator import MAX_QUBITS
 from program_gen import (
+    PARALLEL_ALL,
+    SX_ALL,
     fan_chain,
     macro_chain,
     mutant,
     nested_blocks,
     nested_loops,
     random_program,
+    shift_register,
 )
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -381,23 +384,6 @@ def doubling_chain(levels):
     return "\n".join(lines) + "\n"
 
 
-SX_ALL = "; ".join(f"Sx p{i}" for i in range(20))
-
-
-def shift_register(m0_body, body="{{ {0}; {1} }}"):
-    """Macros m0..m39 of 20 qubit parameters on ``register q[20]``.  m<k>
-    invokes m<k-1> on its last 19 parameters and q[0], then on them and
-    q[1], inside ``body``, so m<39-d> is reached with 2**min(d, 20)
-    distinct tuples of qubits.  The last line invokes m39."""
-    params = [f"p{i}" for i in range(20)]
-    lines = ["register q[20]", f"macro m0 {' '.join(params)} {m0_body}"]
-    for k in range(1, 40):
-        calls = (f"m{k - 1} {' '.join(params[1:])} q[{i}]" for i in (0, 1))
-        lines.append(f"macro m{k} {' '.join(params)} " + body.format(*calls))
-    lines.append("m39 " + " ".join(f"q[{i}]" for i in range(20)))
-    return "\n".join(lines) + "\n"
-
-
 @pytest.mark.parametrize("source, position", [
     ("register q[1]\nprepare_all\nloop 1000000000000 { Sx q[0] }\n"
      "measure_all\n", "3:1"),
@@ -440,8 +426,9 @@ def swapped_chain(m0_body, invocation):
 def test_what_runs_no_gates_is_neither_checked_nor_expanded(
         workdir, capsys, source):
     """Each program nests 2**40 invocations that run no gates, and the
-    shift registers reach 20 * 2**20 distinct tuples of qubits, too many to
-    cache.  Neither analysis nor expansion enters what runs no gates."""
+    shift registers reach 20 * 2**20 distinct tuples of qubits.  Analysis
+    walks each body once, and neither analysis nor expansion enters an
+    invocation of what runs no gates."""
     path = write(workdir, "chain.jaqal", source)
     for command in EVERY_COMMAND:
         started = time.perf_counter()
@@ -458,10 +445,10 @@ def test_what_runs_no_gates_is_neither_checked_nor_expanded(
 def test_a_wide_fan_under_a_long_chain_is_checked_and_expanded_at_once(
         workdir, capsys, source, gates):
     """The last line runs 2**18 (2**16) gates through 169 (137) macro
-    levels.  Analysis builds each body's items once per tuple of qubits and
-    splices them, binding every number, once at the end; keeping each
-    level's spliced items, or binding numbers at every level, would cost
-    hundreds of MiB or a minute here."""
+    levels.  Analysis builds each body's items once, where it is defined,
+    and splices them, binding every parameter, once at the end; keeping
+    each level's spliced items, or binding numbers at every level, would
+    cost hundreds of MiB or a minute here."""
     path = write(workdir, "chain.jaqal", source)
     out = workdir / "chain.flat"
     for command in (["check", path], ["expand", path, "-o", str(out)]):
@@ -743,6 +730,46 @@ def test_a_nested_shot_loop_streams_like_a_flat_one(workdir):
     assert (status, digest) == (
         0, "6fb6b8d4f483302e83d0522194a50a357ef7d4e551626cf6aff29e24f2b14a90")
     assert peak <= _peak_mib(workdir, ["expand", flat])[2] + 2, peak
+
+
+def test_check_costs_what_the_source_does_not_what_it_runs(workdir):
+    """Each macro body is walked once, where it is defined, so ``check``
+    on the shift register cut at m14 (327,680 gates) costs what it costs on
+    an empty register; walking m0 again for each of its 2**14 tuples of
+    qubits peaked at 96 MiB."""
+    cut = write(workdir, "cut.jaqal", shift_register(f"{{ {SX_ALL} }}",
+                                                     last=14))
+    empty = write(workdir, "empty.jaqal", "register q[2]\n")
+    status, _, peak = _peak_mib(workdir, ["check", cut])
+    assert status == 0
+    assert peak <= _peak_mib(workdir, ["check", empty])[2] + 2, peak
+
+
+def test_pairs_carried_up_sixteen_levels_are_reported_at_once(workdir,
+                                                                capsys):
+    """m0 runs its 20 parameters in parallel, and each level passes q[0]
+    and q[1] in place of one, so the pairs m16 hands its invocation hold
+    offsets that meet.  Checking m0 again for each of its 2**16 tuples of
+    qubits took 14 s and 356 MiB."""
+    path = write(workdir, "parallel.jaqal", shift_register(
+        f"< {PARALLEL_ALL} >", last=16))
+    started = time.perf_counter()
+    assert main(["check", path]) == 1
+    assert time.perf_counter() - started < 1.0
+    assert capsys.readouterr().err == "".join(
+        f"{path}:19:1: parallel-conflict: qubit offset {offset} is used by "
+        "two statements in the same parallel block\n" for offset in (0, 1))
+
+
+def test_expansion_binds_each_gate_once_per_tuple_of_offsets(workdir):
+    """Splicing binds a macro body's gates on every visit, but makes one
+    gate per tuple of offsets; one per visit peaked at 65 MiB here."""
+    path = write(workdir, "chain.jaqal", doubling_chain(18))
+    status, digest, peak = _peak_mib(workdir, ["expand", path])
+    text = "prepare_all\n" + "Sx 0\n" * 2 ** 18 + "measure_all\n"
+    assert (status, digest) == (
+        0, hashlib.sha256(text.encode()).hexdigest())
+    assert peak < 45, peak
 
 
 def dense(n: int) -> str:

@@ -104,6 +104,19 @@ def test_loop_seven_total_is_eighty_four(gates):
     assert schedule(circuit, gates).total_duration == 84.0
 
 
+def test_total_duration_formats_no_gate(gates, monkeypatch):
+    """Only the dump reads a gate's text, so the layout walk without rows,
+    which ``total_duration`` makes, formats no gate."""
+    circuit = circuit_of("register q[3]\nloop 3 { < Sx q[0] | Rz q[1] 0.5 >\n"
+                         "Sxx q[1] q[2] }\nprepare_all\n", gates)
+
+    def text(gate):
+        raise AssertionError(f"formatted {gate.name}")
+
+    monkeypatch.setattr(PrimitiveGate, "__str__", text)
+    assert total_duration(circuit, gates) == 53.0
+
+
 def test_durations_can_come_from_an_override_mapping(gates):
     from jaqalc.gateset import apply_durations
 
