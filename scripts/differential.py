@@ -15,7 +15,8 @@ and one past it (the chains pass macro arguments through every level), the
 benchmark's ``shots``, ``scan`` and ``wide`` programs at the default seed
 (``wide`` runs 16 to 20 qubits, where the simulator kernel dominates), a
 few loop, macro-substitution, angle-parameter, scheduling and ``run -p``
-edge cases (``EDGES``, and an angle passed down a chain of macros), N seeded
+edge cases (``EDGES``, among them loops inside blocks, an angle passed down
+a chain of macros, and ``doubling_chain(12)``'s 4096 gates), N seeded
 ``tests/program_gen.py`` programs of up to 4 qubits (default 150), N seeded
 macro programs whose bodies name register qubits, ``WIDE_PROGRAMS`` seeded
 ones of up to 12 qubits, so a kernel change is compared byte for byte on
@@ -182,6 +183,22 @@ EDGES = {
     "destroyed_after_a_shot_loop": ("register q[2]\nloop 2 { prepare_all\n"
                                     "loop 2 { < Sx q[0] | Sy q[1] > }\n"
                                     "measure_all }\nI_Sx q[1]\n"),
+    # expand writes a block's markers around its children's chunks: a
+    # loop in a block is rendered once and repeated, or, if its inner
+    # loops run more than 1024 gates per iteration, walked per iteration
+    "macro_loop_3_in_a_parallel_block": (
+        "register q[2]\nmacro m a { loop 3 { Sx a; Rz a 0.5 } }\n"
+        "prepare_all\n< m q[0] | Sz q[1] >\nmeasure_all\n"),
+    "macro_loop_3000_in_a_parallel_block": (
+        "register q[2]\nmacro m a { loop 3000 { Sx a; Rz a 0.5 } }\n"
+        "prepare_all\n< m q[0] | Sz q[1] >\nmeasure_all\n"),
+    "long_nested_loop_in_a_block": (
+        "register q[2]\nmacro m a { loop 3 { Sy a; loop 2 { loop 700 { "
+        "Sx a } } } }\nprepare_all\n< m q[0] | Sz q[1] >\nmeasure_all\n"),
+    "macro_loop_in_a_parallel_block_in_a_sequential_block": (
+        "register q[3]\nmacro m a { loop 3 { Sx a; Rz a 0.5 } }\n"
+        "prepare_all\n< { < m q[0] | Sz q[1] >; Sx q[0] } | Sy q[2] >\n"
+        "measure_all\n"),
 }
 
 
@@ -202,8 +219,8 @@ def _inputs(work: Path, programs: int) -> list:
     sys.path[:0] = [str(ROOT / d) for d in ("tests", "src", "bench")]
     from jaqalc.ast import MAX_NESTING
     from program_gen import (PARALLEL_ALL, SX_ALL, bound_macro_program,
-                             fan_chain, mutant, random_program,
-                             shift_register)
+                             doubling_chain, fan_chain, mutant,
+                             random_program, shift_register)
     from workloads import DEFAULT_SEED, generate
 
     inputs = []
@@ -230,8 +247,10 @@ def _inputs(work: Path, programs: int) -> list:
             inputs.append(path)
     edges = work / "edges"
     edges.mkdir()
-    # an angle passed down 27 macro levels to 64 gates
-    texts = dict(EDGES, number_parameter_chain=fan_chain(6, 20, "0.5"))
+    # an angle passed down 27 macro levels to 64 gates; 4096 gates between
+    # the top level's loops
+    texts = dict(EDGES, number_parameter_chain=fan_chain(6, 20, "0.5"),
+                 doubling_chain12=doubling_chain(12))
     for name in ("shots", "scan", "wide"):
         for program in generate(name, DEFAULT_SEED).programs:
             texts[program.name] = program.source

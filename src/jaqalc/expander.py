@@ -20,6 +20,9 @@ from .analyzer import (  # noqa: F401  (the IR records are public here)
 from .ast import Program
 from .errors import JaqalError
 
+STREAM_GATES = 1024  # a body whose loops run more is walked per iteration
+CHUNK_BYTES = 1 << 16  # else its text is repeated in blocks of this size
+
 
 def expand(program: Program, gates: dict,
            symbols: SymbolTable = None) -> FlatCircuit:
@@ -61,46 +64,42 @@ def iter_gates(circuit: FlatCircuit):
     yield from walk(circuit.root.items)
 
 
+def _looped(items) -> int:  # gates the loops among items run, at any depth
+    return sum(count_primitive_gates(i) if isinstance(i, FlatLoop) else
+               _looped(i.items) for i in items if hasattr(i, "items"))
+
+
+def _pieces(items, indent: int):  # the text of items, in execution order
+    pad = "    " * indent
+    for item in items:
+        if isinstance(item, PrimitiveGate):
+            yield f"{pad}{item}\n"
+        elif isinstance(item, FlatBlock):
+            yield f"{pad}{'<' if item.parallel else '{'}\n"
+            yield from _pieces(item.items, indent + 1)
+            yield f"{pad}{'>' if item.parallel else '}'}\n"
+        elif _looped(item.items) > STREAM_GATES:  # walked on each iteration
+            for _ in range(item.count):
+                yield from _pieces(item.items, indent)
+        else:  # rendered once, repeated in blocks of about CHUNK_BYTES
+            text = "".join(_pieces(item.items, indent))
+            block = max(1, CHUNK_BYTES // (len(text) or 1))
+            for done in range(0, item.count, block):
+                yield text * min(block, item.count - done)
+
+
 def flat_chunks(circuit: FlatCircuit):
-    """Readable text form, in chunks: one primitive per line as ``name
-    offsets... floats...``, nested blocks bracketed by indented markers,
-    top-level items at indent zero without them.  A loop has none either:
-    its body's text is repeated ``count`` times, in 64 KiB blocks, unless
-    loops in it make it run more than 1024 gates: then it streams on each
-    iteration as the top level does."""
-
-    def render(items, indent: int) -> str:
-        pad = "    " * indent
-        parts = []
-        for item in items:
-            if isinstance(item, PrimitiveGate):
-                parts.append(f"{pad}{item}\n")
-            elif isinstance(item, FlatLoop):
-                parts.append(render(item.items, indent) * item.count)
-            else:
-                open_ch, close_ch = ("<", ">") if item.parallel else ("{", "}")
-                inner = render(item.items, indent + 1)
-                parts.append(f"{pad}{open_ch}\n{inner}{pad}{close_ch}\n")
-        return "".join(parts)
-
-    def chunks(items):  # the items since the last loop make one chunk
-        start = 0
-        for index, item in enumerate(items):
-            if isinstance(item, FlatLoop):
-                yield render(items[start:index], 0)
-                nested = any(isinstance(i, FlatLoop) for i in item.items)
-                if nested and count_primitive_gates(item) > 1024 * item.count:
-                    for _ in range(item.count):  # its loops stream in turn
-                        yield from chunks(item.items)
-                else:  # a short body is rendered once
-                    text = render(item.items, 0)
-                    block = max(1, (1 << 16) // (len(text) or 1))
-                    for done in range(0, item.count, block):
-                        yield text * min(block, item.count - done)
-                start = index + 1
-        yield render(items[start:], 0)
-
-    return chunks(circuit.root.items)
+    """Readable text form: a line ``name offsets... floats...`` per
+    primitive, indented markers around blocks, a loop's body ``count``
+    times; in chunks of at most ``CHUNK_BYTES``, or one longer body."""
+    parts, size = [], 0
+    for piece in _pieces(circuit.root.items, 0):
+        if size + len(piece) > CHUNK_BYTES and parts:
+            yield "".join(parts)
+            parts, size = [], 0
+        parts.append(piece)
+        size += len(piece)
+    yield "".join(parts)
 
 
 def dump_flat(circuit: FlatCircuit) -> str:

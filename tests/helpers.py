@@ -1,6 +1,6 @@
 """Shared test utilities: phase alignment, dense-matrix references, the
 expansion reference, the flat-circuit exclusivity reference, the timeline
-reference and the ``run -p`` text reference."""
+reference and the ``expand`` and ``run -p`` text references."""
 
 import numpy as np
 
@@ -155,6 +155,27 @@ def probability_text_reference(distributions) -> str:
             previous = distribution
         lines.append(line)
     return "".join(lines)
+
+
+def flat_text_reference(circuit: FlatCircuit) -> str:
+    """``expand``'s text as ``expander.flat_chunks`` rendered it before it
+    streamed blocks: one string per block, a loop's body text repeated
+    ``count`` times.  ``flat_chunks`` must join to the same text."""
+    def render(items, indent: int) -> str:
+        pad = "    " * indent
+        parts = []
+        for item in items:
+            if isinstance(item, PrimitiveGate):
+                parts.append(f"{pad}{item}\n")
+            elif isinstance(item, FlatLoop):
+                parts.append(render(item.items, indent) * item.count)
+            else:
+                open_ch, close_ch = ("<", ">") if item.parallel else ("{", "}")
+                inner = render(item.items, indent + 1)
+                parts.append(f"{pad}{open_ch}\n{inner}{pad}{close_ch}\n")
+        return "".join(parts)
+
+    return render(circuit.root.items, 0)
 
 
 def unroll(circuit):

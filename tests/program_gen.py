@@ -8,8 +8,10 @@ bounds the unrolled size.  ``bound_macro_program`` gives programs whose
 only errors are qubit conflicts, most of them created by macro arguments;
 with ``register``, bodies also name register qubits.
 ``number_macro_program`` gives valid programs whose macros pass angle
-parameters on through nested invocations.  ``macro_chain``, ``fan_chain``
-and ``shift_register`` give chains of macros whose invocations multiply.
+parameters on through nested invocations.  ``loop_block_program`` gives
+valid programs whose loops sit inside blocks.  ``macro_chain``,
+``fan_chain``, ``shift_register`` and ``doubling_chain`` give chains of
+macros whose invocations multiply.
 """
 
 import random
@@ -172,6 +174,89 @@ def shift_register(m0_body, body="{{ {0}; {1} }}", last=39, invoked=None):
         lines.append(f"macro m{k} {' '.join(params)} " + body.format(*calls))
     invoked = last if invoked is None else invoked
     lines.append(f"m{invoked} " + " ".join(f"q[{i}]" for i in range(20)))
+    return "\n".join(lines) + "\n"
+
+
+def doubling_chain(levels):
+    """Macros m0..m<levels-1>, m0 running two gates and each later one
+    invoking the one before twice, so m<levels-1> runs 2**levels gates."""
+    lines = ["register q[1]", "macro m0 a { Sx a; Sx a }"]
+    lines += [f"macro m{k} a {{ m{k - 1} a; m{k - 1} a }}"
+              for k in range(1, levels)]
+    lines += ["prepare_all", f"m{levels - 1} q[0]", "measure_all"]
+    return "\n".join(lines) + "\n"
+
+
+# -- loops inside blocks -------------------------------------------------------
+
+_LOOP_GATES = 4000  # bounds the gates a generated loop runs
+
+
+def _loop_count(rng, runs):
+    """0 to 3, or now and then a few thousand over a body of at most four
+    gates; 0 or 1 where that would run more than ``_LOOP_GATES`` gates."""
+    count = rng.randint(0, 3)
+    if runs <= 4 and rng.random() < 0.3:
+        count = rng.randint(1000, 3000)
+    return count if count * runs <= _LOOP_GATES else rng.randint(0, 1)
+
+
+def _looped_body(rng, macros, depth):
+    """``(text, gates it runs)`` of a sequential body on qubit parameters
+    ``a`` and ``b``: gates, a parallel pair, invocations of the earlier
+    ``macros`` (``(name, gates)`` pairs) and loops of such bodies, nested up
+    to ``depth``."""
+    parts, gates = [], 0
+    usable = [m for m in macros if m[1] <= _LOOP_GATES]
+    for _ in range(rng.randint(1, 3)):
+        roll = rng.random()
+        if roll < 0.4 and depth > 0:
+            inner, runs = _looped_body(rng, macros, depth - 1)
+            count = _loop_count(rng, runs)
+            parts.append(f"loop {count} {inner}")
+            gates += count * runs
+        elif roll < 0.55:
+            parts.append(f"< {rng.choice(_SINGLE_FIXED)} a | Rz b 0.5 >")
+            gates += 2
+        elif roll < 0.75 and usable:
+            name, runs = rng.choice(usable)
+            parts.append(f"{name} {rng.choice(['a b', 'b a'])}")
+            gates += runs
+        else:
+            parts.append(f"{rng.choice(_SINGLE_FIXED)} {rng.choice('ab')}")
+            gates += 1
+    return "{ " + "; ".join(parts) + " }", gates
+
+
+def loop_block_program(rng: random.Random, max_qubits=4) -> str:
+    """A valid program whose macros, on two qubits, hold loops, nested
+    loops and parallel blocks, invoked at the top level, in a parallel
+    block beside a gate on a third qubit, in a sequential block inside one
+    (with a parallel block around the invocation, given a fourth qubit),
+    and in a loop around a parallel block.  Loops run 0 to 3 times, or a
+    few thousand over a body of a few gates, so ``expand`` meets loops
+    inside blocks at every depth."""
+    n = rng.randint(3, max_qubits)
+    lines = [f"register q[{n}]"]
+    macros: list = []
+    for index in range(rng.randint(1, 3)):
+        body, runs = _looped_body(rng, macros, 2)
+        lines.append(f"macro m{index} a b {body}")
+        macros.append((f"m{index}", runs))
+    lines.append("prepare_all")
+    for _ in range(rng.randint(1, 4)):
+        a, b, c, *rest = (f"q[{i}]" for i in rng.sample(range(n), n))
+        name, runs = rng.choice(macros)
+        call = f"{name} {a} {b}"
+        count = _loop_count(rng, runs + 1)
+        shapes = [call, f"< {call} | Sz {c} >",
+                  f"< {{ {call}; Sx {a} }} | Sy {c} >",
+                  f"loop {count} {{ < {call} | Sz {c} > }}"]
+        if rest:
+            shapes.append(f"< {{ < {call} | Sz {c} >; Sx {a} }} | "
+                          f"Sy {rest[0]} >")
+        lines.append(rng.choice(shapes))
+    lines.append("measure_all")
     return "\n".join(lines) + "\n"
 
 

@@ -18,6 +18,7 @@ from jaqalc.simulator import MAX_QUBITS
 from program_gen import (
     PARALLEL_ALL,
     SX_ALL,
+    doubling_chain,
     fan_chain,
     macro_chain,
     mutant,
@@ -374,16 +375,6 @@ def test_overlong_integer_literal_exits_one_under_every_command(
         assert "Traceback" not in err and "1" * 100 not in err
 
 
-def doubling_chain(levels):
-    """Macros m0..m<levels-1>, m0 running two gates and each later one
-    invoking the one before twice, so m<levels-1> runs 2**levels gates."""
-    lines = ["register q[1]", "macro m0 a { Sx a; Sx a }"]
-    lines += [f"macro m{k} a {{ m{k - 1} a; m{k - 1} a }}"
-              for k in range(1, levels)]
-    lines += ["prepare_all", f"m{levels - 1} q[0]", "measure_all"]
-    return "\n".join(lines) + "\n"
-
-
 @pytest.mark.parametrize("source, position", [
     ("register q[1]\nprepare_all\nloop 1000000000000 { Sx q[0] }\n"
      "measure_all\n", "3:1"),
@@ -732,6 +723,28 @@ def test_a_nested_shot_loop_streams_like_a_flat_one(workdir):
     assert peak <= _peak_mib(workdir, ["expand", flat])[2] + 2, peak
 
 
+@pytest.mark.parametrize("program, digest", [
+    ("macro m a { loop 1000000 { Sx a } }\n< m q[0] | Sz q[1] >",
+     "3f4dd7407e67ad45bf0a6d0bdc5ab39e400d65676481b47369373131e502a327"),
+    ("macro m a { loop 2 { loop 600000 { Sx a } } }\n< m q[0] | Sz q[1] >",
+     "2b5e3961127983eebf3268c970ca98fa54bf1f3115156f4637099788cda714da"),
+    ("macro m a { loop 600000 { Sx a } }\nloop 2 { < m q[0] | Sz q[1] > }",
+     "5096acc4afaafd9c8651221f33cef37298a5ecdbfc11510f7eee8ad5131ea731"),
+], ids=["loop", "nested-loop", "loop-around-the-block"])
+def test_a_loop_inside_a_block_streams_like_a_flat_one(workdir, program,
+                                                       digest):
+    """A block's markers are written around its children's chunks, so a
+    macro's loop invoked in a parallel block streams as a top-level one
+    does, and so does a loop whose body holds such a block; the block, or
+    the loop around it, rendered as one string peaked at 53, 60 and
+    38 MiB."""
+    path = write(workdir, "block.jaqal", f"register q[2]\n{program}\n")
+    flat = write(workdir, "flat.jaqal", SHOT_LOOP.format(1000000))
+    status, got, peak = _peak_mib(workdir, ["expand", path])
+    assert (status, got) == (0, digest)
+    assert peak <= _peak_mib(workdir, ["expand", flat])[2] + 2, peak
+
+
 def test_check_costs_what_the_source_does_not_what_it_runs(workdir):
     """Each macro body is walked once, where it is defined, so ``check``
     on the shift register cut at m14 (327,680 gates) costs what it costs on
@@ -770,6 +783,18 @@ def test_expansion_binds_each_gate_once_per_tuple_of_offsets(workdir):
     assert (status, digest) == (
         0, hashlib.sha256(text.encode()).hexdigest())
     assert peak < 45, peak
+
+
+def test_a_long_top_level_run_costs_what_check_does(workdir):
+    """The 2**18 gates of one top-level invocation are written a chunk at
+    a time, so ``expand`` peaks near ``check`` on the same file; the
+    top-level items between two loops, rendered as one string, peaked
+    21 MiB over."""
+    path = write(workdir, "chain.jaqal", doubling_chain(18))
+    status, digest, peak = _peak_mib(workdir, ["expand", path])
+    assert (status, digest) == (
+        0, "cc57051f51133d2d2eb3b28a29824778a88d6fe5f0e314bf99f64df077c01799")
+    assert peak <= _peak_mib(workdir, ["check", path])[2] + 6, peak
 
 
 def dense(n: int) -> str:

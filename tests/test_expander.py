@@ -1,3 +1,4 @@
+import os
 import random
 import re
 import time
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jaqalc import analyzer
+from jaqalc import analyzer, expander
 from jaqalc.analyzer import _Analyzer, analyze
 from jaqalc.diagnostics import has_errors
 from jaqalc.errors import JaqalError
@@ -24,11 +25,17 @@ from jaqalc.parser import parse
 from jaqalc.scheduler import dump_timeline, schedule, total_duration
 from jaqalc.simulator import probabilities, run
 
-from helpers import check_flat_conflicts, expand_reference, unroll
+from helpers import (
+    check_flat_conflicts,
+    expand_reference,
+    flat_text_reference,
+    unroll,
+)
 from oracle import interpret_probabilities
 from program_gen import (
     NUMBER_FORMS,
     bound_macro_program,
+    loop_block_program,
     number_macro_program,
     random_program,
 )
@@ -403,10 +410,9 @@ def test_flat_dump_repeats_indented_brackets_inside_a_loop(gates):
 
 
 def test_a_top_level_loop_is_written_in_blocks_of_its_body(gates):
-    """``expand`` writes the chunks as they come: the text of the items
-    between top-level loops at once, and a loop's body text repeated in
-    blocks of at most 64 KiB, so memory stays bounded by one body however
-    often it runs."""
+    """``expand`` writes the chunks as they come, each at most 64 KiB and
+    none that would fit with the next: a loop's body text is repeated in
+    blocks, so memory stays bounded by one body however often it runs."""
     source = ("register q[2]\nSx q[0]\nSy q[1]\n"
               "loop 100000 { < Sx q[0] | Sz q[1] >; loop 3 { Sy q[0] } }\n"
               "Sz q[0]\nloop 2 { Sx q[1] }\n")
@@ -415,10 +421,8 @@ def test_a_top_level_loop_is_written_in_blocks_of_its_body(gates):
     assert "".join(chunks) == ("Sx 0\nSy 1\n" + body * 100000 + "Sz 0\n"
                                + "Sx 1\n" * 2)
     assert chunks[0] == "Sx 0\nSy 1\n"
-    assert chunks[-3:] == ["Sz 0\n", "Sx 1\n" * 2, ""]
     assert max(map(len, chunks)) <= 1 << 16
-    assert all(chunk == body * (len(chunk) // len(body))
-               for chunk in chunks[1:-3])
+    assert all(len(a) + len(b) > 1 << 16 for a, b in zip(chunks, chunks[1:]))
 
 
 def test_a_loop_body_renders_once_if_short_and_streams_if_long(
@@ -451,6 +455,27 @@ def test_a_loop_body_renders_once_if_short_and_streams_if_long(
                  gates)
     assert dump_flat(plain) == "Sx 0\n" * 3300
     assert len(rendered) == 1100
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), small=st.booleans())
+def test_the_streamed_dump_equals_the_reference(gates, seed, small):
+    """Loops in macros invoked inside parallel and sequential blocks, at
+    every depth: the chunks join to the text rendered one string per block,
+    and no two neighbouring chunks would fit in one.  Patched small, the
+    two constants send most loops down the per-iteration walk and split
+    the text into many chunks."""
+    circuit = flat(loop_block_program(random.Random(seed)), gates)
+    with pytest.MonkeyPatch.context() as patch:
+        if small:
+            patch.setattr(expander, "STREAM_GATES", 4)
+            patch.setattr(expander, "CHUNK_BYTES", 64)
+        chunks = list(flat_chunks(circuit))
+        assert all(len(a) + len(b) > expander.CHUNK_BYTES
+                   for a, b in zip(chunks, chunks[1:]))
+    text, reference = "".join(chunks), flat_text_reference(circuit)
+    at = len(os.path.commonprefix([text, reference]))  # diffing is slow
+    assert text[at:at + 100] == reference[at:at + 100], text[:at][-100:]
 
 
 # -- cross-module equivalence ---------------------------------------------------
