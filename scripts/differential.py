@@ -6,8 +6,9 @@ Usage: python scripts/differential.py REV [--programs N]
 Extracts ``src/`` at REV (``git archive``) into a temporary directory and
 runs the same invocations against it and against ``src/`` of the working
 tree: ``check``, ``expand``, ``schedule`` (plain and with the benchmark's
-scan duration manifest) and ``run`` (plain, ``-s 7``, ``-q -s 7``, ``-p``,
-``-q -p``), over the corpus ``.jaqal`` files, a fixed set of seeded
+scan duration manifest) and ``run`` (plain, ``-s 7``, ``-s 2**64-1``,
+``-q -s 7``, ``-p``, ``-q -p``), over the corpus ``.jaqal`` files, a fixed
+set of seeded
 single-character mutants of them (each inserts, deletes or replaces one
 character, so most exercise lexer and parser diagnostics), macro chains
 (plain and alternating), nested loops and nested blocks at ``MAX_NESTING``
@@ -16,7 +17,8 @@ benchmark's ``shots``, ``scan`` and ``wide`` programs at the default seed
 (``wide`` runs 16 to 20 qubits, where the simulator kernel dominates), a
 few loop, macro-substitution, angle-parameter, scheduling and ``run -p``
 edge cases (``EDGES``, among them loops inside blocks, an angle passed down
-a chain of macros, and ``doubling_chain(12)``'s 4096 gates), N seeded
+a chain of macros, ``doubling_chain(12)``'s 4096 gates, and shot loops
+whose measurements repeat in runs), N seeded
 ``tests/program_gen.py`` programs of up to 4 qubits (default 150), N seeded
 macro programs whose bodies name register qubits, ``WIDE_PROGRAMS`` seeded
 ones of up to 12 qubits, so a kernel change is compared byte for byte on
@@ -199,6 +201,27 @@ EDGES = {
         "register q[3]\nmacro m a { loop 3 { Sx a; Rz a 0.5 } }\n"
         "prepare_all\n< { < m q[0] | Sz q[1] >; Sx q[0] } | Sy q[2] >\n"
         "measure_all\n"),
+    # run walks a loop until two iterations start alike, then samples the
+    # last one's tables for the rest, in batches of 16384 draws
+    "segment_spanning_iterations": (
+        "register q[2]\nprepare_all\nloop 1000 { Sx q[0]; measure_all; "
+        "prepare_all; Sy q[1] }\nmeasure_all\n"),
+    "alternating_shots": ("register q[2]\nloop 1000 { prepare_all; Rx q[0] "
+                          "0.3; measure_all; prepare_all; Sxx q[0] q[1]; "
+                          "Ry q[1] 1.1; measure_all }\n"),
+    "discarded_segment_in_a_loop": (
+        "register q[2]\nloop 500 { prepare_all; Sx q[0]; prepare_all; "
+        "Sy q[1]; Sxx q[0] q[1]; measure_all }\n"),
+    "nested_shot_loops_with_runs": (
+        "register q[2]\nloop 30 { loop 40 { prepare_all; Sx q[0]; "
+        "measure_all } loop 3 { prepare_all; Sxx q[0] q[1]; measure_all } "
+        "}\n"),
+    "growing_segment": ("register q[2]\nloop 3 { prepare_all; loop 2000 { "
+                        "Sx q[0] } measure_all }\nprepare_all\n"
+                        "loop 5000 { Sy q[1] }\n"),
+    "shots_across_draw_batches": (
+        "register q[3]\nloop 40000 { prepare_all; Sx q[0]; Sy q[1]; "
+        "Rx q[2] 0.4; measure_all }\n"),
 }
 
 
@@ -290,8 +313,8 @@ def _jobs(work: Path, inputs: list, analysis_only: list) -> list:
     manifest.write_text(SCAN_MANIFEST)
     commands = (["check"], ["expand"], ["schedule"],
                 ["schedule", "-d", str(manifest)], ["run"],
-                ["run", "-s", "7"], ["run", "-q", "-s", "7"], ["run", "-p"],
-                ["run", "-q", "-p"])
+                ["run", "-s", "7"], ["run", "-s", str(2 ** 64 - 1)],
+                ["run", "-q", "-s", "7"], ["run", "-p"], ["run", "-q", "-p"])
     jobs = []
     for path in inputs:
         # ``run`` writes next to its input unless given -o

@@ -4,8 +4,8 @@ Qubit exclusivity is decided once, by analysis, so ``check`` rejects every
 program a later command would reject for it.  Analysis also builds the flat
 circuit, which ``expand``, ``schedule`` and ``run`` take as it is.  Each
 command imports only the stages it runs: ``check`` never loads the
-expander, scheduler, emitter or simulator, and ``run`` never the
-scheduler.
+expander, scheduler, emitter or simulator, and ``run`` neither the
+expander nor the scheduler.
 
 Exit codes are stable: 0 success, 1 for any language/semantic/runtime
 problem in the program, 2 for environment problems (unreadable input,
@@ -125,8 +125,8 @@ def cmd_schedule(args) -> int:
 
 
 def cmd_run(args) -> int:
-    from .emitter import emit
-    from .simulator import probability_chunks, run
+    from .emitter import record_chunks
+    from .simulator import probability_chunks, samples
 
     out = _out_path(args)
     gates = _gates_for(args)
@@ -138,9 +138,8 @@ def cmd_run(args) -> int:
         _write(out, probability_chunks(symbols.circuit, gates,
                                        quantize=args.quantize))
     else:
-        record = run(symbols.circuit, gates, seed=args.seed,
-                     quantize=args.quantize)
-        _write(out, [emit(record).decode("ascii")])
+        _write(out, record_chunks(samples(symbols.circuit, gates, args.seed,
+                                          args.quantize)))
     return 0
 
 

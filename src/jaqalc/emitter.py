@@ -17,18 +17,28 @@ _BITS = frozenset("01")
 
 def emit(record) -> bytes:
     """Serialize a measurement record to output-file bytes."""
-    if not record:
-        return b""
-    length = len(record[0])
-    for bits in record:
-        if len(bits) != length:
-            raise OutputFormatError(
-                f"bitstring {bits!r} has length {len(bits)}, expected "
-                f"{length}")
-        if not set(bits) <= _BITS:
-            raise OutputFormatError(f"bitstring {bits!r} contains characters "
-                                    "other than 0 and 1")
-    return "".join(bits + "\n" for bits in record).encode("ascii")
+    lines = record_chunks([(dict(enumerate(record)), range(len(record)))])
+    return "".join(lines).encode("ascii")
+
+
+def record_chunks(batches):
+    """``emit``'s text in chunks, one per batch ``(names, codes)``: a line
+    ``names[code]`` for each code, ``names`` a dict.  Each name is checked
+    once, however many lines it is written on."""
+    length = None
+    for names, codes in batches:
+        lines = {}
+        for code, bits in names.items():
+            length = len(bits) if length is None else length
+            if len(bits) != length:
+                raise OutputFormatError(
+                    f"bitstring {bits!r} has length {len(bits)}, expected "
+                    f"{length}")
+            if not set(bits) <= _BITS:
+                raise OutputFormatError(f"bitstring {bits!r} contains "
+                                        "characters other than 0 and 1")
+            lines[code] = bits + "\n"
+        yield "".join(map(lines.__getitem__, codes))
 
 
 def parse_output(data) -> list:

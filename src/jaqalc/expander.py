@@ -3,8 +3,9 @@
 Analysis checks the program and builds its flat circuit in one walk, and
 decides qubit exclusivity, so ``expand`` walks no syntax tree, resolves no
 argument and checks nothing: it hands the circuit over.  The IR records
-live in the analyzer, so ``check`` loads no expander; this module
-re-exports them next to gate counts, execution order and the text dump.
+live in the analyzer, so neither ``check`` nor ``run`` loads the expander;
+this module re-exports them next to gate counts, execution order and the
+text dump.
 """
 
 from __future__ import annotations

@@ -2,7 +2,7 @@
 
 Basis-state indices are little-endian: bit b of an amplitude index is the
 state of qubit b, and measurement bitstrings put qubit 0 in the first
-character.  Each all-qubit measurement draws exactly one number from a
+character.  The k-th ``measure_all`` draws exactly the k-th number of a
 SplitMix64 stream seeded by the caller, so measurement records are
 bit-reproducible across platforms for a given (circuit, seed) pair.
 
@@ -10,8 +10,12 @@ Measurement physically destroys the register: after ``measure_all`` every
 operation except ``prepare_all`` raises, as a check finds before anything
 runs.  So a measurement's distribution depends only on its segment, the
 gates since the last ``prepare_all`` (or the start), simulated from the
-all-zeros state unless it equals the segment measured just before: each
-distinct segment builds one outcome table, the only one kept.
+all-zeros state unless it equals the segment measured just before; gates
+that no measurement follows are checked, never simulated.  With no
+classical feedback, a loop iteration measures what the one before did
+once both start alike, so measurements come as runs of outcome tables
+repeated many times in a row, and SplitMix64, being counter-based, draws a
+run's numbers in one numpy pass.
 
 A state holds two 2**n complex vectors (512 MiB together at the 24-qubit
 cap).  Each gate gathers the amplitudes into the other with its qubits'
@@ -39,8 +43,8 @@ import math
 
 import numpy as np
 
+from .analyzer import FlatCircuit, PrimitiveGate
 from .errors import SimulationError
-from .expander import FlatCircuit, PrimitiveGate, iter_gates
 from .gateset import (
     IDLE,
     MEASUREMENT,
@@ -93,13 +97,17 @@ def unitary_of(definition: GateDefinition, float_args=()) -> np.ndarray:
 
 MAX_QUBITS = 24  # 2**24 complex amplitudes is the practical cap
 CHUNK = 1 << 12  # outcomes per chunk of a ``run -p`` line
+DRAWS = 1 << 12  # measurements per batch of draws; bytes per block of text
+PATTERN_BYTES = 1 << 22  # table bytes a repeated loop iteration may name
 
 _MASK64 = (1 << 64) - 1
+_GAMMA = 0x9E3779B97F4A7C15  # the state's increment per draw
 
 
 class SplitMix64:
-    """Sequential 64-bit generator (Steele, Lea, Flood 2014 mixing
-    constants); trivially portable because it is pure integer arithmetic."""
+    """Counter-based 64-bit generator (Steele, Lea, Flood 2014 mixing
+    constants): the k-th output mixes the seed plus k increments, so
+    ``uniforms`` computes many at once; portable, being integer math."""
 
     def __init__(self, seed: int):
         if not 0 <= seed <= _MASK64:  # masking would alias distinct seeds
@@ -107,11 +115,8 @@ class SplitMix64:
         self._state = seed
 
     def next_u64(self) -> int:
-        self._state = (self._state + 0x9E3779B97F4A7C15) & _MASK64
-        z = self._state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-        return z ^ (z >> 31)
+        self._state = (self._state + _GAMMA) & _MASK64
+        return _mix(self._state)
 
     def uniform(self) -> float:
         """One double in (0, 1] using the top 53 bits.
@@ -120,6 +125,19 @@ class SplitMix64:
         entries below 2**-53, which is where pure float noise lives.
         """
         return ((self.next_u64() >> 11) + 1) * 2.0 ** -53
+
+    def uniforms(self, count: int) -> np.ndarray:
+        """The next ``count`` draws of ``uniform`` in one numpy uint64
+        pass: the k-th state is the seed plus k increments, mod 2**64."""
+        z = np.arange(1, count + 1, dtype=np.uint64) * _GAMMA + self._state
+        self._state = (self._state + count * _GAMMA) & _MASK64
+        return ((_mix(z) >> 11) + 1) * 2.0 ** -53
+
+
+def _mix(z):  # SplitMix64's output of a state: an int or a uint64 array
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+    return z ^ (z >> 31)
 
 
 def _check_qubit_cap(n_qubits: int):
@@ -165,6 +183,24 @@ class QuantumState:
         self._layout = tuple(range(self.n_qubits))
 
 
+def _checked_args(unitary, qubits, n: int) -> tuple:
+    """``apply_unitary``'s tests of its arguments, which read no state."""
+    qubits = tuple(qubits)
+    k = len(qubits)
+    unitary = np.asarray(unitary, dtype=complex)
+    if unitary.shape != (2 ** k, 2 ** k):
+        raise SimulationError(
+            f"unitary shape {unitary.shape} does not act on {k} qubit(s)")
+    if len(set(qubits)) != k:
+        raise SimulationError("duplicate qubit in unitary application",
+                              code="duplicate-qubit")
+    for q in qubits:
+        if not 0 <= q < n:
+            raise SimulationError(f"qubit {q} out of range for {n}-qubit "
+                                  "state")
+    return unitary, qubits
+
+
 def apply_unitary(state: QuantumState, unitary, qubits) -> QuantumState:
     """Apply a unitary to the given qubits, identity on the rest.
 
@@ -177,20 +213,9 @@ def apply_unitary(state: QuantumState, unitary, qubits) -> QuantumState:
     order and C-contiguous values of the ``np.moveaxis`` formulation kept
     in tests/helpers.py, so the amplitudes are bit-identical to it.
     """
-    qubits = tuple(qubits)
-    k = len(qubits)
-    unitary = np.asarray(unitary, dtype=complex)
-    if unitary.shape != (2 ** k, 2 ** k):
-        raise SimulationError(
-            f"unitary shape {unitary.shape} does not act on {k} qubit(s)")
-    if len(set(qubits)) != k:
-        raise SimulationError("duplicate qubit in unitary application",
-                              code="duplicate-qubit")
     n = state.n_qubits
-    for q in qubits:
-        if not 0 <= q < n:
-            raise SimulationError(f"qubit {q} out of range for {n}-qubit "
-                                  "state")
+    unitary, qubits = _checked_args(unitary, qubits, n)
+    k = len(qubits)
     if k == 0:
         return state
     # row-major reshape puts qubit q on axis n-1-q
@@ -228,18 +253,29 @@ def born_probabilities(state: QuantumState) -> np.ndarray:
     return np.square(np.abs(amplitudes, out=probs), out=probs)
 
 
-def _simulate(n_qubits: int, segment: tuple, gates, quantize: bool):
+def _unitary(gate: PrimitiveGate, gates, quantize: bool) -> np.ndarray:
+    definition = gate.definition
+    if gates is not None:
+        definition = gates[definition.name]
+    floats = gate.float_args
+    if quantize:
+        floats = tuple(quantize_angle(f) for f in floats)
+    return unitary_of(definition, floats)
+
+
+def _simulate(n_qubits: int, segment, gates, quantize: bool):
     """The state that ``segment``'s gates make from the all-zeros state."""
     state = QuantumState(n_qubits)
     for gate in segment:
-        definition = gate.definition
-        if gates is not None:
-            definition = gates[definition.name]
-        floats = gate.float_args
-        if quantize:
-            floats = tuple(quantize_angle(f) for f in floats)
-        apply_unitary(state, unitary_of(definition, floats), gate.qubits)
+        apply_unitary(state, _unitary(gate, gates, quantize), gate.qubits)
     return state
+
+
+def _check_segment(n_qubits: int, segment, gates, quantize: bool):
+    """Raise what simulating ``segment`` would, simulating nothing: each
+    distinct gate's ``unitary_of`` and ``apply_unitary``'s tests."""
+    for gate in {id(gate): gate for gate in segment}.values():
+        _checked_args(_unitary(gate, gates, quantize), gate.qubits, n_qubits)
 
 
 class _Outcomes:
@@ -249,8 +285,6 @@ class _Outcomes:
         self._n_qubits = n_qubits
         self._indices = np.nonzero(probs)[0]
         self._probs = probs[self._indices]
-        # names of drawn outcomes only: all 2**20 cost run 0.6 s and 300 MiB
-        self._drawn = {}
 
     @functools.cached_property
     def _cumulative(self) -> np.ndarray:
@@ -264,15 +298,12 @@ class _Outcomes:
         names = _bitstrings(self._indices, self._n_qubits)
         return dict(zip(names, self._probs.tolist()))
 
-    def sample(self, u: float) -> str:
-        """The first outcome whose running sum reaches u in (0, 1]; float
-        sums can land a hair under 1.0, so a u past them takes the last."""
-        at = int(np.searchsorted(self._cumulative, u, side="left"))
-        at = min(at, len(self._indices) - 1)
-        if at not in self._drawn:
-            self._drawn[at] = _bitstrings(self._indices[at:at + 1],
-                                          self._n_qubits)[0]
-        return self._drawn[at]
+    def pick(self, draws: np.ndarray) -> np.ndarray:
+        """The basis index of the first outcome whose running sum reaches
+        each draw u in (0, 1]; float sums can land a hair under 1.0, so a
+        u past them takes the last."""
+        at = np.searchsorted(self._cumulative, draws, side="left")
+        return self._indices.take(at, mode="clip")
 
     def line_chunks(self):
         """The ``run -p`` line: ``bits p`` pairs sorted by bitstring, which
@@ -291,6 +322,10 @@ class _Outcomes:
         yield "\n"
 
 
+def _first(item):  # the first gate a node runs; no node is empty
+    return item if isinstance(item, PrimitiveGate) else _first(item.items[0])
+
+
 def _check_register(items, gates, destroyed=False) -> bool:
     """Raise destroyed-state where running would, before it runs; return
     whether the register ends measured.  A loop iteration started so runs
@@ -307,46 +342,111 @@ def _check_register(items, gates, destroyed=False) -> bool:
         else:
             destroyed = _check_register(item.items, gates, destroyed)
             if destroyed and item.count > 1:  # the next iteration starts so
-                first = next(iter_gates(FlatCircuit(0, item)), None)
-                _check_register([first] if first else [], gates, True)
+                _check_register([_first(item)], gates, True)
     return destroyed
 
 
 def _measurements(circuit: FlatCircuit, gates, quantize: bool):
-    """Yield the ``_Outcomes`` of each measure_all, in execution order; a
-    segment equal to the one measured just before yields the very same
-    table.
+    """Yield the measurements as runs ``(tables, repeats)``: the
+    ``_Outcomes`` in ``tables`` measured in turn, ``repeats`` times over;
+    a segment equal to the one measured just before yields the same table.
 
-    Loop iterations yield the same gate objects, so comparing a segment
-    with the previous one is mostly identity checks.  Gates that no
-    measurement follows are simulated too, so they raise the same errors
-    as measured ones.
-    """
+    A loop is walked an iteration at a time until two in a row start
+    alike, with equal open and last measured segments.  Each iteration
+    left then yields what the last did, so its tables are yielded once if
+    they name at most PATTERN_BYTES of outcomes."""
     n_qubits = circuit.n_qubits
     _check_qubit_cap(n_qubits)
     _check_register(circuit.root.items, gates)
-    segment: list = []
+    segment: list = []  # the open segment: appended to, then replaced
     measured = table = None  # the last measured segment and its outcomes
-    for gate in iter_gates(circuit):
-        definition = gate.definition
-        kind = (definition if gates is None else gates[definition.name]).kind
-        if kind == PREPARATION:
-            if segment:
-                _simulate(n_qubits, segment, gates, quantize)
-                segment = []
-        elif kind == MEASUREMENT:
-            segment = tuple(segment)
-            if segment != measured:
-                measured = table = None  # free the old table first
-                table = _Outcomes(born_probabilities(
-                    _simulate(n_qubits, segment, gates, quantize)), n_qubits)
-                measured = segment
-            yield table
-            segment = []
-        elif kind != IDLE:
-            segment.append(gate)
+
+    def walk(items):
+        nonlocal segment, measured, table
+        for item in items:
+            if isinstance(item, PrimitiveGate):
+                kind = (item.definition if gates is None else
+                        gates[item.name]).kind
+                if kind == PREPARATION and segment:
+                    _check_segment(n_qubits, segment, gates, quantize)
+                    segment = []
+                elif kind == MEASUREMENT:
+                    segment = tuple(segment)
+                    if segment != measured:
+                        measured = table = None  # free the old table first
+                        table = _Outcomes(born_probabilities(_simulate(
+                            n_qubits, segment, gates, quantize)), n_qubits)
+                        measured = segment
+                    yield (table,), 1
+                    segment = []
+                elif kind not in (IDLE, PREPARATION):
+                    segment.append(item)
+                continue
+            last = pattern = None  # a block is a loop of one iteration
+            for done in range(item.count):
+                # by length first, then mostly by identity: iterations
+                # reuse gate objects, and a list is only appended to
+                start = len(segment), segment, measured
+                if pattern is not None and start[0] == last[0] and (
+                        measured is last[2] or measured == last[2]) and (
+                        segment is last[1] or segment == last[1][:last[0]]):
+                    if pattern:
+                        yield tuple(pattern), item.count - done
+                    break
+                last, pattern, size = start, [], 0
+                for tables, repeats in walk(item.items):
+                    yield tables, repeats
+                    # an index, a probability and a running sum each
+                    size += 24 * repeats * sum(len(t._indices)
+                                               for t in tables)
+                    if pattern is not None and size <= PATTERN_BYTES:
+                        pattern += tables * repeats
+                    else:
+                        pattern = None
+            pattern = tables = None  # hold no table past the loop
+
+    yield from walk(circuit.root.items)
     if segment:
-        _simulate(n_qubits, segment, gates, quantize)
+        _check_segment(n_qubits, segment, gates, quantize)
+
+
+def samples(circuit: FlatCircuit, gates: dict = None, seed: int = 0,
+            quantize: bool = False):
+    """The measurement record in batches ``(names, codes)`` of about DRAWS
+    measurements: measurement i of a batch reads ``names[codes[i]]``, and
+    ``names`` maps each distinct basis index drawn to its bitstring.  The
+    numbers are drawn DRAWS at a time, ahead of the runs that take them."""
+    rng, ahead, drawn, size = SplitMix64(seed), np.empty(0), [], 0
+    for tables, repeats in _measurements(circuit, gates, quantize):
+        columns: dict = {}
+        for column, table in enumerate(tables):
+            columns.setdefault(table, []).append(column)
+        step = max(1, DRAWS // len(tables))
+        for done in range(0, repeats, step):
+            count = min(step, repeats - done) * len(tables)
+            if len(ahead) < count:
+                ahead = np.concatenate([ahead, rng.uniforms(max(count,
+                                                                DRAWS))])
+            draws = ahead[:count].reshape(-1, len(tables))
+            ahead = ahead[count:]
+            picked = np.empty(draws.shape, dtype=np.int64)
+            for table, at in columns.items():
+                picked[:, at] = table.pick(draws[:, at])
+            drawn.append(picked.ravel())
+            size += count
+            if size >= DRAWS:
+                yield _named(drawn, circuit.n_qubits)
+                drawn, size = [], 0
+        del tables, columns, table  # free them before the next is built
+    if drawn:
+        yield _named(drawn, circuit.n_qubits)
+
+
+def _named(drawn: list, n_qubits: int) -> tuple:
+    codes = np.concatenate(drawn).tolist()  # no sort: its code costs memory
+    distinct = list(dict.fromkeys(codes))
+    names = _bitstrings(np.array(distinct), n_qubits)
+    return dict(zip(distinct, names)), codes
 
 
 def run(circuit: FlatCircuit, gates: dict = None, seed: int = 0,
@@ -354,14 +454,12 @@ def run(circuit: FlatCircuit, gates: dict = None, seed: int = 0,
     """Execute a circuit, returning one little-endian bitstring per
     measure_all in execution order.
 
-    Sampling draws one SplitMix64 uniform per measurement, so identical
+    The k-th measurement samples the k-th SplitMix64 uniform, so identical
     (circuit, seed) pairs reproduce identical records anywhere.  With
     ``quantize`` every angle is first snapped to the hardware grid.
     """
-    # unlike a comprehension, map holds no table while the next is built
-    draws = iter(SplitMix64(seed).uniform, None)
-    tables = _measurements(circuit, gates, quantize)
-    return list(map(_Outcomes.sample, tables, draws))
+    return [names[code] for names, codes in
+            samples(circuit, gates, seed, quantize) for code in codes]
 
 
 def probabilities(circuit: FlatCircuit, gates: dict = None,
@@ -370,17 +468,28 @@ def probabilities(circuit: FlatCircuit, gates: dict = None,
     bitstring to probability (nonzero outcomes only, in basis-index order)
     per measure_all."""
     return [dict(table.mapping)
-            for table in _measurements(circuit, gates, quantize)]
+            for tables, repeats in _measurements(circuit, gates, quantize)
+            for _ in range(repeats) for table in tables]
 
 
 def probability_chunks(circuit: FlatCircuit, gates: dict = None,
                        quantize: bool = False):
-    """The ``run -p`` text in chunks, one line per measure_all.  A line of
-    at most CHUNK outcomes is kept while its table repeats; a longer one
-    is formatted again, so no step holds more than a table and a chunk."""
-    kept = line = None
-    for table in _measurements(circuit, gates, quantize):
-        if table is not kept and len(table._indices) <= CHUNK:
-            kept, line = table, "".join(table.line_chunks())
-        yield from [line] if table is kept else table.line_chunks()
-        del table  # free it before the next segment is simulated
+    """The ``run -p`` text in chunks, one line per measure_all.  A run's
+    lines of at most CHUNK outcomes each are formatted once, kept while
+    the same tables repeat, and written in blocks of about DRAWS bytes; a
+    longer line is formatted again at each measurement, so no step holds
+    more than a run's tables and a chunk."""
+    kept = text = None
+    for tables, repeats in _measurements(circuit, gates, quantize):
+        if tables != kept and all(len(t._indices) <= CHUNK for t in tables):
+            kept, text = tables, "".join(map({t: "".join(t.line_chunks())
+                                              for t in set(tables)}.get,
+                                             tables))
+        if tables == kept:
+            block = max(1, DRAWS // len(text))
+            for done in range(0, repeats, block):
+                yield text * min(block, repeats - done)
+        else:
+            yield from (chunk for _ in range(repeats) for table in tables
+                        for chunk in table.line_chunks())
+        del tables  # free them before the next run is built

@@ -1,6 +1,7 @@
 """Shared test utilities: phase alignment, dense-matrix references, the
 expansion reference, the flat-circuit exclusivity reference, the timeline
-reference and the ``expand`` and ``run -p`` text references."""
+reference, the per-shot measurement reference, the ``expand`` and
+``run -p`` text references and a text comparison that fails fast."""
 
 import numpy as np
 
@@ -28,8 +29,16 @@ from jaqalc.ast import (
 from jaqalc.diagnostics import has_errors
 from jaqalc.errors import JaqalError
 from jaqalc.expander import iter_gates
-from jaqalc.gateset import FLOAT, MEASUREMENT, PREPARATION, QUBIT
+from jaqalc.gateset import FLOAT, IDLE, MEASUREMENT, PREPARATION, QUBIT
 from jaqalc.scheduler import IdleEntry, Timeline, TimelineEntry, dump_timeline
+from jaqalc.simulator import (
+    SplitMix64,
+    _check_qubit_cap,
+    _check_register,
+    _Outcomes,
+    _simulate,
+    born_probabilities,
+)
 
 
 def align_phase(u, reference):
@@ -141,6 +150,50 @@ def register_error_reference(circuit: FlatCircuit, gates: dict):
     return None
 
 
+def measurements_reference(circuit: FlatCircuit, gates, quantize: bool):
+    """The simulator's measurement walk before it yielded runs: the
+    ``_Outcomes`` of each measure_all in execution order, gate by gate
+    through ``iter_gates``; a segment equal to the one measured just
+    before yields the very same table, and gates that no measurement
+    follows are simulated too, so they raise the same errors."""
+    n_qubits = circuit.n_qubits
+    _check_qubit_cap(n_qubits)
+    _check_register(circuit.root.items, gates)
+    segment: list = []
+    measured = table = None  # the last measured segment and its outcomes
+    for gate in iter_gates(circuit):
+        definition = gate.definition
+        kind = (definition if gates is None else gates[definition.name]).kind
+        if kind == PREPARATION:
+            if segment:
+                _simulate(n_qubits, segment, gates, quantize)
+                segment = []
+        elif kind == MEASUREMENT:
+            segment = tuple(segment)
+            if segment != measured:
+                measured = table = None  # free the old table first
+                table = _Outcomes(born_probabilities(
+                    _simulate(n_qubits, segment, gates, quantize)), n_qubits)
+                measured = segment
+            yield table
+            segment = []
+        elif kind != IDLE:
+            segment.append(gate)
+    if segment:
+        _simulate(n_qubits, segment, gates, quantize)
+
+
+def run_reference(circuit: FlatCircuit, gates: dict = None, seed: int = 0,
+                  quantize: bool = False) -> list:
+    """``simulator.run`` as it sampled shot by shot: one
+    ``SplitMix64.uniform`` and one ``_Outcomes.pick`` per measurement, in
+    the order of ``measurements_reference``, and each name made anew."""
+    rng = SplitMix64(seed)
+    return [bitstring_of(int(table.pick(np.array([rng.uniform()]))[0]),
+                         circuit.n_qubits)
+            for table in measurements_reference(circuit, gates, quantize)]
+
+
 def probability_text_reference(distributions) -> str:
     """``run -p``'s text as the command line built it before it streamed:
     one line per distribution, its pairs sorted by bitstring, each
@@ -155,6 +208,22 @@ def probability_text_reference(distributions) -> str:
             previous = distribution
         lines.append(line)
     return "".join(lines)
+
+
+def assert_same_text(got: str, want: str, window: int = 40):
+    """Assert two texts are equal.  On a difference, report both lengths
+    and the first differing offset with a short window of each, at once:
+    pytest's own diff of two megabyte strings runs for minutes."""
+    if got == want:
+        return
+    at = 0
+    while got[at:at + 4096] == want[at:at + 4096]:
+        at += 4096
+    while got[at:at + 1] == want[at:at + 1]:
+        at += 1
+    raise AssertionError(
+        f"lengths {len(got)} and {len(want)}; first difference at offset "
+        f"{at}: {got[at:at + window]!r} != {want[at:at + window]!r}")
 
 
 def flat_text_reference(circuit: FlatCircuit) -> str:

@@ -840,6 +840,28 @@ def test_run_peaks_at_two_state_vectors(workdir):
     assert peak <= base[2] + 2 * 4 + 1.5, (base[2], peak)
 
 
+@pytest.mark.parametrize("flags, digest, slack", [
+    # a list of 10**6 bitstrings, then emit's bytes, peaked at 108.5 MiB
+    ([], "9e0ba251eeb6393465beac74730c80f379cfc7ebf02dd8da4e9e7dce914fe149",
+     4),
+    (["-p"],
+     "49c89996fba04afcbc1c42506474af0e41b666457ca06ab2c7091d526265936e", 1),
+], ids=["run", "run-p"])
+def test_a_long_shot_loop_runs_in_bounded_memory(workdir, flags, digest,
+                                                 slack):
+    """10**6 shots of one segment are sampled, named and written a batch
+    at a time, and their ``-p`` line is repeated in blocks, so either
+    command peaks near what one shot costs."""
+    shots = write(workdir, "shots.jaqal", SHOT_LOOP.format(1000000))
+    bell = write(workdir, "bell.jaqal", BELL)
+    status, got, peak = _peak_mib(
+        workdir, ["run", shots, *flags, "-o", "shots.out"], "shots.out")
+    base = _peak_mib(workdir, ["run", bell, *flags, "-o", "bell.out"],
+                     "bell.out")[2]
+    assert (status, got) == (0, digest)
+    assert peak <= base + slack, (base, peak)
+
+
 @st.composite
 def _probability_sources(draw):
     """Random programs of up to 12 qubits, or shot loops of repeated and
@@ -1095,6 +1117,24 @@ def test_only_run_imports_the_simulator_and_numpy(workdir):
         "expand False expander\n"
         "schedule False scheduler\n"
         "run True emitter simulator\n")
+
+
+RUN_PROBE = r"""
+import sys
+from jaqalc.cli import main
+for flags in ([], ["-p"]):
+    assert main(["run", sys.argv[1], "-o", sys.argv[2], *flags]) == 0
+print("jaqalc.expander" in sys.modules)
+"""
+
+
+def test_run_loads_no_expander(workdir):
+    """The simulator reads the IR records from the analyzer, which built
+    the circuit, so ``run`` never compiles the expander."""
+    source = write(workdir, "loops.jaqal", "register q[2]\nloop 3 { loop 2 "
+                   "{ prepare_all; Sx q[0]; measure_all } prepare_all; "
+                   "Sy q[1] }\n")
+    assert _python(workdir, RUN_PROBE, source, workdir / "out") == "False\n"
 
 
 def test_every_public_name_resolves_in_a_fresh_interpreter(workdir):

@@ -26,6 +26,7 @@ from jaqalc.scheduler import dump_timeline, schedule, total_duration
 from jaqalc.simulator import probabilities, run
 
 from helpers import (
+    assert_same_text,
     check_flat_conflicts,
     expand_reference,
     flat_text_reference,
@@ -440,20 +441,20 @@ def test_a_loop_body_renders_once_if_short_and_streams_if_long(
     short = flat("register q[2]\nloop 100000 { Sx q[0]; loop 3 { Sy q[1] } "
                  "}\n", gates)
     chunks = list(flat_chunks(short))
-    assert "".join(chunks) == ("Sx 0\n" + "Sy 1\n" * 3) * 100000
+    assert_same_text("".join(chunks), ("Sx 0\n" + "Sy 1\n" * 3) * 100000)
     assert sorted(rendered) == ["Sx", "Sy"]
     assert max(map(len, chunks)) <= 1 << 16
     rendered.clear()
     long = flat("register q[2]\nloop 3 { Sy q[1]\nloop 2 { loop 300000 { "
                 "Sx q[0] } } }\n", gates)
     chunks = list(flat_chunks(long))
-    assert "".join(chunks) == ("Sy 1\n" + "Sx 0\n" * 600000) * 3
+    assert_same_text("".join(chunks), ("Sy 1\n" + "Sx 0\n" * 600000) * 3)
     assert sorted(rendered) == ["Sx"] * 6 + ["Sy"] * 3
     assert max(map(len, chunks)) <= 1 << 16
     rendered.clear()
     plain = flat("register q[1]\nloop 3 {" + " Sx q[0];" * 1100 + " }\n",
                  gates)
-    assert dump_flat(plain) == "Sx 0\n" * 3300
+    assert_same_text(dump_flat(plain), "Sx 0\n" * 3300)
     assert len(rendered) == 1100
 
 

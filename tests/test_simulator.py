@@ -462,7 +462,8 @@ def test_draw_past_a_sum_below_one_takes_the_last_nonzero_outcome(
                          f"Rx q[0] {theta!r}\nmeasure_all }}\n", gates)
     (dist, _, _) = probabilities(circuit, gates)
     assert sum(dist.values()) < 1.0 and list(dist) == ["00", "10"]
-    monkeypatch.setattr(SplitMix64, "uniform", lambda self: 1.0)
+    monkeypatch.setattr(SplitMix64, "uniforms",
+                        lambda self, count: np.full(count, 1.0))
     assert run(circuit, gates) == ["10", "10", "10"]
 
 
@@ -496,7 +497,7 @@ def _born_vectors(draw):
 @settings(max_examples=300, deadline=None)
 @given(vector=_born_vectors(), seed=st.integers(0, 2 ** 32 - 1))
 def test_outcome_table_samples_as_the_full_vector_did(vector, seed):
-    """``_Outcomes.sample`` keeps only nonzero outcomes yet picks what
+    """``_Outcomes.pick`` keeps only nonzero outcomes yet picks what
     inverse-CDF sampling over the whole vector picks, for random draws,
     every running-sum value, its neighbouring doubles, 1.0 and 2**-53."""
     n, probs = vector
@@ -505,8 +506,10 @@ def test_outcome_table_samples_as_the_full_vector_did(vector, seed):
     rng = np.random.default_rng(seed)
     draws = [*(1.0 - rng.random(20)), *sums, *np.nextafter(sums, 0.0),
              *np.nextafter(sums, 2.0), 1.0, 2.0 ** -53]
-    for u in (float(u) for u in draws if u > 0.0):
-        assert table.sample(u) == sample_full_vector(probs, u, n), u
+    draws = [float(u) for u in draws if u > 0.0]
+    for u, index in zip(draws, table.pick(np.array(draws))):
+        want = sample_full_vector(probs, u, n)
+        assert bitstring_of(int(index), n) == want, u
 
 
 # -- segment memo ---------------------------------------------------------------
@@ -620,13 +623,15 @@ def test_apply_unitary_runs_once_per_distinct_consecutive_segment(
     assert len(probabilities(circuit, gates)) == 500
     assert len(calls) == 2
     calls.clear()
-    # A B A B ... has no two equal consecutive segments: each is simulated
+    # A B A B ... has no two equal consecutive segments, so the first two
+    # iterations simulate each; the third starts as the second did, and
+    # the second's two tables are sampled for all 48 left
     circuit = circuit_of(
         "register q[2]\n"
         "loop 50 { prepare_all\nSx q[0]\nmeasure_all\n"
         "prepare_all\nSy q[1]\nmeasure_all }\n", gates)
-    run(circuit, gates, seed=5)
-    assert calls == [(0,), (1,)] * 50
+    assert len(run(circuit, gates, seed=5)) == 100
+    assert calls == [(0,), (1,)] * 2
 
 
 def test_probability_mappings_are_independent_per_measurement(gates):
@@ -727,3 +732,168 @@ def test_quantized_records_of_repeated_segments_match_oracle(gates):
         assert quantized == interpret_run(program, seed=seed, quantize=True)
         assert run(circuit, gates, seed=seed) == interpret_run(program,
                                                                seed=seed)
+
+
+# -- runs ----------------------------------------------------------------------
+# A loop is walked until two iterations in a row start alike, then the last
+# one's tables are sampled for every iteration left, with batched draws.
+
+from unittest import mock  # noqa: E402
+
+from jaqalc import simulator  # noqa: E402
+from jaqalc.emitter import emit, record_chunks  # noqa: E402
+
+from helpers import (  # noqa: E402
+    assert_same_text,
+    measurements_reference,
+    probability_text_reference,
+    run_reference,
+)
+
+SEEDS = (0, 7, 123456789, 2 ** 64 - 1)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_batched_draws_equal_the_sequential_ones(seed):
+    """The k-th state is the seed plus k increments mod 2**64, so one
+    numpy pass gives ``uniform``'s draws bit for bit, across the wrap at
+    2**64 and across calls, and leaves the counter where they would."""
+    one, batched = SplitMix64(seed), SplitMix64(seed)
+    want = [one.uniform() for _ in range(20000)]
+    got = [u for count in (1, 0, 7, 4096, 15896)
+           for u in batched.uniforms(count).tolist()]
+    assert got == want
+    assert batched.next_u64() == one.next_u64()
+
+
+# (name, source with {n} for a loop count); a failing example shows both
+SHAPES = [
+    ("spanning", "register q[2]\nprepare_all\nloop {n} {{ Sx q[0]; "
+     "measure_all; prepare_all; Sy q[1] }}\nmeasure_all\n"),
+    ("alternating", "register q[2]\nloop {n} {{ prepare_all; Rx q[0] 0.3; "
+     "measure_all; prepare_all; Sxx q[0] q[1]; measure_all }}\n"),
+    ("discarded", "register q[2]\nloop {n} {{ prepare_all; Sx q[0]; "
+     "prepare_all; Sy q[1]; measure_all }}\n"),
+    ("nested", "register q[2]\nloop {n} {{ loop 3 {{ prepare_all; Sx q[0]; "
+     "measure_all }} loop {n} {{ prepare_all; Sxx q[0] q[1]; measure_all "
+     "}} }}\n"),
+    ("growing", "register q[2]\nloop 3 {{ prepare_all; loop {n} {{ Sx q[0] "
+     "}} measure_all }}\nprepare_all\nloop {n} {{ Sy q[1] }}\n"),
+    ("block", "register q[3]\nmacro m a {{ loop 2 {{ Sy a }} }}\nloop {n} "
+     "{{ prepare_all; < Sx q[0] | m q[1] >; measure_all; prepare_all; "
+     "Sz q[2] }}\nmeasure_all\n"),
+]
+
+
+def _outcome(execute):
+    """What ``execute()`` returns, or the code and message it raises."""
+    try:
+        return execute()
+    except SimulationError as exc:
+        return exc.code, str(exc)
+
+
+def _assert_runs_as_the_reference(circuit, gates, seed, quantize):
+    want = _outcome(lambda: run_reference(circuit, gates, seed, quantize))
+    assert _outcome(lambda: run(circuit, gates, seed, quantize)) == want
+    if isinstance(want, list):  # the command line's record text
+        assert_same_text("".join(record_chunks(simulator.samples(
+            circuit, gates, seed, quantize))), emit(want).decode())
+    want = _outcome(lambda: probability_text_reference(
+        dict(table.mapping) for table in
+        measurements_reference(circuit, gates, quantize)))
+    got = _outcome(lambda: "".join(probability_chunks(circuit, gates,
+                                                      quantize)))
+    if isinstance(want, str):
+        assert_same_text(got, want)
+    assert got == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(),
+       seed=st.sampled_from(SEEDS) | st.integers(0, 2 ** 64 - 1),
+       quantize=st.booleans(),
+       pattern_bytes=st.sampled_from([0, 100, 1000, 1 << 22]),
+       draws=st.sampled_from([1, 2, 3, 5, 1 << 14]))
+def test_runs_sample_as_the_per_shot_reference(gates, data, seed, quantize,
+                                               pattern_bytes, draws):
+    """Records, their text and the ``-p`` text equal the per-shot walk's
+    in tests/helpers.py: for random programs, and for a segment spanning
+    iterations, alternating segments, a discarded segment in a loop,
+    nested shot loops, a segment that grows on every iteration and a loop
+    in a block, with the pattern bound and the draw batch patched small."""
+    if data.draw(st.booleans(), label="generated"):
+        source = random_program(random.Random(data.draw(
+            st.integers(0, 2 ** 32 - 1))), max_qubits=4)
+    else:
+        _, shape = data.draw(st.sampled_from(SHAPES), label="shape")
+        source = shape.format(n=data.draw(st.integers(1, 40), label="n"))
+    circuit = circuit_of(source, gates)
+    with mock.patch.object(simulator, "PATTERN_BYTES", pattern_bytes), \
+            mock.patch.object(simulator, "DRAWS", draws):
+        _assert_runs_as_the_reference(circuit, gates, seed, quantize)
+
+
+@st.composite
+def _shot_programs(draw):
+    """Random nests of loops around prepare_all, measure_all and gates on
+    two qubits; some break the register order, and must fail alike."""
+    statements = ["prepare_all", "measure_all", "Sx q[0]", "Sy q[1]",
+                  "Rx q[0] 0.7", "Sxx q[0] q[1]", "I_Sx q[1]"]
+
+    def body(depth: int) -> str:
+        parts = []
+        for _ in range(draw(st.integers(1, 4))):
+            if depth and draw(st.integers(0, 3)) == 0:
+                parts.append(f"loop {draw(st.integers(1, 6))} "
+                             f"{{ {body(depth - 1)} }}")
+            else:
+                parts.append(draw(st.sampled_from(statements)))
+        return "; ".join(parts)
+
+    return f"register q[2]\n{body(3)}\n"
+
+
+@settings(max_examples=200, deadline=None)
+@given(source=_shot_programs(), seed=st.sampled_from(SEEDS),
+       pattern_bytes=st.sampled_from([0, 200, 1 << 22]),
+       draws=st.sampled_from([1, 3, 1 << 14]))
+def test_random_shot_loops_sample_as_the_per_shot_reference(
+        gates, source, seed, pattern_bytes, draws):
+    circuit = circuit_of(source, gates)
+    with mock.patch.object(simulator, "PATTERN_BYTES", pattern_bytes), \
+            mock.patch.object(simulator, "DRAWS", draws):
+        _assert_runs_as_the_reference(circuit, gates, seed, False)
+
+
+def test_a_shot_loop_is_walked_to_its_fixpoint_only(gates, monkeypatch):
+    """The third iteration starts as the second did, so the walk stops
+    there and yields the second's table for the 999,998 left; the draws
+    and names come in batches."""
+    circuit = circuit_of("register q[2]\nloop 1000000 { prepare_all; "
+                         "Sxx q[0] q[1]; measure_all }\n", gates)
+    runs = list(simulator._measurements(circuit, gates, False))
+    (first,), (second,), (third,) = (tables for tables, _ in runs)
+    assert first is second is third
+    assert [repeats for _, repeats in runs] == [1, 1, 999998]
+    batches = list(simulator.samples(circuit, gates, seed=3))
+    assert len(batches) == -(-1000000 // simulator.DRAWS)
+    assert all(names == {0: "00", 3: "11"} for names, _ in batches)
+
+
+def test_unmeasured_segments_are_checked_not_simulated(gates, monkeypatch):
+    """A discarded or trailing segment runs no gate, however long: the
+    loop body's gates are checked in its second iteration, where the walk
+    stops, and again at the next prepare_all; a segment that grows on
+    every iteration is checked once, one gate object once."""
+    calls = _count_applications(monkeypatch)
+    checked = []
+    real = simulator._checked_args
+    monkeypatch.setattr(simulator, "_checked_args",
+                        lambda *args: checked.append(args[1]) or real(*args))
+    circuit = circuit_of("register q[2]\nloop 1000 { prepare_all; Sx q[0]; "
+                         "Sy q[1] }\nprepare_all\nloop 100000 { Sx q[0] }\n",
+                         gates)
+    assert run(circuit, gates) == [] and probabilities(circuit, gates) == []
+    assert calls == []
+    assert checked == [(0,), (1,), (0,), (1,), (0,)] * 2
