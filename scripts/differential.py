@@ -5,20 +5,22 @@ Usage: python scripts/differential.py REV [--programs N]
 
 Extracts ``src/`` at REV (``git archive``) into a temporary directory and
 runs the same invocations against it and against ``src/`` of the working
-tree: ``check``, ``expand``, ``schedule`` (plain and with the benchmark's
-scan duration manifest) and ``run`` (plain, ``-s 7``, ``-s 2**64-1``,
-``-q -s 7``, ``-p``, ``-q -p``), over the corpus ``.jaqal`` files, a fixed
-set of seeded
-single-character mutants of them (each inserts, deletes or replaces one
-character, so most exercise lexer and parser diagnostics), macro chains
-(plain and alternating), nested loops and nested blocks at ``MAX_NESTING``
+tree: ``check``, ``expand``, ``schedule`` (plain, with the benchmark's
+scan duration manifest, with decimal durations whose sums round, and with
+a ``prepare_all`` of 2**52 that takes times past 2**53) and ``run``
+(plain, ``-s 7``, ``-s 2**64-1``, ``-q -s 7``, ``-p``, ``-q -p``), over
+the corpus ``.jaqal`` files, a fixed set of seeded single-character
+mutants of them (each inserts, deletes or replaces one character, so most
+exercise lexer and parser diagnostics), macro chains (plain and
+alternating), nested loops and nested blocks at ``MAX_NESTING``
 and one past it (the chains pass macro arguments through every level), the
 benchmark's ``shots``, ``scan`` and ``wide`` programs at the default seed
 (``wide`` runs 16 to 20 qubits, where the simulator kernel dominates), a
 few loop, macro-substitution, angle-parameter, scheduling and ``run -p``
 edge cases (``EDGES``, among them loops inside blocks, an angle passed down
-a chain of macros, ``doubling_chain(12)``'s 4096 gates, and shot loops
-whose measurements repeat in runs), N seeded
+a chain of macros, ``doubling_chain(12)``'s 4096 gates, shot loops whose
+measurements repeat in runs, and loops that the scheduler lays out once,
+whose bodies take no time or tie with the next iteration), N seeded
 ``tests/program_gen.py`` programs of up to 4 qubits (default 150), N seeded
 macro programs whose bodies name register qubits, ``WIDE_PROGRAMS`` seeded
 ones of up to 12 qubits, so a kernel change is compared byte for byte on
@@ -222,7 +224,29 @@ EDGES = {
     "shots_across_draw_batches": (
         "register q[3]\nloop 40000 { prepare_all; Sx q[0]; Sy q[1]; "
         "Rx q[2] 0.4; measure_all }\n"),
+    # schedule lays a loop out once and writes the rest shifted; under the
+    # scan manifest Rz, Sz and Pz take no time: loop bodies that take none
+    # (one row per sort key, tied with the gates around them), bodies whose
+    # last row ties with the next iteration's first (walked), and shot
+    # loops nested three deep with padding in their bodies
+    "zero_span_loops": (
+        "register q[2]\nRz q[0] 0.1\nloop 5000 { Rz q[0] 0.5; Rz q[0] 0.7; "
+        "Sz q[1] }\nSx q[0]\nloop 3 { loop 4 { Pz q[1] } }\n"
+        "Rz q[0] 0.2\nloop 7 { loop 2 { Sz q[0] } Sx q[1] }\n"),
+    "zero_duration_tails": (
+        "register q[2]\nloop 50 { Sx q[0]; < Sy q[1] | Rz q[0] 0.5 >; "
+        "Sz q[1] }\nloop 3 { Sx q[0]; loop 20 { Sy q[1]; Rz q[1] 0.5 } }\n"
+        "loop 2 { loop 5 { Sx q[1] } Rz q[1] 0.5 }\n"),
+    "nested_shot_loops_padded": (
+        "register q[3]\nloop 2 { loop 10 { loop 50 { prepare_all; < Sx q[0] "
+        "| { Sy q[1]; Sz q[1] } >; Sxx q[0] q[2]; measure_all } } "
+        "Rz q[2] 0.3 }\n"),
 }
+
+# schedule manifests beside the scan one: decimal durations, whose sums
+# round, so every loop is walked; and 2**52, which takes times past 2**53
+INEXACT_MANIFEST = "Sx 0.1\nSy 0.3\nMS 0.7\nmeasure_all 0.7\n"
+PAST_2_53_MANIFEST = "prepare_all 4503599627370496\n"
 
 
 def _deep(depth: int) -> dict:
@@ -309,11 +333,14 @@ def _inputs(work: Path, programs: int) -> list:
 def _jobs(work: Path, inputs: list, analysis_only: list) -> list:
     from workloads import SCAN_MANIFEST
 
-    manifest = work / "scan.manifest"
-    manifest.write_text(SCAN_MANIFEST)
+    manifests = []
+    for name, text in (("scan", SCAN_MANIFEST), ("inexact", INEXACT_MANIFEST),
+                       ("past_2_53", PAST_2_53_MANIFEST)):
+        manifests.append(work / f"{name}.manifest")
+        manifests[-1].write_text(text)
     commands = (["check"], ["expand"], ["schedule"],
-                ["schedule", "-d", str(manifest)], ["run"],
-                ["run", "-s", "7"], ["run", "-s", str(2 ** 64 - 1)],
+                *(["schedule", "-d", str(path)] for path in manifests),
+                ["run"], ["run", "-s", "7"], ["run", "-s", str(2 ** 64 - 1)],
                 ["run", "-q", "-s", "7"], ["run", "-p"], ["run", "-q", "-p"])
     jobs = []
     for path in inputs:

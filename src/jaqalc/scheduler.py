@@ -9,21 +9,29 @@ duration.  Qubits the block never mentions receive no padding.  One walk,
 ``_layout``, serves ``schedule``, ``total_duration`` and the streamed dump,
 ``timeline_chunks``, building each IR node's step once for all loop
 iterations.  At each step of the root's sequential chain the dump writes
-the rows that start before it and holds the rest, so memory is bounded by
-a loop body, a top-level parallel block, or a run of rows that all start
-at one time (a long loop of zero-duration gates is held whole).
+the rows that start before it and holds the rest.
+
+Times are exact if B <= 2**53: B bounds the end in units of 1/D, D <= 2**64
+the largest denominator of the durations used, a gate counting its duration,
+a loop or block its count times its children's sum, a parallel block their
+sum.  Then iteration k of a loop is its first shifted by k spans, to the
+bit, so the dump lays out a loop on the root's chain, nested loops in it
+too, once and writes the rest shifted; a body that takes no time, as each
+sort key's share repeated.  Memory is then bounded by a loop body, a
+top-level parallel block or a tie outside loops.  Otherwise (``0.1``
+durations, or a body's last row tied with the next's first) it walks each.
 
 Precondition: the circuit is the expansion of a program that analysis
-accepted, or a hand-built circuit that keeps the same rules, and no
-duration is negative.  Qubit exclusivity is decided by analysis, never
-here; a circuit that breaks it still lays out (overlapping spans on one
-qubit merge when padding), but its timeline is meaningless.
+accepted, or a hand-built circuit that keeps the same rules, and every
+duration is finite and not negative.  Qubit exclusivity is decided by
+analysis, never here; a circuit that breaks it still lays out (overlapping
+spans on one qubit merge when padding), but its timeline is meaningless.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from itertools import count
+from itertools import count, groupby
 from math import inf
 
 from .analyzer import FlatCircuit, PrimitiveGate
@@ -32,6 +40,10 @@ from .record import Record
 
 PAD_IDLE_NAME = "I_pad"
 FLUSH_ROWS = 4096  # rows held before a step of the root's chain writes them
+
+
+class _Tie(Exception):
+    """A loop body's last row ties with the next iteration's first."""
 
 
 class TimelineEntry(Record):
@@ -74,24 +86,32 @@ def _layout(circuit: FlatCircuit, gates, rows, limit=inf):
     (first qubit, name, kind), seq, text, ref)`` per gate run and idle:
     rows sort in dump order, and ref is the gate's step or the idle's end.
     A generator: at a step of the root's sequential chain, once ``rows``
-    holds ``limit`` rows, it yields the step's start; last, the end.  Each
-    node's step is built once, keyed by ``id``: a gate's ``(0, duration,
-    key, text, qubits, gate)``, a block's ``(1 + parallel, count, steps)``.
-    If ``rows`` is None, it adds no rows, pads nothing and builds no text."""
-    steps, ids, add = {}, count(), rows is not None and rows.append
+    holds ``limit`` rows, it yields the step's start; last, the end.  A
+    finite ``limit`` is the dump's: a loop there is a row of text, key
+    ``(inf,)``, that only ``_write`` reads.  Each node's step is built
+    once, keyed by ``id``: a gate's ``(0, duration, key, bound, qubits,
+    gate, text)``, a block's ``(1 + parallel, count, steps, bound)``, bound
+    as B in 2**-64s.  If ``rows`` is None, it adds no rows, pads nothing
+    and builds no text."""
+    steps, ids, add, den = {}, count(), rows is not None and rows.append, 1
 
     def step_of(node):
+        nonlocal den
         if id(node) in steps:
             return steps[id(node)]
         if isinstance(node, PrimitiveGate):
             d, qubits = gates[node.definition.name].duration, node.qubits
             occupied = range(circuit.n_qubits) if (  # lazily: q[10**400]
                 node.definition.kind in (PREPARATION, MEASUREMENT)) else qubits
+            numerator, denominator = d.as_integer_ratio()
+            den = max(den, denominator)
             step = (0, d, (min(qubits, default=-1), node.name, 0),
-                    add and f" {d:g} {node}\n", occupied, node)
+                    numerator * (2 ** 64 // denominator), occupied, node,
+                    add and f" {d:g} {node}\n")
         else:
-            step = (1 + node.parallel, node.count,
-                    [step_of(child) for child in node.items])
+            children = [step_of(child) for child in node.items]
+            step = (1 + node.parallel, node.count, children,
+                    node.count * sum(child[3] for child in children))
         steps[id(node)] = step
         return step
 
@@ -100,18 +120,24 @@ def _layout(circuit: FlatCircuit, gates, rows, limit=inf):
              f" {end - start:g} {PAD_IDLE_NAME} {q}\n", end))
 
     def place(step, t0: float) -> float:
+        nonlocal once
         if not step[0]:
             if add:
-                add((t0, step[2], next(ids), step[3], step))
+                add((t0, step[2], next(ids), step[6], step))
             return t0 + step[1]
         if step[0] == 1:
-            for _ in range(step[1]):
+            n, mark, t = step[1], add and len(rows), t0
+            for _ in range(min(n, 1) if once else n):
                 for child in step[2]:
-                    t0 = place(child, t0)
-            return t0
-        end, mark = t0, add and len(rows)
+                    t = place(child, t)
+            if n < 2 or not once:
+                return t
+            return replay(mark, t0, t, n) if add else t0 + n * (t - t0)
+        end, mark, held = t0, add and len(rows), once
+        once = once and not add  # padding reads the block's rows: walk
         for child in step[2]:
             end = max(end, place(child, t0))
+        once = held
         if not add:
             return end
         spans: dict = {}  # each qubit's busy spans, gates' and idles'
@@ -130,6 +156,20 @@ def _layout(circuit: FlatCircuit, gates, rows, limit=inf):
                 pad(q, cursor, end)
         return end
 
+    def replay(mark, t0, t, n):  # hold a loop on the root's chain as text:
+        body = sorted(rows[mark:])  # its first iteration's rows, from mark
+        del rows[mark:]
+        if t == t0:  # every row ties: one row per key, its share of a body
+            for key, share in groupby(body, lambda row: row[1]):
+                add((t0, key, next(ids), (list(share), n, 0.0, 0), None))
+            return t0
+        if body[-1][0] == t:
+            raise _Tie
+        first = bisect_left(body, (t0, (inf,)))  # (inf,): after t0's keys
+        rows.extend(body[:first])  # rows at t0 may tie with earlier ones
+        add((t0, (inf,), next(ids), (body, n, t - t0, first), None))
+        return t0 + n * (t - t0)
+
     def chain(step, t: float):  # a sequence on the root's chain
         nonlocal limit
         for _ in range(step[1]):
@@ -137,29 +177,59 @@ def _layout(circuit: FlatCircuit, gates, rows, limit=inf):
                 if rows and len(rows) >= limit:
                     yield t  # held rows count: a run of ties is not
                     limit = 2 * len(rows) + FLUSH_ROWS  # sorted every step
-                if child[0] == 1:
-                    t = yield from chain(child, t)
-                else:
-                    t = place(child, t)
+                mark = add and len(rows)
+                try:  # a block, or a loop walked per iteration, is steps
+                    if child[0] != 1 or child[1] > 1 and exact:
+                        t = place(child, t)
+                        continue
+                except _Tie:  # its iterations tie
+                    del rows[mark:]
+                t = yield from chain(child, t)
         return t
 
-    yield (yield from chain(step_of(circuit.root), 0.0))
+    root = step_of(circuit.root)
+    exact = den <= 2 ** 64 and root[3] * den <= 2 ** 117  # B <= 2**53
+    once = exact and (limit < inf or not add)  # lay each loop out once
+    yield (yield from chain(root, 0.0))
 
 
-def _lines(rows) -> str:
-    return "".join([f"{start:g}{text}" for start, _, _, text, _ in rows])
+def _write(rows, shift: float, out: list):
+    """Add the lines of sorted ``rows``, starts plus ``shift``, to ``out``;
+    yield its text, emptied, at ``FLUSH_ROWS``.  A replayed loop's text is
+    ``(body, count, span, first)``: ``count`` iterations of its sorted
+    rows, a ``span`` apart, less the ``first`` rows of the first."""
+    for start, _, _, text, _ in rows:
+        if type(text) is str:
+            out.append(f"{start + shift:g}{text}")
+            continue
+        body, n, span, first = text
+        for k in range(n):
+            yield from _write(body[first:] if k == 0 else body,
+                              shift + k * span, out)
+            if len(out) >= FLUSH_ROWS:
+                yield _take(out)
+
+
+def _take(out: list) -> str:
+    """``out``'s text; ``out`` is emptied before the text is written."""
+    text = "".join(out)
+    out.clear()
+    return text
 
 
 def timeline_chunks(circuit: FlatCircuit, gates: dict):
     """``dump_timeline(schedule(circuit, gates))`` and a ``total`` line, in
     chunks of about ``FLUSH_ROWS`` rows, without a row per gate kept."""
-    rows: list = []
+    rows, out = [], []
     for t in _layout(circuit, gates, rows, FLUSH_ROWS):
         rows.sort()
         cut = bisect_left(rows, (t,))  # the rows that start before t
-        yield _lines(rows[:cut])
+        yield from _write(rows[:cut], 0.0, out)
+        yield _take(out)
         del rows[:cut]
-    yield _lines(rows) + f"total {t:g}\n"  # sorted: none came after the end
+    yield from _write(rows, 0.0, out)
+    out.append(f"total {t:g}\n")  # sorted: none came after the end
+    yield _take(out)
 
 
 def schedule(circuit: FlatCircuit, gates: dict) -> Timeline:

@@ -709,6 +709,24 @@ def test_a_long_shot_loop_streams_in_bounded_memory(workdir, command, count,
     assert peak < limit, peak
 
 
+def test_a_loop_of_gates_that_take_no_time_streams_like_a_shot_loop(
+        workdir):
+    """Every row of ``loop 1000000 { Rz q[0] 0.5 }`` under a manifest that
+    makes ``Rz`` take no time starts at 0, so the dump is held until the
+    end: held as one row per key and written in chunks, ``schedule``
+    peaks near the 3M-gate shot loop's; a row per gate run peaked at
+    242 MiB.  The digest is of the bytes written with a row per run."""
+    path = write(workdir, "zero.jaqal",
+                 "register q[1]\nloop 1000000 { Rz q[0] 0.5 }\n")
+    manifest = write(workdir, "zero.manifest", "Rz 0\nSz 0\nSzd 0\nPz 0\n")
+    flat = write(workdir, "flat.jaqal", SHOT_LOOP.format(1000000))
+    status, digest, peak = _peak_mib(workdir, ["schedule", path, "-d",
+                                               manifest])
+    assert (status, digest) == (
+        0, "ad3c5d384ca3c09abee1d7fc3ef1119e0e7054410ba8751266965595a1e652db")
+    assert peak <= _peak_mib(workdir, ["schedule", flat])[2] + 2, peak
+
+
 def test_a_nested_shot_loop_streams_like_a_flat_one(workdir):
     """An inner loop streams in blocks of its body on each outer iteration,
     as a top-level one does; the outer body's text held whole peaked at

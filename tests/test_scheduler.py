@@ -32,6 +32,7 @@ from jaqalc.scheduler import (
 )
 
 from helpers import (
+    assert_same_text,
     check_flat_conflicts,
     gate_qubits,
     schedule_reference,
@@ -589,3 +590,177 @@ def test_a_gate_named_like_the_padding_sorts_before_the_idle_it_ties_with(
     assert text == schedule_text_reference(circuit, timed) == (
         "0 1 Sx 0\n0 1 Sy 1\n1 0 I_pad 0\n1 1 I_pad 0\n1 1 Sy 1\n"
         "total 2\n")
+
+
+# -- replayed loops -------------------------------------------------------------
+
+def random_loop_circuit(rng, gates, budget=3000):
+    """A hand-built circuit of loops of 2 to 60 iterations, nested in one
+    another and in sequences, whose bodies hold parallel blocks that pad,
+    zero-duration gates (under a manifest that makes them take no time)
+    at their ends, and bodies made only of such gates.  ``budget`` bounds
+    the gate runs, so the reference walk stays quick."""
+    n = rng.randint(1, 4)
+
+    def gate(pool, zero=False):
+        if zero or rng.random() < 0.15:
+            return PrimitiveGate(gates["Rz"], (rng.choice(pool),), (0.5,))
+        if len(pool) >= 2 and rng.random() < 0.15:
+            return PrimitiveGate(gates["Sxx"], tuple(rng.sample(pool, 2)))
+        if len(pool) == n and rng.random() < 0.05:  # not in a branch
+            return PrimitiveGate(gates[rng.choice(["prepare_all",
+                                                   "measure_all"])])
+        return PrimitiveGate(gates[rng.choice(["Sx", "Sy", "Px"])],
+                             (rng.choice(pool),))
+
+    def parallel(pool):
+        shuffled = rng.sample(pool, len(pool))
+        cut = rng.randint(1, len(pool))
+        branches = [p for p in (shuffled[:cut], shuffled[cut:]) if p]
+        return FlatBlock(True, tuple(
+            FlatBlock(False, tuple(gate([q]) for q in rng.choices(
+                branch, k=rng.randint(1, 3)))) for branch in branches))
+
+    def body(pool, depth, runs):
+        items = []
+        for _ in range(rng.randint(1, 4)):
+            roll = rng.random()
+            count = rng.randint(2, max(2, min(60, budget // runs // 16)))
+            if depth and roll < 0.35:
+                items.append(FlatLoop(count, tuple(
+                    body(pool, depth - 1, runs * count))))
+            elif roll < 0.55 and len(pool) > 1:
+                items.append(parallel(pool))
+            elif roll < 0.65:  # a body that takes no time
+                items.append(FlatLoop(count, tuple(
+                    gate(pool, zero=True) for _ in range(rng.randint(1, 2)))))
+            else:
+                items.append(gate(pool))
+        if rng.random() < 0.3:  # a zero-duration tail
+            items.append(gate(pool, zero=True))
+        return items
+
+    return FlatCircuit(n, FlatBlock(False, tuple(body(list(range(n)), 3,
+                                                      1))))
+
+
+# exact durations, a zero, and a decimal one, whose loops are walked
+REPLAY_DURATION = st.sampled_from([0.0, 0.0, 0.25, 0.5, 1.0, 2.5, 10.0, 0.1])
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1),
+       durations=st.lists(REPLAY_DURATION, min_size=len(TIMED),
+                          max_size=len(TIMED)),
+       flush=st.sampled_from([1, 2, 3, 5, 4096]))
+def test_replayed_loops_equal_the_reference(gates, seed, durations, flush):
+    """A loop laid out once and written shifted, or as each sort key's
+    share when its body takes no time, writes the bytes of the walk that
+    placed every iteration; so do loops that tie across iterations and
+    durations that are not exact, which are walked."""
+    manifest = "".join(f"{name} {d}\n" for name, d in zip(TIMED, durations))
+    gates = apply_durations(gates, load_duration_manifest(manifest, gates))
+    circuit = random_loop_circuit(random.Random(seed), gates)
+    reference = schedule_reference(circuit, gates)
+    with mock.patch.object(scheduler, "FLUSH_ROWS", flush):
+        text = "".join(timeline_chunks(circuit, gates))
+    assert_same_text(text, schedule_text_reference(circuit, gates))
+    assert total_duration(circuit, gates) == reference.total_duration
+    assert schedule(circuit, gates) == reference
+
+
+def _starts(circuit, gates):
+    return [entry.start for entry in schedule_reference(circuit,
+                                                        gates).entries]
+
+
+@pytest.mark.parametrize("manifest, source", [
+    # B = 3 (2**52 + 1.5) in quarters passes 2**53: 2**52 + 0.75 rounds
+    ("Sx 4503599627370496\nSy 0.75\n",
+     "register q[1]\nloop 3 { Sx q[0]; Sy q[0]; Sy q[0] }\n"),
+    # 0.1 is not a dyadic fraction: every start is rounded
+    ("Sx 0.1\n", "register q[1]\nloop 1000 { Sx q[0] }\n"),
+], ids=["past-2**53", "decimal"])
+def test_inexact_times_are_walked_not_shifted(gates, manifest, source):
+    """Past the exactness bound, a start shifted from the first iteration
+    is not the one the walk accumulates, so the loop must be walked: the
+    dump equals the reference's, whose starts differ from the shifted."""
+    timed = apply_durations(gates, load_duration_manifest(manifest, gates))
+    circuit = circuit_of(source, timed)
+    starts = _starts(circuit, timed)
+    loop = circuit.root.items[0]
+    per = len(loop.items)
+    span = starts[per] - starts[0]
+    assert any(start != starts[i % per] + i // per * span
+               for i, start in enumerate(starts))
+    with mock.patch.object(scheduler, "FLUSH_ROWS", 7):
+        text = "".join(timeline_chunks(circuit, timed))
+    assert_same_text(text, schedule_text_reference(circuit, timed))
+    assert total_duration(circuit, timed) == schedule_reference(
+        circuit, timed).total_duration
+
+
+def test_times_at_the_exactness_bound_are_replayed(gates):
+    """B = 2**53 exactly: every time is exact, so the loop is replayed."""
+    timed = apply_durations(gates, {"Sx": 2.0 ** 51})
+    circuit = circuit_of("register q[1]\nloop 4 { Sx q[0] }\n", timed)
+    rows = Appends()
+    assert list(scheduler._layout(circuit, timed, rows, 1)) == [2.0 ** 53]
+    assert rows.appends == 2  # the first iteration's row, then the text
+    assert "".join(timeline_chunks(circuit, timed)) == (
+        schedule_text_reference(circuit, timed))
+
+
+class Appends(list):
+    """Rows that count the rows the layout adds one by one."""
+    appends = 0
+
+    def append(self, row):
+        self.appends += 1
+        super().append(row)
+
+
+@pytest.mark.parametrize("counts", [(1000,), (10, 50), (2, 10, 50)])
+def test_a_loop_body_is_placed_once_per_loop_entry(gates, counts):
+    """However many iterations, the rows the layout adds are those of one
+    iteration of the innermost body, one per enclosing loop's head, and
+    one row of text per loop."""
+    source = "register q[3]\n"
+    for count in counts:
+        source += f"loop {count} {{ "
+    source += ("prepare_all; < Sx q[0] | { Sy q[1]; Sz q[1] } >; "
+               "Sxx q[0] q[2]; measure_all" + " }" * len(counts) + "\n")
+    circuit = circuit_of(source, gates)
+    rows = Appends()
+    *_, end = scheduler._layout(circuit, gates, rows, FLUSH)
+    # prepare, Sx, Sy, Sz, the idle padding q[0], Sxx, measure: 7 rows
+    assert rows.appends == 7 + len(counts)
+    assert end == total_duration(circuit, gates)
+    assert_same_text("".join(timeline_chunks(circuit, gates)),
+                     schedule_text_reference(circuit, gates))
+
+
+FLUSH = 4096
+
+
+def test_a_zero_span_body_is_held_as_one_row_per_key(gates):
+    """``loop n { Rz q[0] 0.5; Sz q[0]; Rz q[0] 0.7 }`` under a manifest
+    that gives them no time ties every run: the lines sort by key, so each
+    key's share of the body repeats, both Rz in execution order, and the
+    layout holds a row per key, not one per run.  Gates before and after
+    the loop that tie with it on a key sort around its share."""
+    timed = apply_durations(gates, {"Rz": 0.0, "Sz": 0.0})
+    circuit = circuit_of("register q[1]\nRz q[0] 0.1\nSz q[0]\nloop 3000 { "
+                         "Rz q[0] 0.5; Sz q[0]; Rz q[0] 0.7 }\nRz q[0] 0.2\n"
+                         "Sx q[0]\nRz q[0] 0.3\n", timed)
+    rows = Appends()
+    list(scheduler._layout(circuit, timed, rows, FLUSH))
+    assert rows.appends <= 10
+    with mock.patch.object(scheduler, "FLUSH_ROWS", 100):
+        chunks = list(timeline_chunks(circuit, timed))
+    want = ("0 0 Rz 0 0.1\n" + "0 0 Rz 0 0.5\n0 0 Rz 0 0.7\n" * 3000
+            + "0 0 Rz 0 0.2\n0 1 Sx 0\n" + "0 0 Sz 0\n" * 3001
+            + "1 0 Rz 0 0.3\ntotal 1\n")
+    assert_same_text(schedule_text_reference(circuit, timed), want)
+    assert_same_text("".join(chunks), want)
+    assert max(chunk.count("\n") for chunk in chunks) <= 2 * 100 + 2

@@ -1,4 +1,5 @@
 import copy
+import itertools
 import math
 import random
 import tracemalloc
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 from jaqalc.diagnostics import has_errors
 from jaqalc.errors import SimulationError
 from jaqalc.expander import FlatBlock, FlatCircuit, PrimitiveGate, expand
+from jaqalc.gateset import ROTATION
 from jaqalc.parser import parse
 from jaqalc.simulator import (
     QuantumState,
@@ -897,3 +899,16 @@ def test_unmeasured_segments_are_checked_not_simulated(gates, monkeypatch):
     assert run(circuit, gates) == [] and probabilities(circuit, gates) == []
     assert calls == []
     assert checked == [(0,), (1,), (0,), (1,), (0,)] * 2
+
+
+def test_zero_and_negative_zero_angles_give_the_same_unitary_bytes(gates):
+    """Every rotation builds the same raw bytes from 0.0 and -0.0, so a
+    cache of matrices may key floats by value, where 0.0 == -0.0."""
+    rotations = [d for d in gates.values()
+                 if d.kind == ROTATION and d.float_arity]
+    assert {d.name for d in rotations} >= {"Rx", "Ry", "Rz", "MS"}
+    for definition in rotations:
+        signs = itertools.product((0.0, -0.0), repeat=definition.float_arity)
+        assert len({unitary_of(definition, args).tobytes()
+                    for args in signs}) == 1, definition.name
+
