@@ -19,8 +19,9 @@ benchmark's ``shots``, ``scan`` and ``wide`` programs at the default seed
 few loop, macro-substitution, angle-parameter, scheduling and ``run -p``
 edge cases (``EDGES``, among them loops inside blocks, an angle passed down
 a chain of macros, ``doubling_chain(12)``'s 4096 gates, shot loops whose
-measurements repeat in runs, and loops that the scheduler lays out once,
-whose bodies take no time or tie with the next iteration), N seeded
+measurements repeat in runs, loops that the scheduler lays out once, whose
+bodies take no time or tie with the next iteration, and ``HOLD_EDGES``,
+loops at the bound on what the dumps hold), N seeded
 ``tests/program_gen.py`` programs of up to 4 qubits (default 150), N seeded
 macro programs whose bodies name register qubits, ``WIDE_PROGRAMS`` seeded
 ones of up to 12 qubits, so a kernel change is compared byte for byte on
@@ -177,7 +178,8 @@ EDGES = {
     "equal_distributions": ("register q[2]\nloop 3 { prepare_all\nSx q[1]\n"
                             "measure_all\nprepare_all\nSy q[1]\n"
                             "measure_all }\n"),
-    # loop bodies of more than 1024 gates stream per iteration in expand
+    # a loop whose iteration runs more than HOLD_GATES (4096) gates is
+    # walked per iteration in both dumps
     "nested_loop_dump": ("register q[2]\nloop 3 { prepare_all\nloop 2 { "
                          "loop 700 { Sx q[0]\nmeasure_all\nprepare_all } }"
                          "\nSy q[1]\nmeasure_all }\n"),
@@ -188,8 +190,8 @@ EDGES = {
                                     "loop 2 { < Sx q[0] | Sy q[1] > }\n"
                                     "measure_all }\nI_Sx q[1]\n"),
     # expand writes a block's markers around its children's chunks: a
-    # loop in a block is rendered once and repeated, or, if its inner
-    # loops run more than 1024 gates per iteration, walked per iteration
+    # loop in a block is rendered once and repeated, or, if an iteration
+    # runs more than HOLD_GATES gates, walked per iteration
     "macro_loop_3_in_a_parallel_block": (
         "register q[2]\nmacro m a { loop 3 { Sx a; Rz a 0.5 } }\n"
         "prepare_all\n< m q[0] | Sz q[1] >\nmeasure_all\n"),
@@ -241,6 +243,27 @@ EDGES = {
         "register q[3]\nloop 2 { loop 10 { loop 50 { prepare_all; < Sx q[0] "
         "| { Sy q[1]; Sz q[1] } >; Sxx q[0] q[2]; measure_all } } "
         "Rz q[2] 0.3 }\n"),
+}
+
+# loops at the hold bound, after doubling_chain(12)'s macros on two qubits:
+# an iteration of m11 runs HOLD_GATES gates, so the dumps hold the loop, and
+# one more Sx takes it past, so they walk it.  A held loop inside a walked
+# one, a walked loop inside a walked one (a held loop cannot hold a walked
+# one: its iteration runs all of its inner loops' gates), a walked loop in
+# a parallel block, and a walked body whose tail takes no time under the
+# scan manifest (Rz, Sz), tied with the next iteration's first row.
+HOLD_EDGES = {
+    "hold_at_the_bound": "prepare_all\nloop 3 { m11 q[0] }\nmeasure_all\n",
+    "hold_past_the_bound": "loop 3 { m11 q[0]; Sx q[0] }\nmeasure_all\n",
+    "held_in_a_held_loop_at_the_bound": "loop 3 { loop 2 { m10 q[1] } }\n",
+    "held_in_a_walked_loop": ("loop 2 { prepare_all; m11 q[0]; loop 3 { "
+                              "< Sy q[0] | Sx q[1] > } measure_all }\n"),
+    "walked_in_a_walked_loop": ("loop 2 { Sy q[1]; loop 2 { m11 q[0]; "
+                                "Sx q[0] } }\n"),
+    "walked_in_a_parallel_block": ("macro w a { loop 2 { Sy a; m11 a } }\n"
+                                   "< w q[0] | Sz q[1] >\n"),
+    "zero_duration_tail_past_the_bound": (
+        "loop 3 { m11 q[0]; Sx q[1]; Rz q[0] 0.5; Sz q[1] }\nSx q[0]\n"),
 }
 
 # schedule manifests beside the scan one: decimal durations, whose sums
@@ -298,6 +321,9 @@ def _inputs(work: Path, programs: int) -> list:
     # the top level's loops
     texts = dict(EDGES, number_parameter_chain=fan_chain(6, 20, "0.5"),
                  doubling_chain12=doubling_chain(12))
+    macros = "\n".join(["register q[2]",
+                        *doubling_chain(12).splitlines()[1:-3], ""])
+    texts.update((stem, macros + body) for stem, body in HOLD_EDGES.items())
     for name in ("shots", "scan", "wide"):
         for program in generate(name, DEFAULT_SEED).programs:
             texts[program.name] = program.source

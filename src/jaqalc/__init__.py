@@ -18,13 +18,14 @@ __version__ = "0.1.0"
 
 _EXPORTS = {
     "analyzer": ("FlatBlock", "FlatCircuit", "FlatLoop", "PrimitiveGate",
-                 "SymbolTable", "analyze", "resolve_qubit"),
+                 "SymbolTable", "analyze", "count_primitive_gates",
+                 "resolve_qubit"),
     "ast": ("Program", "pretty_print"),
     "diagnostics": ("Diagnostic", "has_errors"),
     "emitter": ("emit", "parse_output"),
     "errors": ("JaqalError", "ManifestError", "OutputFormatError",
                "SimulationError"),
-    "expander": ("count_primitive_gates", "expand"),
+    "expander": ("expand",),
     "gateset": ("GateDefinition", "apply_durations", "builtin_gateset",
                 "load_duration_manifest", "quantize_angle"),
     "parser": ("lex", "parse"),

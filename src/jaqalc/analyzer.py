@@ -202,6 +202,24 @@ class FlatLoop(Record):
         self.count, self.items = count, items
 
 
+HOLD_GATES = 4096  # a dump holds a loop body that runs at most this many
+
+
+def count_primitive_gates(circuit) -> int:
+    """Primitive gates a circuit, or one of its IR nodes, runs; a loop
+    multiplies its body's."""
+    item = getattr(circuit, "root", circuit)
+    if isinstance(item, PrimitiveGate):
+        return 1
+    return item.count * sum(map(count_primitive_gates, item.items))
+
+
+def held(loop: FlatLoop) -> bool:
+    """Whether the dumps hold ``loop``'s body once and repeat it, rather
+    than walk each iteration: an iteration runs at most ``HOLD_GATES``."""
+    return count_primitive_gates(loop) <= loop.count * HOLD_GATES
+
+
 class FlatCircuit(Record):
     __slots__ = ("n_qubits", "root")
     def __init__(self, n_qubits: int, root: FlatBlock):

@@ -5,7 +5,8 @@ decides qubit exclusivity, so ``expand`` walks no syntax tree, resolves no
 argument and checks nothing: it hands the circuit over.  The IR records
 live in the analyzer, so neither ``check`` nor ``run`` loads the expander;
 this module re-exports them next to gate counts, execution order and the
-text dump.
+text dump, which repeats a held loop's text (``analyzer.held``) and walks
+other loops an iteration at a time, holding one held body's text at most.
 """
 
 from __future__ import annotations
@@ -17,12 +18,13 @@ from .analyzer import (  # noqa: F401  (the IR records are public here)
     PrimitiveGate,
     SymbolTable,
     analyze,
+    count_primitive_gates,
+    held,
 )
 from .ast import Program
 from .errors import JaqalError
 
-STREAM_GATES = 1024  # a body whose loops run more is walked per iteration
-CHUNK_BYTES = 1 << 16  # else its text is repeated in blocks of this size
+CHUNK_BYTES = 1 << 16  # a held loop's text is repeated in blocks this size
 
 
 def expand(program: Program, gates: dict,
@@ -38,15 +40,6 @@ def expand(program: Program, gates: dict,
         raise JaqalError("program has analysis errors; expansion "
                          "requires a clean analysis")
     return symbols.circuit
-
-
-def count_primitive_gates(circuit) -> int:
-    """Primitive gates a circuit, or one of its IR nodes, runs; a loop
-    multiplies its body's."""
-    item = getattr(circuit, "root", circuit)
-    if isinstance(item, PrimitiveGate):
-        return 1
-    return item.count * sum(map(count_primitive_gates, item.items))
 
 
 def iter_gates(circuit: FlatCircuit):
@@ -65,11 +58,6 @@ def iter_gates(circuit: FlatCircuit):
     yield from walk(circuit.root.items)
 
 
-def _looped(items) -> int:  # gates the loops among items run, at any depth
-    return sum(count_primitive_gates(i) if isinstance(i, FlatLoop) else
-               _looped(i.items) for i in items if hasattr(i, "items"))
-
-
 def _pieces(items, indent: int):  # the text of items, in execution order
     pad = "    " * indent
     for item in items:
@@ -79,14 +67,14 @@ def _pieces(items, indent: int):  # the text of items, in execution order
             yield f"{pad}{'<' if item.parallel else '{'}\n"
             yield from _pieces(item.items, indent + 1)
             yield f"{pad}{'>' if item.parallel else '}'}\n"
-        elif _looped(item.items) > STREAM_GATES:  # walked on each iteration
-            for _ in range(item.count):
-                yield from _pieces(item.items, indent)
-        else:  # rendered once, repeated in blocks of about CHUNK_BYTES
+        elif held(item):  # rendered once, repeated about CHUNK_BYTES at a time
             text = "".join(_pieces(item.items, indent))
             block = max(1, CHUNK_BYTES // (len(text) or 1))
             for done in range(0, item.count, block):
                 yield text * min(block, item.count - done)
+        else:  # walked on each iteration
+            for _ in range(item.count):
+                yield from _pieces(item.items, indent)
 
 
 def flat_chunks(circuit: FlatCircuit):

@@ -15,11 +15,13 @@ Times are exact if B <= 2**53: B bounds the end in units of 1/D, D <= 2**64
 the largest denominator of the durations used, a gate counting its duration,
 a loop or block its count times its children's sum, a parallel block their
 sum.  Then iteration k of a loop is its first shifted by k spans, to the
-bit, so the dump lays out a loop on the root's chain, nested loops in it
-too, once and writes the rest shifted; a body that takes no time, as each
-sort key's share repeated.  Memory is then bounded by a loop body, a
-top-level parallel block or a tie outside loops.  Otherwise (``0.1``
-durations, or a body's last row tied with the next's first) it walks each.
+bit, so the dump lays out a held loop (``analyzer.held``) on the root's
+chain once, its inner loops walked, and writes the rest shifted; a body
+that takes no time, as each sort key's share repeated.  It walks other
+loops an iteration at a time, and all when times are not exact (``0.1``
+durations) or a held body's last row ties with the next's first.  So it
+holds one held body's rows (``HOLD_GATES`` gates and their idles), a
+top-level parallel block or a run of rows at one time outside held bodies.
 
 Precondition: the circuit is the expansion of a program that analysis
 accepted, or a hand-built circuit that keeps the same rules, and every
@@ -34,16 +36,12 @@ from bisect import bisect_left
 from itertools import count, groupby
 from math import inf
 
-from .analyzer import FlatCircuit, PrimitiveGate
+from .analyzer import FlatCircuit, PrimitiveGate, held
 from .gateset import MEASUREMENT, PREPARATION
 from .record import Record
 
 PAD_IDLE_NAME = "I_pad"
 FLUSH_ROWS = 4096  # rows held before a step of the root's chain writes them
-
-
-class _Tie(Exception):
-    """A loop body's last row ties with the next iteration's first."""
 
 
 class TimelineEntry(Record):
@@ -87,12 +85,12 @@ def _layout(circuit: FlatCircuit, gates, rows, limit=inf):
     rows sort in dump order, and ref is the gate's step or the idle's end.
     A generator: at a step of the root's sequential chain, once ``rows``
     holds ``limit`` rows, it yields the step's start; last, the end.  A
-    finite ``limit`` is the dump's: a loop there is a row of text, key
-    ``(inf,)``, that only ``_write`` reads.  Each node's step is built
-    once, keyed by ``id``: a gate's ``(0, duration, key, bound, qubits,
-    gate, text)``, a block's ``(1 + parallel, count, steps, bound)``, bound
-    as B in 2**-64s.  If ``rows`` is None, it adds no rows, pads nothing
-    and builds no text."""
+    finite ``limit`` is the dump's: a held loop on the chain there is a
+    row of text, key ``(inf,)``, that only ``_write`` reads.  Each node's
+    step is built once, keyed by ``id``: a gate's ``(0, duration, key,
+    bound, qubits, gate, text)``, a block's ``(1 + parallel, count, steps,
+    bound, held)``, bound as B in 2**-64s.  If ``rows`` is None, it adds no
+    rows, pads nothing and builds no text."""
     steps, ids, add, den = {}, count(), rows is not None and rows.append, 1
 
     def step_of(node):
@@ -111,7 +109,8 @@ def _layout(circuit: FlatCircuit, gates, rows, limit=inf):
         else:
             children = [step_of(child) for child in node.items]
             step = (1 + node.parallel, node.count, children,
-                    node.count * sum(child[3] for child in children))
+                    node.count * sum(child[3] for child in children),
+                    node.count > 1 and held(node))
         steps[id(node)] = step
         return step
 
@@ -120,24 +119,19 @@ def _layout(circuit: FlatCircuit, gates, rows, limit=inf):
              f" {end - start:g} {PAD_IDLE_NAME} {q}\n", end))
 
     def place(step, t0: float) -> float:
-        nonlocal once
         if not step[0]:
             if add:
                 add((t0, step[2], next(ids), step[6], step))
             return t0 + step[1]
         if step[0] == 1:
-            n, mark, t = step[1], add and len(rows), t0
-            for _ in range(min(n, 1) if once else n):
+            t = t0  # with no rows and exact times, one iteration, times n
+            for _ in range(1 if multiply else step[1]):
                 for child in step[2]:
                     t = place(child, t)
-            if n < 2 or not once:
-                return t
-            return replay(mark, t0, t, n) if add else t0 + n * (t - t0)
-        end, mark, held = t0, add and len(rows), once
-        once = once and not add  # padding reads the block's rows: walk
+            return t0 + step[1] * (t - t0) if multiply else t
+        end, mark = t0, add and len(rows)
         for child in step[2]:
             end = max(end, place(child, t0))
-        once = held
         if not add:
             return end
         spans: dict = {}  # each qubit's busy spans, gates' and idles'
@@ -156,15 +150,17 @@ def _layout(circuit: FlatCircuit, gates, rows, limit=inf):
                 pad(q, cursor, end)
         return end
 
-    def replay(mark, t0, t, n):  # hold a loop on the root's chain as text:
-        body = sorted(rows[mark:])  # its first iteration's rows, from mark
+    def replay(step, t0):  # hold a loop on the root's chain as text: the
+        mark, n = len(rows), step[1]  # rows of its first iteration
+        t = place((1, 1, step[2]), t0)
+        body = sorted(rows[mark:])
         del rows[mark:]
         if t == t0:  # every row ties: one row per key, its share of a body
             for key, share in groupby(body, lambda row: row[1]):
                 add((t0, key, next(ids), (list(share), n, 0.0, 0), None))
             return t0
-        if body[-1][0] == t:
-            raise _Tie
+        if body[-1][0] == t:  # its iterations tie: walk them
+            return (yield from chain(step, t0))
         first = bisect_left(body, (t0, (inf,)))  # (inf,): after t0's keys
         rows.extend(body[:first])  # rows at t0 may tie with earlier ones
         add((t0, (inf,), next(ids), (body, n, t - t0, first), None))
@@ -177,35 +173,34 @@ def _layout(circuit: FlatCircuit, gates, rows, limit=inf):
                 if rows and len(rows) >= limit:
                     yield t  # held rows count: a run of ties is not
                     limit = 2 * len(rows) + FLUSH_ROWS  # sorted every step
-                mark = add and len(rows)
-                try:  # a block, or a loop walked per iteration, is steps
-                    if child[0] != 1 or child[1] > 1 and exact:
-                        t = place(child, t)
-                        continue
-                except _Tie:  # its iterations tie
-                    del rows[mark:]
-                t = yield from chain(child, t)
+                if child[0] != 1 or limit == inf:  # a gate, a block, no dump
+                    t = place(child, t)
+                elif exact and child[4]:  # held: laid out once, replayed
+                    t = yield from replay(child, t)
+                else:
+                    t = yield from chain(child, t)
         return t
 
     root = step_of(circuit.root)
     exact = den <= 2 ** 64 and root[3] * den <= 2 ** 117  # B <= 2**53
-    once = exact and (limit < inf or not add)  # lay each loop out once
+    multiply = exact and not add
     yield (yield from chain(root, 0.0))
 
 
-def _write(rows, shift: float, out: list):
-    """Add the lines of sorted ``rows``, starts plus ``shift``, to ``out``;
-    yield its text, emptied, at ``FLUSH_ROWS``.  A replayed loop's text is
-    ``(body, count, span, first)``: ``count`` iterations of its sorted
-    rows, a ``span`` apart, less the ``first`` rows of the first."""
+def _write(rows, out: list):
+    """Add the lines of sorted ``rows`` to ``out``; yield its text,
+    emptied, at ``FLUSH_ROWS``.  A replayed loop's text is ``(body,
+    count, span, first)``: ``count`` iterations of its sorted rows, a
+    ``span`` apart, less the ``first`` rows of the first."""
     for start, _, _, text, _ in rows:
         if type(text) is str:
-            out.append(f"{start + shift:g}{text}")
+            out.append(f"{start:g}{text}")
             continue
         body, n, span, first = text
         for k in range(n):
-            yield from _write(body[first:] if k == 0 else body,
-                              shift + k * span, out)
+            shift = k * span
+            out += [f"{row[0] + shift:g}{row[3]}"
+                    for row in (body[first:] if k == 0 else body)]
             if len(out) >= FLUSH_ROWS:
                 yield _take(out)
 
@@ -224,10 +219,10 @@ def timeline_chunks(circuit: FlatCircuit, gates: dict):
     for t in _layout(circuit, gates, rows, FLUSH_ROWS):
         rows.sort()
         cut = bisect_left(rows, (t,))  # the rows that start before t
-        yield from _write(rows[:cut], 0.0, out)
+        yield from _write(rows[:cut], out)
         yield _take(out)
         del rows[:cut]
-    yield from _write(rows, 0.0, out)
+    yield from _write(rows, out)
     out.append(f"total {t:g}\n")  # sorted: none came after the end
     yield _take(out)
 

@@ -254,13 +254,10 @@ def born_probabilities(state: QuantumState) -> np.ndarray:
 
 
 def _unitary(gate: PrimitiveGate, gates, quantize: bool) -> np.ndarray:
-    definition = gate.definition
-    if gates is not None:
-        definition = gates[definition.name]
     floats = gate.float_args
     if quantize:
         floats = tuple(quantize_angle(f) for f in floats)
-    return unitary_of(definition, floats)
+    return unitary_of(gates[gate.name], floats)
 
 
 def _simulate(n_qubits: int, segment, gates, quantize: bool):
@@ -332,7 +329,7 @@ def _check_register(items, gates, destroyed=False) -> bool:
     as the first did once its first gate prepares, and raises otherwise."""
     for item in items:
         if isinstance(item, PrimitiveGate):
-            definition = item.definition if gates is None else gates[item.name]
+            definition = gates[item.name]
             if destroyed and definition.kind != PREPARATION:
                 raise SimulationError(
                     f"{item.name} applied after measure_all destroyed the "
@@ -365,8 +362,7 @@ def _measurements(circuit: FlatCircuit, gates, quantize: bool):
         nonlocal segment, measured, table
         for item in items:
             if isinstance(item, PrimitiveGate):
-                kind = (item.definition if gates is None else
-                        gates[item.name]).kind
+                kind = gates[item.name].kind
                 if kind == PREPARATION and segment:
                     _check_segment(n_qubits, segment, gates, quantize)
                     segment = []
@@ -410,7 +406,7 @@ def _measurements(circuit: FlatCircuit, gates, quantize: bool):
         _check_segment(n_qubits, segment, gates, quantize)
 
 
-def samples(circuit: FlatCircuit, gates: dict = None, seed: int = 0,
+def samples(circuit: FlatCircuit, gates: dict, seed: int = 0,
             quantize: bool = False):
     """The measurement record in batches ``(names, codes)`` of about DRAWS
     measurements: measurement i of a batch reads ``names[codes[i]]``, and
@@ -449,7 +445,7 @@ def _named(drawn: list, n_qubits: int) -> tuple:
     return dict(zip(distinct, names)), codes
 
 
-def run(circuit: FlatCircuit, gates: dict = None, seed: int = 0,
+def run(circuit: FlatCircuit, gates: dict, seed: int = 0,
         quantize: bool = False) -> list:
     """Execute a circuit, returning one little-endian bitstring per
     measure_all in execution order.
@@ -462,7 +458,7 @@ def run(circuit: FlatCircuit, gates: dict = None, seed: int = 0,
             samples(circuit, gates, seed, quantize) for code in codes]
 
 
-def probabilities(circuit: FlatCircuit, gates: dict = None,
+def probabilities(circuit: FlatCircuit, gates: dict,
                   quantize: bool = False) -> list:
     """Exact Born distributions instead of samples: one mapping of
     bitstring to probability (nonzero outcomes only, in basis-index order)
@@ -472,7 +468,7 @@ def probabilities(circuit: FlatCircuit, gates: dict = None,
             for _ in range(repeats) for table in tables]
 
 
-def probability_chunks(circuit: FlatCircuit, gates: dict = None,
+def probability_chunks(circuit: FlatCircuit, gates: dict,
                        quantize: bool = False):
     """The ``run -p`` text in chunks, one line per measure_all.  A run's
     lines of at most CHUNK outcomes each are formatted once, kept while

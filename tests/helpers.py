@@ -162,8 +162,7 @@ def measurements_reference(circuit: FlatCircuit, gates, quantize: bool):
     segment: list = []
     measured = table = None  # the last measured segment and its outcomes
     for gate in iter_gates(circuit):
-        definition = gate.definition
-        kind = (definition if gates is None else gates[definition.name]).kind
+        kind = gates[gate.name].kind
         if kind == PREPARATION:
             if segment:
                 _simulate(n_qubits, segment, gates, quantize)
@@ -183,7 +182,7 @@ def measurements_reference(circuit: FlatCircuit, gates, quantize: bool):
         _simulate(n_qubits, segment, gates, quantize)
 
 
-def run_reference(circuit: FlatCircuit, gates: dict = None, seed: int = 0,
+def run_reference(circuit: FlatCircuit, gates: dict, seed: int = 0,
                   quantize: bool = False) -> list:
     """``simulator.run`` as it sampled shot by shot: one
     ``SplitMix64.uniform`` and one ``_Outcomes.pick`` per measurement, in

@@ -815,6 +815,28 @@ def test_a_long_top_level_run_costs_what_check_does(workdir):
     assert peak <= _peak_mib(workdir, ["check", path])[2] + 6, peak
 
 
+@pytest.mark.parametrize("command, digest", [
+    ("expand",
+     "eacd29efdaeb089388383cc82f08da355812adba2221b00b3eb016539685a7f5"),
+    ("schedule",
+     "823830d2dfc22d6a5c959531d2d2414785d26410d0a61effcdcfe18e876dad0e"),
+])
+def test_a_loop_past_the_hold_bound_streams_like_its_body(workdir, command,
+                                                          digest):
+    """An iteration of ``loop 2 { prepare_all; m17 q[0]; measure_all }``
+    runs 2**17 + 2 gates, past ``HOLD_GATES``, so each dump walks it an
+    iteration at a time and peaks near the same command on m17 run once;
+    its body held whole peaked at 37 MiB in ``expand`` and 85 MiB in
+    ``schedule``."""
+    macros = doubling_chain(18).splitlines()[:-3]
+    path = write(workdir, "loop.jaqal", "\n".join(macros) + (
+        "\nloop 2 { prepare_all; m17 q[0]; measure_all }\n"))
+    chain = write(workdir, "chain.jaqal", doubling_chain(18))
+    status, got, peak = _peak_mib(workdir, [command, path])
+    assert (status, got) == (0, digest)
+    assert peak <= _peak_mib(workdir, [command, chain])[2] + 2, peak
+
+
 def dense(n: int) -> str:
     """``Sy`` on each of n qubits: 2**n equally likely outcomes."""
     gates = "".join(f"Sy q[{q}]\n" for q in range(n))

@@ -459,17 +459,18 @@ def test_a_loop_body_renders_once_if_short_and_streams_if_long(
 
 
 @settings(max_examples=150, deadline=None)
-@given(seed=st.integers(0, 2 ** 32 - 1), small=st.booleans())
-def test_the_streamed_dump_equals_the_reference(gates, seed, small):
+@given(seed=st.integers(0, 2 ** 32 - 1), small=st.booleans(),
+       hold=st.sampled_from([1, 3, 8, 4096]))
+def test_the_streamed_dump_equals_the_reference(gates, seed, small, hold):
     """Loops in macros invoked inside parallel and sequential blocks, at
     every depth: the chunks join to the text rendered one string per block,
-    and no two neighbouring chunks would fit in one.  Patched small, the
-    two constants send most loops down the per-iteration walk and split
-    the text into many chunks."""
+    and no two neighbouring chunks would fit in one.  A small
+    ``HOLD_GATES`` sends most loops down the per-iteration walk, and a
+    small ``CHUNK_BYTES`` splits the text into many chunks."""
     circuit = flat(loop_block_program(random.Random(seed)), gates)
     with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(analyzer, "HOLD_GATES", hold)
         if small:
-            patch.setattr(expander, "STREAM_GATES", 4)
             patch.setattr(expander, "CHUNK_BYTES", 64)
         chunks = list(flat_chunks(circuit))
         assert all(len(a) + len(b) > expander.CHUNK_BYTES

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 from unittest import mock
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jaqalc import scheduler
+from jaqalc import analyzer, scheduler
 from jaqalc.diagnostics import has_errors
 from jaqalc.errors import JaqalError
 from jaqalc.expander import (
@@ -652,17 +653,21 @@ REPLAY_DURATION = st.sampled_from([0.0, 0.0, 0.25, 0.5, 1.0, 2.5, 10.0, 0.1])
 @given(seed=st.integers(0, 2 ** 32 - 1),
        durations=st.lists(REPLAY_DURATION, min_size=len(TIMED),
                           max_size=len(TIMED)),
-       flush=st.sampled_from([1, 2, 3, 5, 4096]))
-def test_replayed_loops_equal_the_reference(gates, seed, durations, flush):
-    """A loop laid out once and written shifted, or as each sort key's
-    share when its body takes no time, writes the bytes of the walk that
-    placed every iteration; so do loops that tie across iterations and
-    durations that are not exact, which are walked."""
+       flush=st.sampled_from([1, 2, 3, 5, 4096]),
+       hold=st.sampled_from([1, 3, 8, 4096]))
+def test_replayed_loops_equal_the_reference(gates, seed, durations, flush,
+                                            hold):
+    """A held loop laid out once and written shifted, or as each sort
+    key's share when its body takes no time, writes the bytes of the walk
+    that placed every iteration; so do loops past ``HOLD_GATES``, loops
+    that tie across iterations and durations that are not exact, which
+    are walked."""
     manifest = "".join(f"{name} {d}\n" for name, d in zip(TIMED, durations))
     gates = apply_durations(gates, load_duration_manifest(manifest, gates))
     circuit = random_loop_circuit(random.Random(seed), gates)
     reference = schedule_reference(circuit, gates)
-    with mock.patch.object(scheduler, "FLUSH_ROWS", flush):
+    with mock.patch.object(scheduler, "FLUSH_ROWS", flush), \
+            mock.patch.object(analyzer, "HOLD_GATES", hold):
         text = "".join(timeline_chunks(circuit, gates))
     assert_same_text(text, schedule_text_reference(circuit, gates))
     assert total_duration(circuit, gates) == reference.total_duration
@@ -720,24 +725,36 @@ class Appends(list):
         super().append(row)
 
 
+def _appends(circuit, gates) -> int:
+    """The rows the dump's layout adds one by one."""
+    rows = Appends()
+    *_, end = scheduler._layout(circuit, gates, rows, FLUSH)
+    assert end == total_duration(circuit, gates)
+    return rows.appends
+
+
 @pytest.mark.parametrize("counts", [(1000,), (10, 50), (2, 10, 50)])
 def test_a_loop_body_is_placed_once_per_loop_entry(gates, counts):
-    """However many iterations, the rows the layout adds are those of one
-    iteration of the innermost body, one per enclosing loop's head, and
-    one row of text per loop."""
+    """However many iterations, a held loop adds the rows of its first
+    iteration, its inner loops walked, and one row of text."""
     source = "register q[3]\n"
     for count in counts:
         source += f"loop {count} {{ "
     source += ("prepare_all; < Sx q[0] | { Sy q[1]; Sz q[1] } >; "
                "Sxx q[0] q[2]; measure_all" + " }" * len(counts) + "\n")
     circuit = circuit_of(source, gates)
-    rows = Appends()
-    *_, end = scheduler._layout(circuit, gates, rows, FLUSH)
-    # prepare, Sx, Sy, Sz, the idle padding q[0], Sxx, measure: 7 rows
-    assert rows.appends == 7 + len(counts)
-    assert end == total_duration(circuit, gates)
+    appends = _appends(circuit, gates)
     assert_same_text("".join(timeline_chunks(circuit, gates)),
                      schedule_text_reference(circuit, gates))
+    # prepare, Sx, Sy, Sz, the idle padding q[0], Sxx, measure: 7 rows
+    if len(counts) == 1:
+        assert appends == 7 + 1
+        return
+    body = circuit.root.items[0].items  # as many for 2 iterations as 2000
+    for outer in (2, 2000):
+        again = FlatCircuit(3, FlatBlock(False, (FlatLoop(outer, body),)))
+        assert _appends(again, gates) == appends
+    assert appends <= 7 * math.prod(counts[1:]) + 1
 
 
 FLUSH = 4096

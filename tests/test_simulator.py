@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from jaqalc.diagnostics import has_errors
 from jaqalc.errors import SimulationError
 from jaqalc.expander import FlatBlock, FlatCircuit, PrimitiveGate, expand
-from jaqalc.gateset import ROTATION
+from jaqalc.gateset import ROTATION, builtin_gateset
 from jaqalc.parser import parse
 from jaqalc.simulator import (
     QuantumState,
@@ -385,7 +385,7 @@ def test_splitmix64_refuses_seeds_outside_64_bits():
             SplitMix64(seed)
     circuit = FlatCircuit(1, FlatBlock(False, ()))
     with pytest.raises(ValueError):
-        run(circuit, seed=2 ** 64)
+        run(circuit, builtin_gateset(), seed=2 ** 64)
 
 
 def test_bitstring_rendering():
