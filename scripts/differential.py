@@ -20,7 +20,8 @@ few loop, macro-substitution, angle-parameter, scheduling and ``run -p``
 edge cases (``EDGES``, among them loops inside blocks, an angle passed down
 a chain of macros, ``doubling_chain(12)``'s 4096 gates, shot loops whose
 measurements repeat in runs, loops that the scheduler lays out once, whose
-bodies take no time or tie with the next iteration, and ``HOLD_EDGES``,
+bodies take no time or tie with the next iteration, two scheduled under
+their own manifests as well (``EDGE_MANIFESTS``), and ``HOLD_EDGES``,
 loops at the bound on what the dumps hold), N seeded
 ``tests/program_gen.py`` programs of up to 4 qubits (default 150), N seeded
 macro programs whose bodies name register qubits, ``WIDE_PROGRAMS`` seeded
@@ -243,7 +244,17 @@ EDGES = {
         "register q[3]\nloop 2 { loop 10 { loop 50 { prepare_all; < Sx q[0] "
         "| { Sy q[1]; Sz q[1] } >; Sxx q[0] q[2]; measure_all } } "
         "Rz q[2] 0.3 }\n"),
+    # scheduled under their own manifests too (EDGE_MANIFESTS): a loop that
+    # takes no time after a 0.1 loop, replayed though times are inexact,
+    # and parallel gates whose durations sum past 2**53 but end below it,
+    # so the loop after them is replayed
+    "zero_span_after_a_decimal_loop": ("register q[1]\nloop 3 { Sx q[0] }\n"
+                                       "loop 5000 { Rz q[0] 0.5 }\n"),
+    "parallel_sum_past_2_53": ("register q[3]\n< Sx q[0] | Sx q[1] | "
+                               "Sx q[2] >\nloop 1000 { Sy q[0] }\n"),
 }
+EDGE_MANIFESTS = {"zero_span_after_a_decimal_loop": "Rz 0\nSx 0.1\n",
+                  "parallel_sum_past_2_53": "Sx 4503599627370496\n"}
 
 # loops at the hold bound, after doubling_chain(12)'s macros on two qubits:
 # an iteration of m11 runs HOLD_GATES gates, so the dumps hold the loop, and
@@ -375,6 +386,10 @@ def _jobs(work: Path, inputs: list, analysis_only: list) -> list:
         for command in commands:
             jobs.append((command + [path],
                          output if command[0] == "run" else None))
+        if Path(path).stem in EDGE_MANIFESTS:
+            own = Path(path).with_suffix(".manifest")
+            own.write_text(EDGE_MANIFESTS[own.stem])
+            jobs.append((["schedule", "-d", str(own), path], None))
     jobs += [(command + [path], None) for path in analysis_only
              for command in commands[:3]]
     return jobs

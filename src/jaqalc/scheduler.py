@@ -11,17 +11,17 @@ duration.  Qubits the block never mentions receive no padding.  One walk,
 iterations.  At each step of the root's sequential chain the dump writes
 the rows that start before it and holds the rest.
 
-Times are exact if B <= 2**53: B bounds the end in units of 1/D, D <= 2**64
-the largest denominator of the durations used, a gate counting its duration,
-a loop or block its count times its children's sum, a parallel block their
-sum.  Then iteration k of a loop is its first shifted by k spans, to the
-bit, so the dump lays out a held loop (``analyzer.held``) on the root's
-chain once, its inner loops walked, and writes the rest shifted; a body
-that takes no time, as each sort key's share repeated.  It walks other
-loops an iteration at a time, and all when times are not exact (``0.1``
-durations) or a held body's last row ties with the next's first.  So it
-holds one held body's rows (``HOLD_GATES`` gates and their idles), a
-top-level parallel block or a run of rows at one time outside held bodies.
+Times are exact if the circuit's end, in units of 1/D, is at most 2**53, where
+D, at most 2**64, is the largest denominator of the durations used.  Each step
+keeps its exact end in 2**-64s: a gate's duration, a loop's count times its
+children's sum, a parallel block's longest child.  Then iteration k of a loop
+is its first shifted by k spans, to the bit.  So the dump lays out a held loop
+(``analyzer.held``) on the root's chain once, its inner loops walked, and
+writes the rest shifted: a body that takes no time always, as each sort key's
+share repeated, any other if times are exact and its last row does not tie
+with the next's first.  Other loops are walked an iteration at a time.  So it
+holds one held body's rows (``HOLD_GATES`` gates and their idles), a top-level
+parallel block or a run of rows at one time outside held bodies.
 
 Precondition: the circuit is the expansion of a program that analysis
 accepted, or a hand-built circuit that keeps the same rules, and every
@@ -88,9 +88,10 @@ def _layout(circuit: FlatCircuit, gates, rows, limit=inf):
     finite ``limit`` is the dump's: a held loop on the chain there is a
     row of text, key ``(inf,)``, that only ``_write`` reads.  Each node's
     step is built once, keyed by ``id``: a gate's ``(0, duration, key,
-    bound, qubits, gate, text)``, a block's ``(1 + parallel, count, steps,
-    bound, held)``, bound as B in 2**-64s.  If ``rows`` is None, it adds no
-    rows, pads nothing and builds no text."""
+    end, qubits, gate, text)``, a block's ``(1 + parallel, count, steps,
+    end, held)``, end the exact end in 2**-64s.  If ``rows`` is None, it
+    adds no rows, pads nothing and builds no text; if times are also exact
+    (the circuit's end, in units of 1/D, at most 2**53), it walks nothing."""
     steps, ids, add, den = {}, count(), rows is not None and rows.append, 1
 
     def step_of(node):
@@ -108,9 +109,10 @@ def _layout(circuit: FlatCircuit, gates, rows, limit=inf):
                     add and f" {d:g} {node}\n")
         else:
             children = [step_of(child) for child in node.items]
+            ends = [child[3] for child in children]
+            end = max(ends, default=0) if node.parallel else sum(ends)
             step = (1 + node.parallel, node.count, children,
-                    node.count * sum(child[3] for child in children),
-                    node.count > 1 and held(node))
+                    node.count * end, node.count > 1 and held(node))
         steps[id(node)] = step
         return step
 
@@ -124,11 +126,11 @@ def _layout(circuit: FlatCircuit, gates, rows, limit=inf):
                 add((t0, step[2], next(ids), step[6], step))
             return t0 + step[1]
         if step[0] == 1:
-            t = t0  # with no rows and exact times, one iteration, times n
-            for _ in range(1 if multiply else step[1]):
+            t = t0
+            for _ in range(step[1]):
                 for child in step[2]:
                     t = place(child, t)
-            return t0 + step[1] * (t - t0) if multiply else t
+            return t
         end, mark = t0, add and len(rows)
         for child in step[2]:
             end = max(end, place(child, t0))
@@ -159,7 +161,7 @@ def _layout(circuit: FlatCircuit, gates, rows, limit=inf):
             for key, share in groupby(body, lambda row: row[1]):
                 add((t0, key, next(ids), (list(share), n, 0.0, 0), None))
             return t0
-        if body[-1][0] == t:  # its iterations tie: walk them
+        if body[-1][0] == t or not exact:  # they tie, or shifts round
             return (yield from chain(step, t0))
         first = bisect_left(body, (t0, (inf,)))  # (inf,): after t0's keys
         rows.extend(body[:first])  # rows at t0 may tie with earlier ones
@@ -175,16 +177,17 @@ def _layout(circuit: FlatCircuit, gates, rows, limit=inf):
                     limit = 2 * len(rows) + FLUSH_ROWS  # sorted every step
                 if child[0] != 1 or limit == inf:  # a gate, a block, no dump
                     t = place(child, t)
-                elif exact and child[4]:  # held: laid out once, replayed
+                elif child[4] and (exact or not child[3]):  # held: replayed
                     t = yield from replay(child, t)
                 else:
                     t = yield from chain(child, t)
         return t
 
     root = step_of(circuit.root)
-    exact = den <= 2 ** 64 and root[3] * den <= 2 ** 117  # B <= 2**53
-    multiply = exact and not add
-    yield (yield from chain(root, 0.0))
+    exact = den <= 2 ** 64 and root[3] * den <= 2 ** 117  # end <= 2**53/D
+    # with no rows and exact times, the end needs no walk
+    yield root[3] / 2 ** 64 if exact and not add else (
+        yield from chain(root, 0.0))
 
 
 def _write(rows, out: list):
@@ -244,9 +247,10 @@ def schedule(circuit: FlatCircuit, gates: dict) -> Timeline:
 
 def total_duration(circuit: FlatCircuit, gates: dict) -> float:
     """Total runtime of a circuit: sequential blocks add, parallel blocks
-    take the maximum.  It is ``schedule``'s walk keeping no rows, so the
-    two agree to the last bit.  The circuit must meet ``schedule``'s
-    precondition; nothing is checked here."""
+    take the maximum.  With exact times (the circuit's end, in units of
+    1/D, at most 2**53) it is the exact end, unwalked, else ``schedule``'s
+    walk keeping no rows: the two agree to the last bit.  The circuit must
+    meet ``schedule``'s precondition; nothing is checked here."""
     *_, end = _layout(circuit, gates, None)
     return end
 
@@ -254,16 +258,10 @@ def total_duration(circuit: FlatCircuit, gates: dict) -> float:
 def dump_timeline(timeline: Timeline) -> str:
     """One line per entry, ``start duration name qubits... floats...``,
     sorted by (start, first qubit); inserted idles appear as I_pad lines."""
-    rows, known = [], {}  # known: id(gate) -> (first qubit, name, tail)
-    for entry in timeline.entries:
-        row = known.get(id(entry.gate))
-        if row is None:  # a loop runs the same gate objects again
-            gate = entry.gate
-            first = min(gate.qubits) if gate.qubits else -1
-            row = known[id(gate)] = (first, gate.name,
-                                     f" {entry.duration:g} {gate}\n")
-        first, name, tail = row
-        rows.append(((entry.start, first, name), f"{entry.start:g}{tail}"))
+    rows = [((entry.start, min(entry.gate.qubits, default=-1),
+              entry.gate.name),
+             f"{entry.start:g} {entry.duration:g} {entry.gate}\n")
+            for entry in timeline.entries]
     for idle in timeline.inserted_idles:
         rows.append(((idle.start, idle.qubit, idle.name), f"{idle.start:g} "
                      f"{idle.duration:g} {idle.name} {idle.qubit}\n"))

@@ -727,6 +727,26 @@ def test_a_loop_of_gates_that_take_no_time_streams_like_a_shot_loop(
     assert peak <= _peak_mib(workdir, ["schedule", flat])[2] + 2, peak
 
 
+def test_a_loop_that_takes_no_time_streams_whatever_the_manifest(workdir):
+    """A loop whose body takes no time needs no sums, so it is held as one
+    row per key even when a ``0.1`` elsewhere makes the circuit's times
+    inexact: ``schedule`` peaks as the zero-span loop alone does; walked
+    because of the ``0.1``, it peaked at 245 MiB.  The digest is of the
+    bytes written when it was walked."""
+    path = write(workdir, "mixed.jaqal", "register q[1]\nloop 3 { Sx q[0] }"
+                 "\nloop 1000000 { Rz q[0] 0.5 }\n")
+    mixed = write(workdir, "mixed.manifest", "Rz 0\nSx 0.1\n")
+    alone = write(workdir, "zero.jaqal",
+                  "register q[1]\nloop 1000000 { Rz q[0] 0.5 }\n")
+    zero = write(workdir, "zero.manifest", "Rz 0\n")
+    status, digest, peak = _peak_mib(workdir, ["schedule", path, "-d",
+                                               mixed])
+    assert (status, digest) == (
+        0, "72aec251c24ce7b019b090d445fcfe82d0ec2824537838642919bb62a38cf76d")
+    assert peak <= _peak_mib(workdir, ["schedule", alone, "-d",
+                                       zero])[2] + 2, peak
+
+
 def test_a_nested_shot_loop_streams_like_a_flat_one(workdir):
     """An inner loop streams in blocks of its body on each outer iteration,
     as a top-level one does; the outer body's text held whole peaked at

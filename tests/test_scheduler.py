@@ -781,3 +781,40 @@ def test_a_zero_span_body_is_held_as_one_row_per_key(gates):
     assert_same_text(schedule_text_reference(circuit, timed), want)
     assert_same_text("".join(chunks), want)
     assert max(chunk.count("\n") for chunk in chunks) <= 2 * 100 + 2
+
+
+def test_a_zero_span_body_is_held_whatever_the_other_durations(gates):
+    """A body that takes no time ties every run whatever the sums outside
+    it, so it is held as one row per key even after a ``0.1`` loop, whose
+    times are walked: 3 rows, then 2 of the body's first iteration and 2
+    shares, where a walk added a row per gate run."""
+    timed = apply_durations(gates, {"Rz": 0.0, "Sz": 0.0, "Sx": 0.1})
+    circuit = circuit_of("register q[1]\nloop 3 { Sx q[0] }\nloop 3000 { "
+                         "Rz q[0] 0.5; Sz q[0] }\n", timed)
+    assert _appends(circuit, timed) == 3 + 2 + 2
+    assert_same_text("".join(timeline_chunks(circuit, timed)),
+                     schedule_text_reference(circuit, timed))
+
+
+def test_a_parallel_block_counts_its_longest_child_not_their_sum(gates):
+    """Three parallel gates of 2**52 end at 2**52, below 2**53, though
+    their durations sum past it: times stay exact, so the loop after them
+    is replayed, its first iteration's row and one row of text."""
+    timed = apply_durations(gates, {"Sx": 2.0 ** 52})
+    circuit = circuit_of("register q[3]\n< Sx q[0] | Sx q[1] | Sx q[2] >\n"
+                         "loop 1000 { Sy q[0] }\n", timed)
+    assert _appends(circuit, timed) == 3 + 1 + 1
+    assert "".join(timeline_chunks(circuit, timed)) == (
+        schedule_text_reference(circuit, timed))
+    assert total_duration(circuit, timed) == schedule_reference(
+        circuit, timed).total_duration == 2.0 ** 52 + 1000
+
+
+@pytest.mark.parametrize("root", [
+    FlatBlock(True, ()), FlatBlock(False, (FlatBlock(True, ()),))],
+    ids=["root", "nested"])
+def test_an_empty_parallel_block_ends_at_its_start(gates, root):
+    """A hand-built parallel block with no children takes no time."""
+    circuit = FlatCircuit(1, root)
+    assert total_duration(circuit, gates) == 0.0
+    assert schedule(circuit, gates).total_duration == 0.0
