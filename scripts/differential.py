@@ -21,8 +21,10 @@ edge cases (``EDGES``, among them loops inside blocks, an angle passed down
 a chain of macros, ``doubling_chain(12)``'s 4096 gates, shot loops whose
 measurements repeat in runs, loops that the scheduler lays out once, whose
 bodies take no time or tie with the next iteration, two scheduled under
-their own manifests as well (``EDGE_MANIFESTS``), and ``HOLD_EDGES``,
-loops at the bound on what the dumps hold), N seeded
+their own manifests as well (``EDGE_MANIFESTS``), lexer edges such as
+trailing whitespace, tabs, lone CRs, CRLF in comments and long or
+non-finite literals, and ``HOLD_EDGES``, loops at the bound on what the
+dumps hold), N seeded
 ``tests/program_gen.py`` programs of up to 4 qubits (default 150), N seeded
 macro programs whose bodies name register qubits, ``WIDE_PROGRAMS`` seeded
 ones of up to 12 qubits, so a kernel change is compared byte for byte on
@@ -252,6 +254,23 @@ EDGES = {
                                        "loop 5000 { Rz q[0] 0.5 }\n"),
     "parallel_sum_past_2_53": ("register q[3]\n< Sx q[0] | Sx q[1] | "
                                "Sx q[2] >\nloop 1000 { Sy q[0] }\n"),
+    # the lexer: spaces and tabs go into the next token's match, and the
+    # end of input is a match of its own; well-formed literals are
+    # converted directly, the rest reported by length
+    "whitespace_only_tail": "register q[1]\nSx q[0]\n  \t \t  ",
+    "tab_indents": "register q[2]\n\tSx q[0]\n\t\t< Sy q[0] |\tSx q[1] >\n",
+    "crlf_in_a_block_comment": ("register q[1]\r\n/* a\r\nb\r\n */ Sx q[0]"
+                                "\r\nSy q[0]\r\n"),
+    "lone_cr": "register q[1]\nSx q[0]\rSy q[0]\n",
+    "infinite_literal": "register q[1]\nRz q[0] 1e400\n",
+    "5000_digit_integer": ("register q[1]\nloop " + "1" * 5000
+                           + " { Sx q[0] }\n"),
+    "digit_then_letter": "register q[1]\nRz q[0] 0q\n",
+    "exponent_without_digits": "register q[1]\nRz q[0] .5e\n",
+    "bare_minus": "register q[1]\nRz q[0] - 5\n",
+    "spaced_brackets": "register q[2]\nSx q[ 0 ]\nSy q[\t1\t]\n",
+    "open_comment_at_end": "register q[1]\nSx q[0]\n/*",
+    "line_comment_at_end": "register q[1]\nSx q[0] // no final newline",
 }
 EDGE_MANIFESTS = {"zero_span_after_a_decimal_loop": "Rz 0\nSx 0.1\n",
                   "parallel_sum_past_2_53": "Sx 4503599627370496\n"}
@@ -340,7 +359,7 @@ def _inputs(work: Path, programs: int) -> list:
             texts[program.name] = program.source
     for stem, text in texts.items():
         path = edges / f"{stem}.jaqal"
-        path.write_text(text)
+        path.write_text(text, newline="")  # carriage returns as written
         inputs.append(path)
     generated = work / "generated"
     generated.mkdir()

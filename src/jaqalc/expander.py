@@ -25,6 +25,7 @@ from .ast import Program
 from .errors import JaqalError
 
 CHUNK_BYTES = 1 << 16  # a held loop's text is repeated in blocks this size
+LINES_KEPT = 1 << 12  # gate lines kept per indent before the memo restarts
 
 
 def expand(program: Program, gates: dict,
@@ -58,23 +59,32 @@ def iter_gates(circuit: FlatCircuit):
     yield from walk(circuit.root.items)
 
 
-def _pieces(items, indent: int):  # the text of items, in execution order
+def _pieces(items, indent: int, lines: dict):
+    """The text of items, in execution order.  ``lines`` keeps, for the
+    walk, each gate object's line at each indent, keyed by ``id``, up to
+    ``LINES_KEPT`` of them, so a gate run again costs a lookup."""
     pad = "    " * indent
+    known = lines.setdefault(indent, {})
     for item in items:
         if isinstance(item, PrimitiveGate):
-            yield f"{pad}{item}\n"
+            line = known.get(id(item))
+            if line is None:
+                if len(known) == LINES_KEPT:
+                    known.clear()
+                line = known[id(item)] = f"{pad}{item}\n"
+            yield line
         elif isinstance(item, FlatBlock):
             yield f"{pad}{'<' if item.parallel else '{'}\n"
-            yield from _pieces(item.items, indent + 1)
+            yield from _pieces(item.items, indent + 1, lines)
             yield f"{pad}{'>' if item.parallel else '}'}\n"
         elif held(item):  # rendered once, repeated about CHUNK_BYTES at a time
-            text = "".join(_pieces(item.items, indent))
+            text = "".join(_pieces(item.items, indent, lines))
             block = max(1, CHUNK_BYTES // (len(text) or 1))
             for done in range(0, item.count, block):
                 yield text * min(block, item.count - done)
         else:  # walked on each iteration
             for _ in range(item.count):
-                yield from _pieces(item.items, indent)
+                yield from _pieces(item.items, indent, lines)
 
 
 def flat_chunks(circuit: FlatCircuit):
@@ -82,7 +92,7 @@ def flat_chunks(circuit: FlatCircuit):
     primitive, indented markers around blocks, a loop's body ``count``
     times; in chunks of at most ``CHUNK_BYTES``, or one longer body."""
     parts, size = [], 0
-    for piece in _pieces(circuit.root.items, 0):
+    for piece in _pieces(circuit.root.items, 0, {}):
         if size + len(piece) > CHUNK_BYTES and parts:
             yield "".join(parts)
             parts, size = [], 0

@@ -5,15 +5,17 @@ a list of diagnostics rather than raising, so a single run can report many
 problems.  A parse counts as successful when the diagnostic list contains
 no errors.
 
-The lexer is one compiled pattern, ``_TOKEN``, whose alternatives are
-tried in order: spaces and tabs; a LF or CRLF line break (NEWLINE); a
-``//`` comment (NEWLINE only at end of input); a ``/* */`` comment, closed
-by the first ``*/``; an unclosed ``/*`` (``unterminated-comment``); an
-identifier (IDENT or KEYWORD); a number with any name characters or dots
-that follow it (INT or FLOAT, or ``bad-number`` when malformed, not finite
-or too long for ``int()``); a punctuation mark; and any other character,
-such as a lone CR or ``/`` (``illegal-character``).  Letters and digits
-are ASCII only.  Each position is computed once, from the match start.
+The lexer is one compiled pattern, ``_TOKEN``, matched once per token:
+spaces and tabs, then the first alternative that fits: a LF or CRLF line
+break (NEWLINE); an identifier (IDENT or KEYWORD); a punctuation mark; an
+integer literal not followed by a name character or dot (INT); a ``//``
+comment (NEWLINE only at end of input); a ``/* */`` comment, closed by the
+first ``*/``; an unclosed ``/*`` (``unterminated-comment``); any other
+number with the name characters or dots that follow it (FLOAT, or
+``bad-number`` when malformed, not finite or too long for ``int()``); any
+other character, such as a lone CR or ``/`` (``illegal-character``); or
+the end of input, so trailing whitespace is one match.  Letters and digits
+are ASCII only.  Each position is computed once, from the token's start.
 
 Syntax rules enforced here (semantic rules live in the analyzer):
 
@@ -37,8 +39,8 @@ separator, or block close) and keeps going.
 
 from __future__ import annotations
 
-import math
 import re
+from math import inf, isfinite
 from typing import Optional
 
 from .ast import (
@@ -63,18 +65,19 @@ from .diagnostics import error
 
 # Letters and digits are the ASCII ranges written here, never \d or \w,
 # which admit Unicode.
-_TOKEN = re.compile(r"""
-    (?P<space>[ \t]+)
-  | (?P<newline>\r?\n)
+_TOKEN = re.compile(r"""[ \t]*(?:
+    (?P<newline>\r?\n)
+  | (?P<ident>""" + IDENTIFIER + r""")
+  | (?P<punct>[{}<>\[\]:;|])
+  | (?P<int>-?[0-9]+)(?![A-Za-z0-9_.])
   | (?P<line_comment>//[^\n]*)
   | (?P<block_comment>/\*.*?\*/)
   | (?P<open_comment>/\*.*)
-  | (?P<ident>""" + IDENTIFIER + r""")
   | (?=[-.0-9])(?P<number>-?(?P<literal>(?:[0-9]+\.?[0-9]*|\.[0-9]+)
         (?:[eE][+-]?[0-9]+)?)?[A-Za-z0-9_.]*)  # "0q" is one bad token
-  | (?P<punct>[{}<>\[\]:;|])
   | (?P<other>.)
-""", re.VERBOSE | re.DOTALL)
+  | \Z  # spaces and tabs that end the input
+)""", re.VERBOSE | re.DOTALL)
 
 _STRAY = {"\r": "stray carriage return",
           "/": "'/' is only valid inside comments"}
@@ -98,8 +101,10 @@ def lex(source: str):
     diags: list = []
     line, line_start = 1, 0
     for match in _TOKEN.finditer(source):
-        kind, text = match.lastgroup, match.group()
-        column = match.start() - line_start + 1
+        kind = match.lastgroup
+        if kind is None:  # the end of input
+            break
+        text, column = match.group(kind), match.start(kind) - line_start + 1
         if kind == "ident":
             tokens.append(Token("KEYWORD" if text in KEYWORDS else "IDENT",
                                 text, line, column))
@@ -107,46 +112,46 @@ def lex(source: str):
             tokens.append(Token(text, text, line, column))
         elif kind == "newline":
             tokens.append(Token("NEWLINE", None, line, column))
+            line, line_start = line + 1, match.end()
+        elif kind == "int":
+            try:
+                tokens.append(Token("INT", int(text), line, column))
+            except ValueError:  # more digits than int() converts
+                diags.append(error(line, column, "bad-number",
+                                   _number(text, True)))
         elif kind == "number":
-            token = _number(text, match.end("literal") == match.end())
-            if isinstance(token, str):
-                diags.append(error(line, column, "bad-number", token))
+            well_formed = match.end("literal") == match.end()
+            value = float(text) if well_formed else inf
+            if isfinite(value):
+                tokens.append(Token("FLOAT", value, line, column))
             else:
-                tokens.append(Token(*token, line, column))
+                diags.append(error(line, column, "bad-number",
+                                   _number(text, well_formed)))
         elif kind == "line_comment" and match.end() == len(source):
             # the comment ran to end of input, which ends the line
             tokens.append(Token("NEWLINE", None, line, column + len(text)))
+        elif kind == "block_comment" and "\n" in text:
+            line += text.count("\n")
+            line_start = match.start(kind) + text.rindex("\n") + 1
         elif kind == "open_comment":
             diags.append(error(line, column, "unterminated-comment",
                                "block comment is never closed"))
         elif kind == "other":
             message = _STRAY.get(text, f"illegal character {text!r}")
             diags.append(error(line, column, "illegal-character", message))
-        if "\n" in text:
-            line += text.count("\n")
-            line_start = match.start() + text.rindex("\n") + 1
     return tokens, diags
 
 
-def _number(text: str, well_formed: bool):
-    """A numeric literal's ``(kind, value)``, or why it is a bad number.
-
-    The reasons give the literal's length, not the literal, which can be
-    thousands of characters long.
-    """
+def _number(text: str, well_formed: bool) -> str:
+    """Why ``lex`` could not convert a numeric literal, told by its length,
+    not by the literal, which can be thousands of characters long."""
     if not well_formed:
         return f"malformed numeric literal of length {len(text)}"
-    if any(c in text for c in ".eE"):
-        value = float(text)
-        if math.isfinite(value):
-            return "FLOAT", value
-        return (f"numeric literal of length {len(text)} is too large for a "
-                "finite number")
-    try:
-        return "INT", int(text)
-    except ValueError:  # more digits than int() converts
-        digits = len(text.lstrip("-"))
-        return f"a {digits}-digit integer literal is too long to read"
+    digits = text.lstrip("-")
+    if digits.isdigit():
+        return f"a {len(digits)}-digit integer literal is too long to read"
+    return (f"numeric literal of length {len(text)} is too large for a "
+            "finite number")
 
 
 _TERMINATORS = frozenset({"NEWLINE", ";", "|", "}", ">", "EOF"})
@@ -161,22 +166,17 @@ class _Parser:
             eof = Token("EOF", None, 1, 1)
         self.toks = tokens + [eof]
         self.pos = 0
+        self.cur = self.toks[0]  # the token at pos; advance moves both
         self.diags = diags
         self.depth = 0  # blocks open around the current token
 
     # -- primitives ---------------------------------------------------------
 
-    @property
-    def cur(self) -> Token:
-        return self.toks[self.pos]
-
-    def at(self, kind) -> bool:
-        return self.cur.kind == kind
-
     def advance(self) -> Token:
-        tok = self.toks[self.pos]
+        tok = self.cur
         if tok.kind != "EOF":
             self.pos += 1
+            self.cur = self.toks[self.pos]
         return tok
 
     def diag(self, code, message, tok=None):
@@ -259,7 +259,7 @@ class _Parser:
         if target is None:
             return None
         selector = None
-        if self.at("["):
+        if self.cur.kind == "[":
             self.advance()
             selector = self.selector()
             if selector is None or not self.expect("]", "']' after map selector"):
@@ -270,14 +270,15 @@ class _Parser:
         """Index or Python-style slice inside a map statement's brackets."""
         parts: list = []  # one per component; None where it is omitted
         while True:
-            if self.at(":") or self.at("]") or self.cur.kind in _TERMINATORS:
+            kind = self.cur.kind
+            if kind == ":" or kind == "]" or kind in _TERMINATORS:
                 parts.append(None)
             else:
                 expr = self.int_expr("map selector component")
                 if expr is None:
                     return None
                 parts.append(expr)
-            if not self.at(":"):
+            if self.cur.kind != ":":
                 break
             self.advance()
         if len(parts) == 1:
@@ -333,11 +334,10 @@ class _Parser:
     def gate_statement(self):
         name_tok = self.advance()
         args: list = []
-        while self.cur.kind not in _TERMINATORS:
-            tok = self.cur
+        while (tok := self.cur).kind not in _TERMINATORS:
             if tok.kind == "IDENT":
                 self.advance()
-                if self.at("["):
+                if self.cur.kind == "[":
                     self.advance()
                     index = self.int_expr("qubit index")
                     if index is None or not self.expect("]", "']' after qubit index"):
@@ -348,10 +348,10 @@ class _Parser:
                     args.append(NameRef(tok.value))
             elif tok.kind == "INT":
                 self.advance()
-                args.append(IntLiteral(int(tok.value)))
+                args.append(IntLiteral(tok.value))
             elif tok.kind == "FLOAT":
                 self.advance()
-                args.append(FloatLiteral(float(tok.value)))
+                args.append(FloatLiteral(tok.value))
             else:
                 self.diag("bad-gate-arg",
                           f"{self.describe(tok)} cannot be a gate argument")
@@ -404,7 +404,7 @@ class _Parser:
     def skip_block(self):
         """Skip past the bracket that closes the block just opened."""
         open_blocks = 1
-        while open_blocks and not self.at("EOF"):
+        while open_blocks and self.cur.kind != "EOF":
             kind = self.advance().kind
             if kind in ("{", "<"):
                 open_blocks += 1
@@ -452,7 +452,7 @@ class _Parser:
         """
         if self.cur.kind in ("{", "<"):
             return True
-        if self.at("NEWLINE"):
+        if self.cur.kind == "NEWLINE":
             # look past blank lines: a bracket further down is the classic
             # "brace on the next line" mistake and deserves its own message
             ahead = self.pos
@@ -462,7 +462,7 @@ class _Parser:
                 self.diag("newline-before-brace",
                           f"line break is not allowed before the opening "
                           f"bracket of a {construct} body", self.toks[ahead])
-                self.pos = ahead
+                self.pos, self.cur = ahead, self.toks[ahead]
                 return True
         self.diag("expected-block",
                   f"{construct} requires a gate block, not a single gate")
@@ -489,7 +489,7 @@ class _Parser:
         tok = self.cur
         if tok.kind == "INT":
             self.advance()
-            return IntLiteral(int(tok.value))
+            return IntLiteral(tok.value)
         if tok.kind == "IDENT":
             self.advance()
             return NameRef(tok.value)
@@ -499,7 +499,7 @@ class _Parser:
         return None
 
     def expect(self, kind: str, what: str) -> bool:
-        if self.at(kind):
+        if self.cur.kind == kind:
             self.advance()
             return True
         self.diag("syntax-error", f"expected {what}")

@@ -1,7 +1,11 @@
 """Shared test utilities: phase alignment, dense-matrix references, the
-expansion reference, the flat-circuit exclusivity reference, the timeline
-reference, the per-shot measurement reference, the ``expand`` and
-``run -p`` text references and a text comparison that fails fast."""
+lexer reference, the expansion reference, the flat-circuit exclusivity
+reference, the timeline reference, the per-shot measurement reference, the
+``expand`` and ``run -p`` text references and a text comparison that fails
+fast."""
+
+import math
+import re
 
 import numpy as np
 
@@ -19,6 +23,8 @@ from jaqalc.analyzer import (
     resolve_qubit,
 )
 from jaqalc.ast import (
+    IDENTIFIER,
+    KEYWORDS,
     GateBlock,
     GateStatement,
     LoopStatement,
@@ -26,10 +32,11 @@ from jaqalc.ast import (
     NameRef,
     Program,
 )
-from jaqalc.diagnostics import has_errors
+from jaqalc.diagnostics import error, has_errors
 from jaqalc.errors import JaqalError
 from jaqalc.expander import iter_gates
 from jaqalc.gateset import FLOAT, IDLE, MEASUREMENT, PREPARATION, QUBIT
+from jaqalc.parser import Token
 from jaqalc.scheduler import IdleEntry, Timeline, TimelineEntry, dump_timeline
 from jaqalc.simulator import (
     SplitMix64,
@@ -483,3 +490,89 @@ def schedule_text_reference(circuit: FlatCircuit, gates: dict) -> str:
     timeline = schedule_reference(circuit, gates)
     total = f"total {timeline.total_duration:g}\n"
     return dump_timeline(timeline) + total
+
+
+# Letters and digits are the ASCII ranges written here, never \d or \w,
+# which admit Unicode.
+_TOKEN_REFERENCE = re.compile(r"""
+    (?P<space>[ \t]+)
+  | (?P<newline>\r?\n)
+  | (?P<line_comment>//[^\n]*)
+  | (?P<block_comment>/\*.*?\*/)
+  | (?P<open_comment>/\*.*)
+  | (?P<ident>""" + IDENTIFIER + r""")
+  | (?=[-.0-9])(?P<number>-?(?P<literal>(?:[0-9]+\.?[0-9]*|\.[0-9]+)
+        (?:[eE][+-]?[0-9]+)?)?[A-Za-z0-9_.]*)  # "0q" is one bad token
+  | (?P<punct>[{}<>\[\]:;|])
+  | (?P<other>.)
+""", re.VERBOSE | re.DOTALL)
+
+_STRAY_REFERENCE = {"\r": "stray carriage return",
+                    "/": "'/' is only valid inside comments"}
+
+
+def lex_reference(source: str):
+    """Tokenize source text into ``(tokens, diagnostics)``: the lexer
+    before each match took the spaces and tabs before its token, one match
+    per run of spaces as well as per token, each literal converted by
+    ``_number_reference``.  ``parser.lex`` must give the same tokens (kind,
+    value and its type, line, column) and diagnostics for every input.
+
+    Whitespace and comments disappear; line breaks outside ``/* */``
+    comments survive as NEWLINE tokens because they terminate statements.
+    """
+    tokens: list = []
+    diags: list = []
+    line, line_start = 1, 0
+    for match in _TOKEN_REFERENCE.finditer(source):
+        kind, text = match.lastgroup, match.group()
+        column = match.start() - line_start + 1
+        if kind == "ident":
+            tokens.append(Token("KEYWORD" if text in KEYWORDS else "IDENT",
+                                text, line, column))
+        elif kind == "punct":
+            tokens.append(Token(text, text, line, column))
+        elif kind == "newline":
+            tokens.append(Token("NEWLINE", None, line, column))
+        elif kind == "number":
+            token = _number_reference(text,
+                                      match.end("literal") == match.end())
+            if isinstance(token, str):
+                diags.append(error(line, column, "bad-number", token))
+            else:
+                tokens.append(Token(*token, line, column))
+        elif kind == "line_comment" and match.end() == len(source):
+            # the comment ran to end of input, which ends the line
+            tokens.append(Token("NEWLINE", None, line, column + len(text)))
+        elif kind == "open_comment":
+            diags.append(error(line, column, "unterminated-comment",
+                               "block comment is never closed"))
+        elif kind == "other":
+            message = _STRAY_REFERENCE.get(text,
+                                           f"illegal character {text!r}")
+            diags.append(error(line, column, "illegal-character", message))
+        if "\n" in text:
+            line += text.count("\n")
+            line_start = match.start() + text.rindex("\n") + 1
+    return tokens, diags
+
+
+def _number_reference(text: str, well_formed: bool):
+    """A numeric literal's ``(kind, value)``, or why it is a bad number.
+
+    The reasons give the literal's length, not the literal, which can be
+    thousands of characters long.
+    """
+    if not well_formed:
+        return f"malformed numeric literal of length {len(text)}"
+    if any(c in text for c in ".eE"):
+        value = float(text)
+        if math.isfinite(value):
+            return "FLOAT", value
+        return (f"numeric literal of length {len(text)} is too large for a "
+                "finite number")
+    try:
+        return "INT", int(text)
+    except ValueError:  # more digits than int() converts
+        digits = len(text.lstrip("-"))
+        return f"a {digits}-digit integer literal is too long to read"

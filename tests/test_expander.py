@@ -13,6 +13,7 @@ from jaqalc.diagnostics import has_errors
 from jaqalc.errors import JaqalError
 from jaqalc.expander import (
     FlatBlock,
+    FlatCircuit,
     FlatLoop,
     PrimitiveGate,
     count_primitive_gates,
@@ -388,6 +389,15 @@ def test_flat_dump_marks_blocks(gates):
     assert dump_flat(circuit) == "<\n    Sx 0\n    Rz 1 0.5\n>\n"
 
 
+def test_flat_dump_indents_one_gate_object_at_each_depth(gates):
+    """The dump keeps a gate object's line per indent, so an object met
+    inside a block and again outside it is printed at each depth."""
+    sx = PrimitiveGate(gates["Sx"], (0,))
+    root = FlatBlock(False, (sx, FlatBlock(True, (sx,)), FlatLoop(2, (sx,))))
+    assert dump_flat(FlatCircuit(1, root)) == (
+        "Sx 0\n<\n    Sx 0\n>\nSx 0\nSx 0\n")
+
+
 def test_flat_dump_empty_program(gates):
     assert dump_flat(flat("register q[1]\n", gates)) == ""
 
@@ -430,9 +440,10 @@ def test_a_loop_body_renders_once_if_short_and_streams_if_long(
         gates, monkeypatch):
     """A loop body is rendered once and repeated in blocks, unless loops
     in it make it run more than 1024 gates: then it streams per iteration
-    as the top level does, so a loop in it is rendered once per outer
-    iteration, in blocks too.  A long body without loops is bounded by the
-    circuit, and is rendered once."""
+    as the top level does, so a loop in it is joined once per outer
+    iteration, in blocks too, from gate lines formatted once per dump.
+    A long body without loops is bounded by the circuit, and is rendered
+    once."""
     rendered = []
     text_of = PrimitiveGate.__str__
     monkeypatch.setattr(PrimitiveGate, "__str__",
@@ -449,7 +460,7 @@ def test_a_loop_body_renders_once_if_short_and_streams_if_long(
                 "Sx q[0] } } }\n", gates)
     chunks = list(flat_chunks(long))
     assert_same_text("".join(chunks), ("Sy 1\n" + "Sx 0\n" * 600000) * 3)
-    assert sorted(rendered) == ["Sx"] * 6 + ["Sy"] * 3
+    assert sorted(rendered) == ["Sx", "Sy"]
     assert max(map(len, chunks)) <= 1 << 16
     rendered.clear()
     plain = flat("register q[1]\nloop 3 {" + " Sx q[0];" * 1100 + " }\n",
@@ -460,16 +471,20 @@ def test_a_loop_body_renders_once_if_short_and_streams_if_long(
 
 @settings(max_examples=150, deadline=None)
 @given(seed=st.integers(0, 2 ** 32 - 1), small=st.booleans(),
-       hold=st.sampled_from([1, 3, 8, 4096]))
-def test_the_streamed_dump_equals_the_reference(gates, seed, small, hold):
+       hold=st.sampled_from([1, 3, 8, 4096]),
+       kept=st.sampled_from([1, 2, 4096]))
+def test_the_streamed_dump_equals_the_reference(gates, seed, small, hold,
+                                                kept):
     """Loops in macros invoked inside parallel and sequential blocks, at
     every depth: the chunks join to the text rendered one string per block,
     and no two neighbouring chunks would fit in one.  A small
-    ``HOLD_GATES`` sends most loops down the per-iteration walk, and a
-    small ``CHUNK_BYTES`` splits the text into many chunks."""
+    ``HOLD_GATES`` sends most loops down the per-iteration walk, a small
+    ``CHUNK_BYTES`` splits the text into many chunks, and a small
+    ``LINES_KEPT`` restarts the memo of gate lines often."""
     circuit = flat(loop_block_program(random.Random(seed)), gates)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(analyzer, "HOLD_GATES", hold)
+        patch.setattr(expander, "LINES_KEPT", kept)
         if small:
             patch.setattr(expander, "CHUNK_BYTES", 64)
         chunks = list(flat_chunks(circuit))

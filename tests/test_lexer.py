@@ -1,9 +1,20 @@
+import sys
+import time
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import lex_reference
+from jaqalc.corpus import corpus_manifest
 from jaqalc.diagnostics import has_errors
 from jaqalc.parser import lex
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+if str(BENCH) not in sys.path:
+    sys.path.insert(0, str(BENCH))
+from workloads import DEFAULT_SEED, WORKLOADS, generate  # noqa: E402
 
 
 def kinds(tokens):
@@ -161,3 +172,65 @@ def test_positions_point_at_their_text(source):
     for diag in diags:
         assert 1 <= diag.line <= len(lines), (diag, source)
         assert 1 <= diag.column <= len(lines[diag.line - 1]), (diag, source)
+
+
+def assert_lexed_as_reference(source):
+    """``lex`` gives ``lex_reference``'s tokens, value types included,
+    and its diagnostics, in order."""
+    tokens, diags = lex(source)
+    want_tokens, want_diags = lex_reference(source)
+    got = [(t.kind, t.value, type(t.value), t.line, t.column) for t in tokens]
+    want = [(t.kind, t.value, type(t.value), t.line, t.column)
+            for t in want_tokens]
+    assert got == want, source
+    assert diags == want_diags, source
+
+
+_LONG_PIECES = st.sampled_from([
+    "1e400", "-1e400", "1" * 5000, "-" + "9" * 4301, "1" * 5000 + ".0",
+    "1" * 5000 + "q", "1" * 4300, ".5e", "1.e5", "-.5E+3", "0x1", "1-2",
+    "q[ 0 ]", "  \t ", "\t\t", " " * 300,
+])
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(_PIECES | _LONG_PIECES, max_size=40).map("".join),
+       st.text(" \t", max_size=50))
+def test_lex_matches_the_reference_lexer(source, tail):
+    """Pieces at the lexer's edges (line breaks, comments, signs, dots,
+    exponents, non-ASCII letters), long and non-finite literals, and
+    spaces and tabs that end the input."""
+    assert_lexed_as_reference(source)
+    assert_lexed_as_reference(source + tail)
+
+
+@pytest.mark.parametrize("case", corpus_manifest(), ids=lambda c: c.name)
+def test_corpus_lexes_as_the_reference(case):
+    source = case.source
+    assert_lexed_as_reference(source)
+    assert_lexed_as_reference(source.replace("\n", "\r\n"))
+
+
+@pytest.mark.parametrize("workload", WORKLOADS)
+def test_workload_programs_lex_as_the_reference(workload):
+    for program in generate(workload, DEFAULT_SEED).programs:
+        assert_lexed_as_reference(program.source)
+
+
+@pytest.mark.parametrize("source", [
+    pytest.param("Sx q[0]" + " " * 2_000_000, id="2M-trailing-spaces"),
+    pytest.param("Sx q[0]" + " \t" * 1_000_000, id="1M-trailing-space-tabs"),
+    pytest.param("".join(f"Sx q[{i % 7}]" + " " * 1000 + "\n"
+                         for i in range(2000)), id="2000-lines-of-1000-spaces"),
+])
+def test_whitespace_is_lexed_in_linear_time(source):
+    """Spaces and tabs are matched in front of the token after them, and
+    at the end of input by an alternative of their own, so no run of them
+    is matched again from each of its positions.  The bound allows a
+    microsecond a character, some hundred times what it takes."""
+    start = time.perf_counter()
+    tokens, diags = lex(source)
+    elapsed = time.perf_counter() - start
+    assert not diags
+    assert tokens[-1].kind in ("]", "NEWLINE")
+    assert elapsed < 0.2 + 1e-6 * len(source), elapsed
