@@ -27,8 +27,10 @@ non-finite literals, and ``HOLD_EDGES``, loops at the bound on what the
 dumps hold), N seeded
 ``tests/program_gen.py`` programs of up to 4 qubits (default 150), N seeded
 macro programs whose bodies name register qubits, ``WIDE_PROGRAMS`` seeded
-ones of up to 12 qubits, so a kernel change is compared byte for byte on
-registers where every gate sweeps a sizeable vector, and the 20-qubit
+ones of up to 12 qubits and ``blocked_program`` ones of 15 to 17, so a
+kernel change is compared byte for byte on registers where every gate
+sweeps a sizeable vector, in the many blocks of one past 2**14
+amplitudes (``simulator.BLOCK``) too, and the 20-qubit
 shift registers of m0..m12 invoking m10, with m0's gates in sequence and in
 parallel, whose macros hand their callers pairs of qubit terms (these run
 ``check``, ``expand`` and ``schedule`` only: 20,480 gates on 20 qubits are
@@ -94,6 +96,7 @@ FIELDS = ("status", "stdout", "stderr", "output")
 MUTANTS_PER_SOURCE = 10
 
 WIDE_PROGRAMS = 10
+BLOCKED_QUBITS = (15, 16, 17)  # registers past the kernel's BLOCK amplitudes
 
 # Loops kept whole in the flat IR meet blocks, macros and conflicts here.
 EDGES = {
@@ -377,6 +380,10 @@ def _inputs(work: Path, programs: int) -> list:
         path.write_text(random_program(random.Random(f"wide{index}"),
                                        max_qubits=12))
         inputs.append(path)
+    for n in BLOCKED_QUBITS:
+        path = generated / f"blocked{n}.jaqal"
+        path.write_text(blocked_program(random.Random(f"blocked{n}"), n))
+        inputs.append(path)
     analysis_only = []
     for stem, m0_body in (("shift_sequential", f"{{ {SX_ALL} }}"),
                           ("shift_parallel", f"< {PARALLEL_ALL} >")):
@@ -384,6 +391,31 @@ def _inputs(work: Path, programs: int) -> list:
         path.write_text(shift_register(m0_body, last=12, invoked=10))
         analysis_only.append(str(path))
     return [str(path) for path in inputs], analysis_only
+
+
+def blocked_program(rng: random.Random, n: int) -> str:
+    """Two segments on an n-qubit register whose state spans several of
+    the simulator's blocks: x/y rotations on the top and bottom qubits and
+    six others, ``MS`` and ``Sxx`` on the top and bottom pair in both
+    orders and on random pairs of them, then one ``Rz``; the other qubits
+    stay in |0>, so a ``run -p`` line names at most 2**8 outcomes."""
+    mixed = [0, n - 1, *rng.sample(range(1, n - 1), 6)]
+    lines = [f"register q[{n}]"]
+    for _ in range(2):
+        lines.append("prepare_all")
+        for q in rng.sample(mixed, len(mixed)):
+            axis = rng.choice(("Rx", "Ry"))
+            lines.append(f"{axis} q[{q}] {rng.uniform(-3.2, 3.2):.6f}")
+        pairs = [(0, n - 1), (n - 1, 0), *(rng.sample(mixed, 2)
+                                           for _ in range(4))]
+        for a, b in pairs:
+            lines.append(rng.choice((
+                f"Sxx q[{a}] q[{b}]",
+                f"MS q[{a}] q[{b}] {rng.uniform(-3.2, 3.2):.6f} "
+                f"{rng.uniform(-3.2, 3.2):.6f}")))
+        lines.append(f"Rz q[{rng.choice(range(n))}] {rng.uniform(-3, 3):.6f}")
+        lines.append("measure_all")
+    return "\n".join(lines) + "\n"
 
 
 def _jobs(work: Path, inputs: list, analysis_only: list) -> list:

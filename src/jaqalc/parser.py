@@ -7,8 +7,11 @@ no errors.
 
 The lexer is one compiled pattern, ``_TOKEN``, matched once per token:
 spaces and tabs, then the first alternative that fits: a LF or CRLF line
-break (NEWLINE); an identifier (IDENT or KEYWORD); a punctuation mark; an
-integer literal not followed by a name character or dot (INT); a ``//``
+break (NEWLINE); a ``from <gate set> usepulses ...`` statement up to a
+CR or LF, ``/``, separator or bracket (one KEYWORD ``from``, and
+``unknown-gate-set`` unless it is ``STANDARD_HEADER``, the built-in gate
+set); an identifier (IDENT or KEYWORD); a punctuation mark; an integer
+literal not followed by a name character or dot (INT); a ``//``
 comment (NEWLINE only at end of input); a ``/* */`` comment, closed by the
 first ``*/``; an unclosed ``/*`` (``unterminated-comment``); any other
 number with the name characters or dots that follow it (FLOAT, or
@@ -67,6 +70,7 @@ from .diagnostics import error
 # which admit Unicode.
 _TOKEN = re.compile(r"""[ \t]*(?:
     (?P<newline>\r?\n)
+  | (?P<usepulses>from[ \t]+[^\s;/|{}<>]+[ \t]+usepulses\b[^\r\n;/|{}<>]*)
   | (?P<ident>""" + IDENTIFIER + r""")
   | (?P<punct>[{}<>\[\]:;|])
   | (?P<int>-?[0-9]+)(?![A-Za-z0-9_.])
@@ -79,6 +83,8 @@ _TOKEN = re.compile(r"""[ \t]*(?:
   | \Z  # spaces and tabs that end the input
 )""", re.VERBOSE | re.DOTALL)
 
+# the one gate set a ``from ... usepulses ...`` statement may name
+STANDARD_HEADER = ("from", "qscout.v1.std", "usepulses", "*")
 _STRAY = {"\r": "stray carriage return",
           "/": "'/' is only valid inside comments"}
 
@@ -139,6 +145,12 @@ def lex(source: str):
         elif kind == "other":
             message = _STRAY.get(text, f"illegal character {text!r}")
             diags.append(error(line, column, "illegal-character", message))
+        elif kind == "usepulses":
+            if tuple(text.split()) != STANDARD_HEADER:
+                diags.append(error(line, column, "unknown-gate-set",
+                                   "the only gate set is the built-in one, "
+                                   "'from qscout.v1.std usepulses *'"))
+            tokens.append(Token("KEYWORD", "from", line, column))
     return tokens, diags
 
 
@@ -154,6 +166,7 @@ def _number(text: str, well_formed: bool) -> str:
             "finite number")
 
 
+_HEADERS = ("register", "map", "let", "from")
 _TERMINATORS = frozenset({"NEWLINE", ";", "|", "}", ">", "EOF"})
 
 
@@ -220,7 +233,7 @@ class _Parser:
             tok = self.cur
             if tok.kind == "EOF":
                 break
-            if tok.kind == "KEYWORD" and tok.value in ("register", "map", "let"):
+            if tok.kind == "KEYWORD" and tok.value in _HEADERS:
                 if body:
                     self.diag("header-after-body",
                               f"'{tok.value}' statement appears after the "
@@ -236,6 +249,8 @@ class _Parser:
 
     def header_statement(self):
         tok = self.advance()
+        if tok.value == "from":  # its gate set was checked by ``lex``
+            return None
         if tok.value == "register":
             return self.register_decl(tok)
         if tok.value == "map":

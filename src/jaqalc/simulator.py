@@ -17,14 +17,18 @@ once both start alike, so measurements come as runs of outcome tables
 repeated many times in a row, and SplitMix64, being counter-based, draws a
 run's numbers in one numpy pass.
 
-A state holds two 2**n complex vectors (512 MiB together at the 24-qubit
-cap).  Each gate gathers the amplitudes into the other with its qubits'
-axes first, unless the last gate left them so, and multiplies them back;
-they return to basis order only when read.  No gate allocates a vector.
-The Born probabilities go into the spare one; the amplitudes are freed
-before the outcome table is built and the spare before its running sums,
-so ``run`` peaks at two vectors, and ``run -p`` streams each line in
-chunks of ``CHUNK`` outcomes.
+A state holds one 2**n complex vector in basis order (256 MiB at the
+24-qubit cap) and, from its first gate, two buffers of up to BLOCK
+amplitudes.  A gate updates the vector in place a block at a time: each
+block is gathered into one buffer with the gate's axes first, multiplied
+into the other and written back where it was read, so no gate allocates a
+vector.  A segment builds each gate object's unitary once.  The Born
+probabilities are written over the vector, which is then cut to their
+bytes; a table of every outcome keeps them as they are and any other
+copies its nonzero ones, so ``run`` peaks near one vector (plus that copy
+when more than half but not all outcomes are possible), 45 MiB for a
+dense 20-qubit register.  ``run -p`` streams each line in chunks of
+``CHUNK`` outcomes.
 
 This is the only module that builds unitaries, and the only one that
 imports numpy.  Unitaries follow the half-angle convention: a rotation by
@@ -39,6 +43,7 @@ with Sxx = MS(0, pi/2).
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 
 import numpy as np
@@ -96,6 +101,7 @@ def unitary_of(definition: GateDefinition, float_args=()) -> np.ndarray:
 
 
 MAX_QUBITS = 24  # 2**24 complex amplitudes is the practical cap
+BLOCK = 1 << 14  # amplitudes per block of a gate or of the probabilities
 CHUNK = 1 << 12  # outcomes per chunk of a ``run -p`` line
 DRAWS = 1 << 12  # measurements per batch of draws; bytes per block of text
 PATTERN_BYTES = 1 << 22  # table bytes a repeated loop iteration may name
@@ -152,9 +158,9 @@ def _check_qubit_cap(n_qubits: int):
 
 class QuantumState:
     """A normalized complex amplitude vector over 2**n_qubits basis states,
-    starting in the all-zeros state.  Assigning ``amplitudes`` copies the
-    values, because ``apply_unitary`` writes into the state's own vectors;
-    reading them first undoes the axis order (``_layout``) gates left.
+    in basis order, starting in the all-zeros state.  Assigning
+    ``amplitudes`` copies the values, because ``apply_unitary`` writes into
+    the state's own vector; ``born_probabilities`` takes the vector away.
     """
 
     def __init__(self, n_qubits: int):
@@ -162,25 +168,18 @@ class QuantumState:
         self.n_qubits = n_qubits
         self._amplitudes = np.zeros(2 ** n_qubits, dtype=complex)
         self._amplitudes[0] = 1.0
-        self._scratch = None
-        self._layout = tuple(range(n_qubits))
+        self._buffers = None  # the two block buffers, made at the first gate
+        self._shaped: dict = {}  # a block's (rows, columns) -> buffer views
+        self._walks: dict = {}  # qubits -> ``_walk`` over this vector
 
     @property
     def amplitudes(self) -> np.ndarray:
-        basis = tuple(range(self.n_qubits))
-        if self._layout != basis:  # scatter in basis order, then swap
-            tensor = (2,) * self.n_qubits
-            self._scratch.reshape(tensor).transpose(self._layout)[...] = (
-                self._amplitudes.reshape(tensor))
-            self._amplitudes, self._scratch = self._scratch, self._amplitudes
-            self._layout = basis
         return self._amplitudes
 
     @amplitudes.setter
     def amplitudes(self, values):
         self._amplitudes = np.array(values, dtype=complex)
-        self._scratch = None
-        self._layout = tuple(range(self.n_qubits))
+        self._walks = {}
 
 
 def _checked_args(unitary, qubits, n: int) -> tuple:
@@ -206,33 +205,73 @@ def apply_unitary(state: QuantumState, unitary, qubits) -> QuantumState:
 
     The matrix is indexed with ``qubits[0]`` as the most significant bit of
     its row/column index.  Works in place and returns the state.
-
-    Unless the state is already in the gate's axis order (its axes, then
-    the rest ascending), it is gathered into it; the product goes to the
-    other vector in that order.  ``np.matmul`` sees the shapes, operand
-    order and C-contiguous values of the ``np.moveaxis`` formulation kept
-    in tests/helpers.py, so the amplitudes are bit-identical to it.
     """
-    n = state.n_qubits
-    unitary, qubits = _checked_args(unitary, qubits, n)
-    k = len(qubits)
-    if k == 0:
-        return state
-    # row-major reshape puts qubit q on axis n-1-q
-    axes = [n - 1 - q for q in qubits]
-    order = tuple(axes + [a for a in range(n) if a not in axes])
-    psi, scratch = state._amplitudes, state._scratch
-    if scratch is None:
-        scratch = np.empty_like(psi)
-    if state._layout != order:
-        tensor = (2,) * n
-        scratch.reshape(tensor)[...] = psi.reshape(tensor).transpose(
-            [state._layout.index(a) for a in order])
-        psi, scratch = scratch, psi
-    np.matmul(unitary, psi.reshape(2 ** k, -1),
-              out=scratch.reshape(2 ** k, -1))
-    state._amplitudes, state._scratch, state._layout = scratch, psi, order
+    unitary, qubits = _checked_args(unitary, qubits, state.n_qubits)
+    if qubits:
+        _apply(state, unitary, qubits)
     return state
+
+
+def _apply(state: QuantumState, unitary: np.ndarray, qubits: tuple):
+    """``apply_unitary`` on checked arguments, in place, a block at a time.
+
+    The ``np.moveaxis`` formulation kept in tests/helpers.py multiplies
+    the unitary by the amplitudes arranged as a (2**k, 2**(n-k)) matrix:
+    the gate's axes first, the others ascending.  Here that matrix is
+    walked in blocks of whole columns that fix its leading non-gate axes:
+    each block is gathered into one buffer, multiplied into the other by
+    the same ``np.matmul`` and written back where it was read.  This rests
+    on one property of ``np.matmul``, pinned by tests: a block of at least
+    4 columns comes out with the same bits as those columns of the whole
+    product (blocks of 1 or 2 columns do not).  A state of at most BLOCK
+    amplitudes is one block, with operands identical to the formulation's
+    by construction.
+    """
+    walk = state._walks.get(qubits)
+    if walk is None:
+        walk = state._walks[qubits] = _walk(state, qubits)
+    tensor, fixed, (source, matrix, out, result) = walk
+    for index in itertools.product((0, 1), repeat=fixed):
+        view = tensor[index]
+        source[...] = view
+        np.matmul(unitary, matrix, out=out)
+        view[...] = result
+
+
+def _walk(state: QuantumState, qubits: tuple) -> tuple:
+    """What ``_apply`` reuses for every gate on ``qubits`` of this vector:
+    the vector as a tensor in ``_plan``'s axis order, how many axes a block
+    fixes, and the two block buffers, each shaped as one of that tensor's
+    blocks and as a (2**k, columns) matrix."""
+    n = state.n_qubits
+    order, fixed, matrix = _plan(n, qubits, BLOCK)
+    tensor = state._amplitudes.reshape((2,) * n).transpose(order)
+    shaped = state._shaped.get(matrix)
+    if shaped is None:
+        size = matrix[0] * matrix[1]
+        if state._buffers is None or len(state._buffers[0]) < size:
+            state._buffers = np.empty(size, complex), np.empty(size, complex)
+        gathered, product = (buffer[:size] for buffer in state._buffers)
+        block = tensor.shape[fixed:]
+        shaped = state._shaped[matrix] = (
+            gathered.reshape(block), gathered.reshape(matrix),
+            product.reshape(matrix), product.reshape(block))
+    return tensor, fixed, shaped
+
+
+@functools.lru_cache(maxsize=4096)
+def _plan(n: int, qubits: tuple, block: int) -> tuple:
+    """The walk of a gate on ``qubits`` of n: the tensor axes in walk order
+    (the non-gate axes that each block fixes, the gate's axes, then the
+    other non-gate axes, both ascending), how many are fixed, and a block's
+    (2**k, columns) shape.  A block holds ``block`` amplitudes, or 4 columns
+    if more (for a gate on over 12 qubits), or the whole vector if fewer."""
+    k = len(qubits)
+    axes = [n - 1 - q for q in qubits]  # row-major: qubit q on axis n-1-q
+    rest = [a for a in range(n) if a not in axes]
+    columns = min(2 ** (n - k), max(block >> k, 4))
+    fixed = n - k - (columns.bit_length() - 1)
+    return tuple(rest[:fixed] + axes + rest[fixed:]), fixed, (2 ** k, columns)
 
 
 def _bitstrings(indices: np.ndarray, n_qubits: int) -> list:
@@ -240,17 +279,33 @@ def _bitstrings(indices: np.ndarray, n_qubits: int) -> list:
     character t is the state of qubit t."""
     if n_qubits == 0:  # a zero-width string dtype does not exist
         return [""] * len(indices)
-    digits = (indices[:, None] >> np.arange(n_qubits)) & 1
-    digits = (digits + ord("0")).astype(np.uint8)
+    digits = indices[:, None] >> np.arange(n_qubits)
+    digits &= 1  # in place: one int64 digit array at a time
+    digits += ord("0")
+    digits = digits.astype(np.uint8)
     return digits.view(f"S{n_qubits}").ravel().astype(str).tolist()
 
 
 def born_probabilities(state: QuantumState) -> np.ndarray:
-    """|amplitude|**2 in basis order, in the spare vector it gives up."""
-    amplitudes, spare, state._scratch = state.amplitudes, state._scratch, None
-    probs = (np.empty(len(amplitudes)) if spare is None
-             else spare.view(float)[:len(amplitudes)])
-    return np.square(np.abs(amplitudes, out=probs), out=probs)
+    """|amplitude|**2 in basis order, written over the first half of the
+    bytes of the state's vector, which the state gives up; the vector is
+    then cut to those bytes, unless something else still refers to it.
+    Each block of BLOCK entries goes through a separate buffer, because
+    ``np.abs`` into an output that overlaps its input can change the last
+    bit; entry i then overwrites amplitude i // 2, already read."""
+    amplitudes, state._amplitudes, state._walks = state._amplitudes, None, {}
+    size = len(amplitudes)
+    probs, buffer = amplitudes.view(float)[:size], np.empty(min(size, BLOCK))
+    for start in range(0, size, BLOCK):
+        part = buffer[:min(BLOCK, size - start)]
+        np.square(np.abs(amplitudes[start:start + BLOCK], out=part), out=part)
+        probs[start:start + len(part)] = part
+    del probs  # a view would keep the vector from being cut
+    try:  # a realloc: the second half's pages go back to the system
+        amplitudes.resize((size + 1) // 2)
+    except ValueError:  # a view or another name holds the vector
+        pass
+    return amplitudes.view(float)[:size]
 
 
 def _unitary(gate: PrimitiveGate, gates, quantize: bool) -> np.ndarray:
@@ -263,25 +318,33 @@ def _unitary(gate: PrimitiveGate, gates, quantize: bool) -> np.ndarray:
 def _simulate(n_qubits: int, segment, gates, quantize: bool):
     """The state that ``segment``'s gates make from the all-zeros state."""
     state = QuantumState(n_qubits)
+    checked = _check_segment(n_qubits, segment, gates, quantize)
     for gate in segment:
-        apply_unitary(state, _unitary(gate, gates, quantize), gate.qubits)
+        _apply(state, *checked[id(gate)])
     return state
 
 
-def _check_segment(n_qubits: int, segment, gates, quantize: bool):
+def _check_segment(n_qubits: int, segment, gates, quantize: bool) -> dict:
     """Raise what simulating ``segment`` would, simulating nothing: each
-    distinct gate's ``unitary_of`` and ``apply_unitary``'s tests."""
-    for gate in {id(gate): gate for gate in segment}.values():
-        _checked_args(_unitary(gate, gates, quantize), gate.qubits, n_qubits)
+    distinct gate's ``unitary_of`` and ``apply_unitary``'s tests.  Return
+    the checked ``(unitary, qubits)`` of each gate object, by ``id``."""
+    return {id(gate): _checked_args(_unitary(gate, gates, quantize),
+                                    gate.qubits, n_qubits)
+            for gate in {id(gate): gate for gate in segment}.values()}
 
 
 class _Outcomes:
-    """One measured segment's nonzero outcomes, in basis-index order."""
+    """One measured segment's nonzero outcomes, in basis-index order.  A
+    table of every outcome keeps ``probs`` itself and no index array, since
+    each outcome's index is its position (``_indices`` is None)."""
 
     def __init__(self, probs: np.ndarray, n_qubits: int):
         self._n_qubits = n_qubits
-        self._indices = np.nonzero(probs)[0]
-        self._probs = probs[self._indices]
+        if np.count_nonzero(probs) == len(probs):
+            self._indices, self._probs = None, probs
+        else:
+            self._indices = np.flatnonzero(probs)
+            self._probs = probs[self._indices]
 
     @functools.cached_property
     def _cumulative(self) -> np.ndarray:
@@ -292,31 +355,47 @@ class _Outcomes:
     @functools.cached_property
     def mapping(self) -> dict:
         """Bitstring to probability."""
-        names = _bitstrings(self._indices, self._n_qubits)
+        indices = (np.arange(len(self._probs)) if self._indices is None
+                   else self._indices)
+        names = _bitstrings(indices, self._n_qubits)
         return dict(zip(names, self._probs.tolist()))
 
     def pick(self, draws: np.ndarray) -> np.ndarray:
         """The basis index of the first outcome whose running sum reaches
         each draw u in (0, 1]; float sums can land a hair under 1.0, so a
-        u past them takes the last."""
-        at = np.searchsorted(self._cumulative, draws, side="left")
-        return self._indices.take(at, mode="clip")
+        u past them takes the last, as a search without the last sum
+        finds."""
+        at = np.searchsorted(self._cumulative[:-1], draws, side="left")
+        return at if self._indices is None else self._indices.take(at)
 
     def line_chunks(self):
         """The ``run -p`` line: ``bits p`` pairs sorted by bitstring, which
-        sorts as the bit-reversed index, each p its ``repr``."""
+        sorts as the bit-reversed index, each p its ``repr``.  Every
+        outcome's table sorts as the bit reversal of the positions, so it
+        is reversed a chunk at a time and nothing is sorted."""
         indices, n = self._indices, self._n_qubits
-        order = np.zeros_like(indices)  # the bit-reversed indices
-        for t in range(n):
-            order |= (indices >> t & 1) << (n - 1 - t)
-        # stable: the default SIMD sort faults in 0.3 MiB more code
-        order = np.argsort(order, kind="stable")
-        for start in range(0, len(order), CHUNK):
-            at = order[start:start + CHUNK]
+        if indices is not None:
+            # stable: the default SIMD sort faults in 0.3 MiB more code
+            order = np.argsort(_bit_reversed(indices, n), kind="stable")
+        for start in range(0, len(self._probs), CHUNK):
+            if indices is None:
+                at = named = _bit_reversed(np.arange(
+                    start, min(start + CHUNK, len(self._probs))), n)
+            else:
+                at = order[start:start + CHUNK]
+                named = indices[at]
             values = repr(self._probs[at].tolist())[1:-1].split(", ")
             yield " " * (start > 0) + " ".join(
-                map(" ".join, zip(_bitstrings(indices[at], n), values)))
+                map(" ".join, zip(_bitstrings(named, n), values)))
         yield "\n"
+
+
+def _bit_reversed(values: np.ndarray, n: int) -> np.ndarray:
+    """Each value's lowest n bits in reverse order."""
+    out = np.zeros_like(values)
+    for t in range(n):
+        out |= (values >> t & 1) << (n - 1 - t)
+    return out
 
 
 def _first(item):  # the first gate a node runs; no node is empty
@@ -393,7 +472,7 @@ def _measurements(circuit: FlatCircuit, gates, quantize: bool):
                 for tables, repeats in walk(item.items):
                     yield tables, repeats
                     # an index, a probability and a running sum each
-                    size += 24 * repeats * sum(len(t._indices)
+                    size += 24 * repeats * sum(len(t._probs)
                                                for t in tables)
                     if pattern is not None and size <= PATTERN_BYTES:
                         pattern += tables * repeats
@@ -477,7 +556,7 @@ def probability_chunks(circuit: FlatCircuit, gates: dict,
     more than a run's tables and a chunk."""
     kept = text = None
     for tables, repeats in _measurements(circuit, gates, quantize):
-        if tables != kept and all(len(t._indices) <= CHUNK for t in tables):
+        if tables != kept and all(len(t._probs) <= CHUNK for t in tables):
             kept, text = tables, "".join(map({t: "".join(t.line_chunks())
                                               for t in set(tables)}.get,
                                              tables))

@@ -500,6 +500,7 @@ _TOKEN_REFERENCE = re.compile(r"""
   | (?P<line_comment>//[^\n]*)
   | (?P<block_comment>/\*.*?\*/)
   | (?P<open_comment>/\*.*)
+  | (?P<usepulses>from[ \t]+[^\s;/|{}<>]+[ \t]+usepulses\b[^\r\n;/|{}<>]*)
   | (?P<ident>""" + IDENTIFIER + r""")
   | (?=[-.0-9])(?P<number>-?(?P<literal>(?:[0-9]+\.?[0-9]*|\.[0-9]+)
         (?:[eE][+-]?[0-9]+)?)?[A-Za-z0-9_.]*)  # "0q" is one bad token
@@ -515,8 +516,10 @@ def lex_reference(source: str):
     """Tokenize source text into ``(tokens, diagnostics)``: the lexer
     before each match took the spaces and tabs before its token, one match
     per run of spaces as well as per token, each literal converted by
-    ``_number_reference``.  ``parser.lex`` must give the same tokens (kind,
-    value and its type, line, column) and diagnostics for every input.
+    ``_number_reference``, and a ``from ... usepulses ...`` statement read
+    as one KEYWORD ``from``.  ``parser.lex`` must give the same tokens
+    (kind, value and its type, line, column) and diagnostics for every
+    input.
 
     Whitespace and comments disappear; line breaks outside ``/* */``
     comments survive as NEWLINE tokens because they terminate statements.
@@ -551,6 +554,12 @@ def lex_reference(source: str):
             message = _STRAY_REFERENCE.get(text,
                                            f"illegal character {text!r}")
             diags.append(error(line, column, "illegal-character", message))
+        elif kind == "usepulses":  # one statement, the header KEYWORD
+            if text.split() != ["from", "qscout.v1.std", "usepulses", "*"]:
+                diags.append(error(line, column, "unknown-gate-set",
+                                   "the only gate set is the built-in one, "
+                                   "'from qscout.v1.std usepulses *'"))
+            tokens.append(Token("KEYWORD", "from", line, column))
         if "\n" in text:
             line += text.count("\n")
             line_start = match.start() + text.rindex("\n") + 1

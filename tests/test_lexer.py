@@ -151,6 +151,7 @@ _PIECES = st.sampled_from([
     "1e3", "1e", "0q", "-", ".", "/", "*", "@", "\u00e9", "\u0661", " ", "\t",
     "\n", "\r\n", "\r", "{", "}", "<", ">", "[", "]", ":", ";", "|",
     "// note", "//", "/* a */", "/* a\nb */", "/*\r\n*/", "/*", "*/",
+    "from ", "qscout.v1.std", " usepulses", "from qscout.v1.std usepulses *",
 ])
 
 

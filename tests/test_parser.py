@@ -194,6 +194,51 @@ def test_header_inside_block_rejected():
     assert "header-in-block" in error_codes("{ register q[2] }")
 
 
+@pytest.mark.parametrize("header", [
+    "from qscout.v1.std usepulses *",
+    "from \t qscout.v1.std  usepulses\t*  // the built-in gates",
+    "from qscout.v1.std usepulses * /* the gates */",
+])
+def test_the_standard_header_names_the_builtin_gate_set(header):
+    """QSCOUT's first line; it gave bad-number, illegal-character and
+    header-after-body, and leaves nothing in the tree."""
+    program = parse_ok(f"{header}\nregister q[2]\nSx q[0]\n")
+    assert program == parse_ok("register q[2]\nSx q[0]\n")
+
+
+@pytest.mark.parametrize("header", [
+    "from qscout.v2.std usepulses *",
+    "from qscout.v1.std usepulses Sx Sy",
+    "  from qscout.v1.std usepulses",
+    "from qscout.v1.std.x usepulses * *",
+])
+def test_another_gate_set_is_one_error_at_its_first_column(header):
+    column = len(header) - len(header.lstrip()) + 1
+    _, diags = parse(f"{header}\nregister q[2]\nSx q[0] 1..2\n")
+    found = [(d.line, d.column, d.code) for d in diags]
+    # the rest of the program is still checked
+    assert found == [(1, column, "unknown-gate-set"), (3, 9, "bad-number")]
+
+
+def test_the_standard_header_ends_at_a_carriage_return():
+    assert parse_ok("from qscout.v1.std usepulses *\r\nregister q[1]\r\n")
+    _, diags = parse("from qscout.v1.std usepulses *\rregister q[1]\n")
+    assert [(d.line, d.column, d.code) for d in diags] == [
+        (1, 31, "illegal-character")]
+
+
+def test_a_gate_set_stays_in_the_header():
+    _, diags = parse("register q[2]\nSx q[0]\nfrom qscout.v1.std usepulses *\n"
+                     "{ from qscout.v1.std usepulses * }\n")
+    assert [(d.line, d.column, d.code) for d in diags] == [
+        (3, 1, "header-after-body"), (4, 3, "header-in-block")]
+
+
+def test_from_without_usepulses_is_a_gate_name():
+    program = parse_ok("from q[0] x\n")
+    assert program.body[0].name == "from"
+
+
 def test_macro_inside_block_rejected():
     assert "macro-in-block" in error_codes("{ macro m a { Sx a } }")
 

@@ -4,12 +4,14 @@ import math
 import random
 import tracemalloc
 from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from jaqalc import simulator
 from jaqalc.diagnostics import has_errors
 from jaqalc.errors import SimulationError
 from jaqalc.expander import FlatBlock, FlatCircuit, PrimitiveGate, expand
@@ -139,12 +141,15 @@ def assert_same_bits(state, reference):
 @settings(max_examples=80, deadline=None)
 @given(data=st.data())
 def test_apply_unitary_is_bit_identical_to_the_reference(data):
-    """The layout-keeping kernel computes exactly what the moveaxis
-    formulation in tests/helpers.py computes, at every read: on runs of
-    gates on one qubit tuple (which skip the gather), on descending tuples,
-    with reads between gates, and when the state was assigned a strided
-    view or new amplitudes mid-sequence."""
+    """The blocked kernel computes exactly what the moveaxis formulation in
+    tests/helpers.py computes, at every read: with BLOCK patched down to 16
+    or 64 amplitudes, so a state of a few qubits spans many blocks (and a
+    3-qubit gate's 4-column minimum outgrows a 16-amplitude block), or at
+    its real size; on runs of gates on one qubit tuple, on descending
+    tuples, with reads between gates, and when the state was assigned a
+    strided view or new amplitudes mid-sequence."""
     n = data.draw(st.integers(1, 12), label="n")
+    block = data.draw(st.sampled_from([16, 64, 2 ** 14]), label="BLOCK")
     rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
     vec = random_state(rng, n)
     if data.draw(st.booleans(), label="strided"):
@@ -155,23 +160,42 @@ def test_apply_unitary_is_bit_identical_to_the_reference(data):
     state, reference = QuantumState(n), QuantumState(n)
     state.amplitudes = vec
     reference.amplitudes = vec
-    for _ in range(data.draw(st.integers(1, 5), label="runs")):
-        k = data.draw(st.integers(1, min(2, n)), label="k")
-        qubits = data.draw(st.one_of(
-            st.permutations(range(n)).map(lambda p: tuple(p[:k])),
-            st.just((n - 1, 0)[:k])), label="qubits")
-        for _ in range(data.draw(st.integers(1, 3), label="repeats")):
-            unitary = random_unitary(rng, 2 ** k)
-            apply_unitary(state, unitary, qubits)
-            apply_unitary_reference(reference, unitary, qubits)
-        if data.draw(st.booleans(), label="read"):
-            assert_same_bits(state, reference)
-        if data.draw(st.booleans(), label="assign"):
-            fresh = random_state(rng, n)
-            state.amplitudes = fresh
-            reference.amplitudes = fresh
+    with mock.patch.object(simulator, "BLOCK", block):
+        for _ in range(data.draw(st.integers(1, 5), label="runs")):
+            k = data.draw(st.integers(1, min(3, n)), label="k")
+            qubits = data.draw(st.one_of(
+                st.permutations(range(n)).map(lambda p: tuple(p[:k])),
+                st.just((n - 1, 0, n // 2)[:k])), label="qubits")
+            for _ in range(data.draw(st.integers(1, 3), label="repeats")):
+                unitary = random_unitary(rng, 2 ** k)
+                apply_unitary(state, unitary, qubits)
+                apply_unitary_reference(reference, unitary, qubits)
+            if data.draw(st.booleans(), label="read"):
+                assert_same_bits(state, reference)
+            if data.draw(st.booleans(), label="assign"):
+                fresh = random_state(rng, n)
+                state.amplitudes = fresh
+                reference.amplitudes = fresh
     assert_same_bits(state, reference)
     assert np.array_equal(vec, given_values)  # the caller's array is kept
+
+
+@pytest.mark.parametrize("n, seed", [(15, 0), (15, 1), (16, 2), (16, 3)])
+def test_blocks_of_the_real_size_are_bit_identical_to_the_reference(n, seed):
+    """Past BLOCK amplitudes each gate walks 2 or 4 blocks; every
+    1- and 2-qubit gate of a random sequence, the top and bottom qubits in
+    either order included, matches the reference to the last bit."""
+    assert 2 ** n > simulator.BLOCK
+    rng = np.random.default_rng(seed)
+    state, reference = QuantumState(n), QuantumState(n)
+    tuples = [(0,), (n - 1,), (0, n - 1), (n - 1, 0)] + [
+        tuple(int(q) for q in rng.choice(n, size=k, replace=False))
+        for k in (1, 2) * 4]
+    for qubits in tuples:
+        unitary = random_unitary(rng, 2 ** len(qubits))
+        apply_unitary(state, unitary, qubits)
+        apply_unitary_reference(reference, unitary, qubits)
+        assert_same_bits(state, reference)
 
 
 def test_a_new_state_allocates_one_vector():
@@ -188,10 +212,12 @@ def test_a_new_state_allocates_one_vector():
 
 
 def test_gates_allocate_no_state_sized_vectors():
-    """80 gates cost one scratch vector; the moveaxis formulation peaked
-    at three state vectors above the start."""
+    """80 gates on a state past one block cost the two block buffers; the
+    two-vector kernel allocated a whole scratch vector at the first gate,
+    and the moveaxis formulation peaked at three state vectors."""
     rng = np.random.default_rng(8)
-    n = 14
+    n = 16
+    assert 2 ** n > simulator.BLOCK
     state = QuantumState(n)
     gates = []
     for _ in range(80):
@@ -206,7 +232,7 @@ def test_gates_allocate_no_state_sized_vectors():
         peak = tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()
-    assert peak <= 1.25 * state.amplitudes.nbytes
+    assert peak <= 1.1 * 2 * simulator.BLOCK * np.dtype(complex).itemsize
 
 
 # -- run ------------------------------------------------------------------------
@@ -417,10 +443,9 @@ def test_zero_qubit_circuit_measures_the_empty_string(gates):
        seed=st.integers(0, 2 ** 32 - 1), assigned=st.booleans())
 def test_born_probabilities_are_squared_magnitudes_bit_for_bit(
         n, count, seed, assigned):
-    """The probabilities written into the spare vector are ``np.abs(a) **
-    2`` to the last bit, whatever axis order the last gate left, with no
-    spare vector yet (no gate, or amplitudes just assigned), and the state
-    keeps its amplitudes and takes further gates."""
+    """The probabilities written over the state's vector are ``np.abs(a) **
+    2`` to the last bit, with no block buffers yet (no gate, or amplitudes
+    just assigned) or after gates, and the state gives its vector up."""
     rng = np.random.default_rng(seed)
     state = QuantumState(n)
     if assigned:
@@ -429,26 +454,43 @@ def test_born_probabilities_are_squared_magnitudes_bit_for_bit(
         k = int(rng.integers(1, min(n, 2) + 1))
         qubits = rng.choice(n, size=k, replace=False).tolist()
         apply_unitary(state, random_unitary(rng, 2 ** k), qubits)
-    reference = copy.deepcopy(state)
-    amplitudes = reference.amplitudes
+    amplitudes = copy.deepcopy(state).amplitudes
     probs = born_probabilities(state)
     assert probs.dtype == np.float64 and probs.shape == (2 ** n,)
     assert probs.tobytes() == (np.abs(amplitudes) ** 2).tobytes()
-    if n:
-        unitary = random_unitary(rng, 2)
-        apply_unitary(state, unitary, [0])
-        apply_unitary(reference, unitary, [0])
-    assert state.amplitudes.tobytes() == reference.amplitudes.tobytes()
+    assert state.amplitudes is None
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(0, 10) | st.sampled_from([15, 16]),
+       block=st.sampled_from([1, 2, 16, 64, 2 ** 14]),
+       gated=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+def test_born_probabilities_are_bit_identical_across_blocks(
+        n, block, gated, seed):
+    """Written BLOCK entries at a time over the first half of the vector's
+    bytes, each block through a separate buffer, the probabilities are
+    ``np.abs(a) ** 2`` to the last bit on either side of every block
+    boundary, also when the last block is short, and past one block of the
+    real size."""
+    rng = np.random.default_rng(seed)
+    state = QuantumState(n)
+    state.amplitudes = random_state(rng, n)
+    with mock.patch.object(simulator, "BLOCK", block):
+        if gated and n:
+            apply_unitary(state, random_unitary(rng, 2), [n - 1])
+        amplitudes = state.amplitudes.copy()
+        probs = born_probabilities(state)
+    assert probs.tobytes() == (np.abs(amplitudes) ** 2).tobytes()
 
 
 def test_born_probabilities_reach_a_reordered_state(gates):
-    """Gates on qubits other than the first leave the axes out of basis
-    order; the probabilities still come back in basis order."""
+    """Gates on qubits other than the first (which left the axes out of
+    basis order in the two-vector kernel) still give the probabilities in
+    basis order."""
     state = QuantumState(3)
     for qubits in ([2], [1, 2], [0], [2, 0]):
         apply_unitary(state, random_unitary(np.random.default_rng(
             len(qubits)), 2 ** len(qubits)), qubits)
-    assert state._layout != (0, 1, 2)
     reference = copy.deepcopy(state)
     expected = np.abs(reference.amplitudes) ** 2
     assert born_probabilities(state).tobytes() == expected.tobytes()
@@ -590,13 +632,13 @@ def _count_applications(monkeypatch):
     from jaqalc import simulator
 
     calls = []
-    real = simulator.apply_unitary
+    real = simulator._apply
 
     def counting(state, unitary, qubits):
         calls.append(tuple(qubits))
         return real(state, unitary, qubits)
 
-    monkeypatch.setattr(simulator, "apply_unitary", counting)
+    monkeypatch.setattr(simulator, "_apply", counting)
     return calls
 
 
@@ -740,9 +782,6 @@ def test_quantized_records_of_repeated_segments_match_oracle(gates):
 # A loop is walked until two iterations in a row start alike, then the last
 # one's tables are sampled for every iteration left, with batched draws.
 
-from unittest import mock  # noqa: E402
-
-from jaqalc import simulator  # noqa: E402
 from jaqalc.emitter import emit, record_chunks  # noqa: E402
 
 from helpers import (  # noqa: E402
